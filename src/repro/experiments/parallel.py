@@ -61,7 +61,6 @@ from repro.scenario.spec import (
     ScenarioSpec,
 )
 from repro.sim.engine import ENGINE_VERSION, SimResult, simulate
-from repro.sim.fingerprint import canonical_value as _canonical
 from repro.sim.fingerprint import digest
 from repro.workloads.benchmarks import benchmark_program
 from repro.workloads.spec import WorkloadSpec
@@ -91,7 +90,7 @@ def _memo_digest(value: Any) -> str:
     if cached is not None and cached[0] is value:
         _blob_memo.move_to_end(id(value))
         return cached[1]
-    d = digest([_canonical(value)])
+    d = digest([value])
     _blob_memo[id(value)] = (value, d)
     while len(_blob_memo) > _BLOB_MEMO_ENTRIES:
         _blob_memo.popitem(last=False)
@@ -125,7 +124,7 @@ def cell_key(
     else:
         # A tuple built here has a one-shot id — memoising it would only
         # fill the memo with entries no later call can ever hit.
-        program_digest = digest([_canonical(tuple(program))])
+        program_digest = digest([tuple(program)])
     return digest(
         [
             "schema", SCENARIO_SCHEMA_VERSION,
@@ -133,12 +132,12 @@ def cell_key(
             "machine", _memo_digest(machine),
             "program", program_digest,
             "policy", POLICIES.canonical(policy),
-            "core_levels", _canonical(None if core_levels is None else tuple(core_levels)),
-            "eewa_config", _canonical(eewa_config),
-            "policy_params", _canonical(policy_params),
+            "core_levels", None if core_levels is None else tuple(core_levels),
+            "eewa_config", eewa_config,
+            "policy_params", policy_params,
             "seed", seed,
             "fast_forward", fast_forward,
-            "faults", _canonical(faults),
+            "faults", faults,
         ]
     )
 

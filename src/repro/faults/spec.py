@@ -4,7 +4,8 @@ A :class:`FaultSpec` describes *which* platform faults a run is subject to
 and *how often*; the :class:`~repro.faults.injector.FaultInjector` turns it
 into deterministic per-event draws. Specs are frozen dataclasses, so they
 participate in scenario digests and parallel-runner cache keys through
-:func:`repro.sim.fingerprint.canonical_value` with no extra code.
+the canonical encoding of :func:`repro.sim.fingerprint.digest` with no
+extra code.
 
 Fault channels (all off by default):
 

@@ -9,15 +9,32 @@ pieces, plus ``machine_base_power * total_time``.
 The meter also keeps per-state and per-frequency-level breakdowns; those
 drive the analysis of *where* each scheduler spends energy (spin waste vs
 useful work) and the Fig. 8-style traces.
+
+Billing is deferred per segment. An observation only records the length of
+the interval it closes; a core's recorded intervals are billed together
+when its (state, level) changes, or when the accounts are read. Billing a
+segment performs, for each accumulator, the additions interval-by-interval
+billing would have performed, in the same order: ``functools.reduce`` with
+``operator.add`` is a left fold, so the floats are bit-identical. (Not
+``sum()``: since Python 3.12 it adds floats with compensation, which rounds
+differently.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.machine.core import BUSY_STATES, CoreState, SimCore
 from repro.machine.power import PowerModel
+
+#: Recorded intervals after which every core is billed and the record
+#: cleared, so a long run holds a bounded list. Splitting a segment's
+#: billing in two performs the same additions, so this changes no float.
+_SETTLE_EVERY = 4096
 
 
 @dataclass
@@ -30,21 +47,47 @@ class CoreEnergyAccount:
     seconds_by_state: dict[CoreState, float] = field(default_factory=dict)
     seconds_by_level: dict[int, float] = field(default_factory=dict)
 
-    def add(self, state: CoreState, level: int, joules: float, seconds: float) -> None:
-        self.joules += joules
-        self.seconds += seconds
-        self.joules_by_state[state] = self.joules_by_state.get(state, 0.0) + joules
-        self.seconds_by_state[state] = self.seconds_by_state.get(state, 0.0) + seconds
-        self.seconds_by_level[level] = self.seconds_by_level.get(level, 0.0) + seconds
+    def bill(
+        self, state: CoreState, level: int, watts: float, intervals: list[float]
+    ) -> None:
+        """Add consecutive intervals spent at one draw.
+
+        Every accumulator receives one addition per interval, in order —
+        exactly what billing the intervals one at a time would do.
+        """
+        if len(intervals) == 1:
+            # Cores that change state together leave one-interval
+            # segments; the same additions, without the folds' overhead.
+            dt = intervals[0]
+            joules_dt = watts * dt
+            self.joules += joules_dt
+            self.seconds += dt
+            by_state = self.joules_by_state
+            by_state[state] = by_state.get(state, 0.0) + joules_dt
+            by_state = self.seconds_by_state
+            by_state[state] = by_state.get(state, 0.0) + dt
+            by_level = self.seconds_by_level
+            by_level[level] = by_level.get(level, 0.0) + dt
+            return
+        joules = [watts * dt for dt in intervals]
+        self.joules = reduce(add, joules, self.joules)
+        self.seconds = reduce(add, intervals, self.seconds)
+        by_state = self.joules_by_state
+        by_state[state] = reduce(add, joules, by_state.get(state, 0.0))
+        by_state = self.seconds_by_state
+        by_state[state] = reduce(add, intervals, by_state.get(state, 0.0))
+        by_level = self.seconds_by_level
+        by_level[level] = reduce(add, intervals, by_level.get(level, 0.0))
 
 
 class EnergyMeter:
     """Integrates machine power over simulated time.
 
     The engine calls :meth:`observe` *before* mutating any core's state or
-    frequency; the meter bills every core for the interval since the last
-    observation at its (still-current) power draw. :meth:`finalize` closes
-    the last interval.
+    frequency, so every core spends the interval since the previous
+    observation at its (still-current) power draw. The meter records the
+    interval and bills it with the rest of the core's segment at that draw
+    (see the module docstring); :meth:`finalize` closes the last interval.
     """
 
     def __init__(
@@ -63,8 +106,8 @@ class EnergyMeter:
         # electrical frequency; tabulating it eagerly per (core, level) —
         # i.e. per *operating point* — returns the identical floats the
         # direct calls would, so billing is unchanged bit-for-bit while
-        # the hot observe loop skips the voltage-curve arithmetic. A
-        # single per-frequency memo would be wrong here: on heterogeneous
+        # billing skips the voltage-curve arithmetic. A single
+        # per-frequency memo would be wrong here: on heterogeneous
         # machines two core types can share an electrical frequency at
         # different wattages (different kappa / voltage curve), so the
         # table is keyed by operating point, never by bare frequency.
@@ -80,22 +123,65 @@ class EnergyMeter:
         self._idle_by_core: list[float] = [
             model_of(core).idle_power() for core in cores
         ]
-        self.accounts: list[CoreEnergyAccount] = [CoreEnergyAccount() for _ in cores]
-        #: Optional piecewise-constant power trace per core:
-        #: lists of (t_start, t_end, watts) — fed to the thermal analysis.
-        self.power_series: list[list[tuple[float, float, float]]] | None = (
+        self._accounts = [CoreEnergyAccount() for _ in cores]
+        self._power_series: list[list[tuple[float, float, float]]] | None = (
             [[] for _ in cores] if record_series else None
         )
+        self._reset_record()
+
+    def _reset_record(self) -> None:
+        """Empty the interval record; every core's segment starts now.
+
+        A finalized meter records nothing more and keeps no record, so a
+        memoised result holds no more than its accounts and series.
+        """
+        if self._finalized:
+            self._dts = self._seg_start = self._seg_state = self._seg_level = ()
+            self._spans = None
+            return
+        cores = self._cores
+        #: Lengths of the intervals observed since the record was cleared,
+        #: and their (start, end) instants when a power series is recorded.
+        self._dts: list[float] = []
+        self._spans: list[tuple[float, float]] | None = (
+            None if self._power_series is None else []
+        )
+        #: Per core: index of its first unbilled interval, and the state
+        #: and level it has held since then.
+        self._seg_start = [0] * len(cores)
+        self._seg_state = [core.state for core in cores]
+        self._seg_level = [core.level for core in cores]
+
+    # -- pickling -----------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The pickled layout is fixed: the settled accounts and series under
+        # the names ``accounts`` and ``power_series`` and no billing record,
+        # so cache entries keep their bytes and entries written by earlier
+        # versions, which stored exactly these attributes, still load.
+        self._settle()
+        return {
+            "_cores": self._cores,
+            "_power": self._power,
+            "_last_time": self._last_time,
+            "_finalized": self._finalized,
+            "_busy_by_core": self._busy_by_core,
+            "_idle_by_core": self._idle_by_core,
+            "accounts": self._accounts,
+            "power_series": self._power_series,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        state = dict(state)
+        self._accounts = state.pop("accounts")
+        self._power_series = state.pop("power_series")
+        self.__dict__.update(state)
+        self._reset_record()
 
     # -- billing ------------------------------------------------------------
 
-    def _core_power(self, core: SimCore) -> float:
-        if core.state in BUSY_STATES:
-            return self._busy_by_core[core.core_id][core.level]
-        return self._idle_by_core[core.core_id]
-
     def observe(self, now: float) -> None:
-        """Bill all cores for the interval ``[last, now]`` at current draw."""
+        """Record the interval ``[last, now]`` at every core's current draw."""
         if self._finalized:
             raise SimulationError("energy meter already finalized")
         last = self._last_time
@@ -108,29 +194,100 @@ class EnergyMeter:
             # billing interval by the jitter. Keep the later instant.
             self._last_time = max(last, now)
             return
-        busy_by_core = self._busy_by_core
-        idle_by_core = self._idle_by_core
-        record = self.power_series is not None
-        for i, (core, account) in enumerate(zip(self._cores, self.accounts)):
-            state = core.state
-            if state in BUSY_STATES:
-                p = busy_by_core[i][core.level]
-            else:
-                p = idle_by_core[i]
-            account.add(state, core.level, p * dt, dt)
-            if record:
-                series = self.power_series[i]
-                # Merge with the previous piece when power is unchanged.
-                if series and series[-1][2] == p and series[-1][1] == last:
-                    series[-1] = (series[-1][0], now, p)
-                else:
-                    series.append((last, now, p))
+        if len(self._dts) >= _SETTLE_EVERY:
+            self._settle()
+        dts = self._dts
+        n = len(dts)
+        # A core whose draw changed since the previous interval has ended
+        # a segment: bill it at the draw it had.
+        seg_state = self._seg_state
+        seg_level = self._seg_level
+        i = 0
+        for core in self._cores:
+            if core.state is not seg_state[i] or core.level != seg_level[i]:
+                self._close_segment(i, n)
+            i += 1
+        dts.append(dt)
+        if self._spans is not None:
+            self._spans.append((last, now))
         self._last_time = now
+
+    def _close_segment(self, i: int, end: int) -> None:
+        """Bill core ``i``'s intervals before ``end``; its next segment
+        starts at ``end`` with the core's current state and level."""
+        start = self._seg_start[i]
+        if start < end:
+            state = self._seg_state[i]
+            level = self._seg_level[i]
+            if state in BUSY_STATES:
+                watts = self._busy_by_core[i][level]
+            else:
+                watts = self._idle_by_core[i]
+            self._accounts[i].bill(state, level, watts, self._dts[start:end])
+            if self._spans is not None:
+                series = self._power_series[i]
+                for last, now in self._spans[start:end]:
+                    # Merge with the previous piece when power is unchanged.
+                    if series and series[-1][2] == watts and series[-1][1] == last:
+                        series[-1] = (series[-1][0], now, watts)
+                    else:
+                        series.append((last, now, watts))
+            self._seg_start[i] = end
+        core = self._cores[i]
+        self._seg_state[i] = core.state
+        self._seg_level[i] = core.level
+
+    def _settle(self) -> None:
+        """Bill every recorded interval and clear the record."""
+        dts = self._dts
+        if dts:
+            end = len(dts)
+            for i in range(len(self._cores)):
+                self._close_segment(i, end)
+            dts.clear()
+            if self._spans is not None:
+                self._spans.clear()
+            self._seg_start = [0] * len(self._cores)
 
     def finalize(self, now: float) -> None:
         """Bill the final interval and freeze the meter."""
         self.observe(now)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        self._settle()
         self._finalized = True
+        self._reset_record()
+
+    def billed_through(self, now: float, *, final: bool = False) -> None:
+        """Continue metering from ``now``; the accounts already hold it.
+
+        Fast-forward replay adds whole batches to :attr:`accounts` itself;
+        this settles the recorded intervals, moves the clock to ``now``
+        without billing the gap, and with ``final`` freezes the meter.
+        """
+        if self._finalized:
+            raise SimulationError("energy meter already finalized")
+        if now < self._last_time:
+            raise SimulationError(f"time went backwards: {self._last_time} -> {now}")
+        self._settle()
+        self._last_time = now
+        if final:
+            self._freeze()
+
+    @property
+    def accounts(self) -> list[CoreEnergyAccount]:
+        """Per-core accounts, billed through the last observation."""
+        self._settle()
+        return self._accounts
+
+    @property
+    def power_series(self) -> list[list[tuple[float, float, float]]] | None:
+        """Optional piecewise-constant power trace per core — lists of
+        ``(t_start, t_end, watts)`` fed to the thermal analysis; ``None``
+        unless the meter was built with ``record_series=True``."""
+        self._settle()
+        return self._power_series
 
     # -- results ------------------------------------------------------------
 

@@ -45,7 +45,7 @@ from repro.machine.topology import MachineConfig
 from repro.runtime.policy import SchedulerPolicy
 from repro.runtime.task import Batch
 from repro.scenario.registry import MACHINES, POLICIES, WORKLOADS
-from repro.sim.fingerprint import canonical_value, digest
+from repro.sim.fingerprint import digest
 from repro.workloads.io import spec_from_dict, spec_to_dict
 from repro.workloads.spec import WorkloadSpec
 
@@ -425,15 +425,15 @@ class ScenarioSpec:
         return digest(
             [
                 "scenario-spec", SCENARIO_SCHEMA_VERSION,
-                "workload", canonical_value(self.resolve_workload()),
-                "machine", canonical_value(self.build_machine()),
+                "workload", self.resolve_workload(),
+                "machine", self.build_machine(),
                 "policy", self.policy.name,
-                "core_levels", canonical_value(self.policy.core_levels),
-                "params", canonical_value(self.policy.params),
-                "config", canonical_value(self.policy.config),
-                "seeds", canonical_value(self.seeds),
+                "core_levels", self.policy.core_levels,
+                "params", self.policy.params,
+                "config", self.policy.config,
+                "seeds", self.seeds,
                 "batches", self.batches,
-                "faults", canonical_value(self.faults),
+                "faults", self.faults,
             ]
         )
 

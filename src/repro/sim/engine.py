@@ -56,8 +56,10 @@ simulation would, in the same order, so on machines where the arithmetic is
 float-exact (see :func:`repro.machine.topology.dyadic_test_machine`) the
 :class:`SimResult` is bit-identical. Any bail-out — a policy returning
 ``None`` from ``state_fingerprint()``, deep tracing or power-series
-recording, a mid-batch ``SetFrequency``, events pending at the boundary, or
-any fingerprint/spec/delta mismatch — falls back to full simulation.
+recording, a mid-batch ``SetFrequency``, events pending at the boundary, a
+boundary batch that repeats neither neighbour (no snapshot is taken: it
+could join no chain), or any fingerprint/spec/delta mismatch — falls back
+to full simulation.
 """
 
 from __future__ import annotations
@@ -462,6 +464,20 @@ class Simulator:
         # account snapshot align on the boundary time and changes nothing
         # when the chain never engages (the later observe becomes a no-op).
         self._meter.observe(self._queue._now)
+        pos = self._next_batch_pos
+        batches = self._batches
+        specs = batches[pos].specs
+        if not (
+            (pos > 0 and batches[pos - 1].specs == specs)
+            or (pos + 1 < len(batches) and batches[pos + 1].specs == specs)
+        ):
+            # Replay needs three consecutive boundaries launching equal
+            # batches, and this snapshot would be compared only with its
+            # neighbours': a batch that repeats neither can join no chain,
+            # so skip the fingerprints and account copies.
+            self._ff_prev = None
+            self._ff_delta = None
+            return False
         snap = self._ff_snapshot()
         if snap is None:
             self._ff_prev = None
@@ -714,17 +730,18 @@ class Simulator:
             pos += 1
         self._next_batch_pos = pos
         self._queue._now = t
-        # Accounts are billed through ``t`` by the deltas; realign the
-        # meter so later billing (or none) starts from the right instant.
-        self._meter._last_time = t
         self._ff_prev = None
         self._ff_delta = None
-        if pos < len(batches):
+        done = pos >= len(batches)
+        # Accounts are billed through ``t`` by the deltas; realign the
+        # meter so later billing (or none, once the program is done)
+        # starts from the right instant.
+        self._meter.billed_through(t, final=done)
+        if not done:
             # A differing batch interrupted the steady state: fall back to
             # normal simulation from this boundary.
             return False
         self._policy.on_program_end()
-        self._meter._finalized = True
         for core in self._cores:
             if core.state is _SPINNING:
                 core.park()

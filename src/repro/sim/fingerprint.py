@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimResult
@@ -30,9 +31,11 @@ def canonical_value(value: Any) -> Any:
 
     Field *names* are included so reordering or renaming a config field
     changes the encoding, and every float round-trips through ``repr``
-    inside :func:`canonical_blob`. This is the shared canonical form behind
-    both the result-cache keys (:mod:`repro.experiments.parallel`) and
-    scenario digests (:mod:`repro.scenario.spec`).
+    inside :func:`canonical_blob`. This is the reference definition of the
+    canonical form behind both the result-cache keys
+    (:mod:`repro.experiments.parallel`) and scenario digests
+    (:mod:`repro.scenario.spec`); :func:`digest` encodes raw values into
+    the same bytes in one pass, so callers need not build this tree.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         parts: list[Any] = [type(value).__name__]
@@ -49,28 +52,72 @@ def canonical_value(value: Any) -> Any:
     return value
 
 
+#: Types :func:`_encode` writes with ``repr`` or walks without any check.
+_REPR_TYPES = frozenset({str, int, float, bool, type(None)})
+_SEQUENCE_TYPES = frozenset({tuple, list})
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """Field names of a dataclass type; ``None`` for any other type."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
 def _encode(parts: Iterable[Any], out: list[str]) -> None:
+    """Append the canonical encoding of each part, ``|``-terminated.
+
+    A dataclass, enum or dict is written as the list
+    :func:`canonical_value` turns it into — one walk over the raw value,
+    with no intermediate tree.
+    """
+    append = out.append
     for part in parts:
-        if isinstance(part, float):
-            out.append(repr(part))
-        elif isinstance(part, (list, tuple)):
-            out.append("[")
+        cls = type(part)
+        if cls in _REPR_TYPES:
+            append(repr(part))
+        elif cls in _SEQUENCE_TYPES:
+            append("[")
             _encode(part, out)
-            out.append("]")
+            append("]")
         else:
-            out.append(repr(part))
-        out.append("|")
+            names = _field_names(cls)
+            if names is not None:
+                items = [cls.__name__]
+                for name in names:
+                    items.append(name)
+                    items.append(getattr(part, name))
+            elif isinstance(part, enum.Enum):
+                items = [cls.__name__, part.value]
+            elif isinstance(part, (list, tuple)):
+                items = part
+            elif isinstance(part, dict):
+                items = sorted(part.items())
+            else:
+                append(repr(part))
+                append("|")
+                continue
+            append("[")
+            _encode(items, out)
+            append("]")
+        append("|")
 
 
 def canonical_blob(parts: Iterable[Any]) -> bytes:
-    """Deterministic byte encoding of a nested structure of scalars."""
+    """Deterministic byte encoding of a nested structure of scalars,
+    containers, dataclasses and enums."""
     out: list[str] = []
     _encode(parts, out)
     return "".join(out).encode()
 
 
 def digest(parts: Iterable[Any]) -> str:
-    """Hex SHA-256 of :func:`canonical_blob`."""
+    """Hex SHA-256 of :func:`canonical_blob`.
+
+    Parts may be raw dataclasses, enums and dicts: ``digest([x])`` equals
+    ``digest([canonical_value(x)])``.
+    """
     return hashlib.sha256(canonical_blob(parts)).hexdigest()
 
 

@@ -1,0 +1,285 @@
+"""The one-pass canonical encoder behind cache keys and scenario digests.
+
+``digest`` walks raw dataclasses, enums and dicts itself; these tests hold
+it to the reference form: ``digest([x])`` must equal
+``digest([canonical_value(x)])``, and its bytes must be the ones the
+two-pass encoding (build the :func:`canonical_value` tree, then write it
+with lists walked and everything else ``repr``-ed) produced. The pinned
+cell keys were computed by that two-pass encoding; if one moves, every
+result cache written before the change goes cold.
+"""
+
+import dataclasses
+import enum
+from typing import Any, ClassVar
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.adjuster import OverheadModel
+from repro.core.eewa import EEWAConfig
+from repro.core.membound import MemoryBoundMode
+from repro.experiments.parallel import CellSpec, _resolve_program, cell_key
+from repro.faults.spec import FaultSpec
+from repro.machine.topology import big_little_test_machine, opteron_8380_machine
+from repro.scenario.registry import MACHINES, WORKLOADS, spread_levels_for
+from repro.scenario.spec import SCENARIO_SCHEMA_VERSION, ScenarioSpec
+from repro.sim.fingerprint import canonical_blob, canonical_value, digest
+from repro.workloads.generators import generate_program
+from repro.workloads.periodic import periodic_program
+
+
+def two_pass_blob(value: Any) -> bytes:
+    """``canonical_blob([canonical_value(value)])`` as the encoder wrote it
+    before it handled dataclasses, enums and dicts itself."""
+    out: list[str] = []
+
+    def encode(parts):
+        for part in parts:
+            if isinstance(part, (list, tuple)):
+                out.append("[")
+                encode(part)
+                out.append("]")
+            else:
+                out.append(repr(part))
+            out.append("|")
+
+    encode([canonical_value(value)])
+    return "".join(out).encode()
+
+
+def assert_canonical(value: Any) -> None:
+    assert canonical_blob([value]) == two_pass_blob(value)
+    assert digest([value]) == digest([canonical_value(value)])
+
+
+# -- generated values --------------------------------------------------------
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    GREEN = 2
+    BLUE = (3, "b")
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    value: Any
+    flag: bool = False
+
+
+@dataclasses.dataclass
+class Node:
+    KIND: ClassVar[str] = "node"  # not a field: never encoded
+    name: str
+    left: Any
+    right: Any = None
+    weights: dict = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
+class Empty:
+    pass
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.sampled_from(list(Colour))
+    | st.just(Empty())
+)
+
+
+def _extend(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=4)
+        | st.builds(Leaf, children, st.booleans())
+        | st.builds(
+            Node,
+            st.text(max_size=4),
+            children,
+            children,
+            st.dictionaries(st.sampled_from("abc"), st.floats(), max_size=3),
+        )
+    )
+
+
+nested = st.recursive(scalars, _extend, max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested)
+def test_generated_values_encode_as_their_canonical_form(value):
+    assert_canonical(value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(nested, max_size=5))
+def test_parts_lists_encode_item_by_item(parts):
+    assert canonical_blob(parts) == b"".join(
+        two_pass_blob(part) for part in parts
+    )
+
+
+def test_class_objects_are_written_with_repr():
+    # canonical_value leaves a dataclass *type* alone (only instances
+    # expand); so must the encoder.
+    assert_canonical(Leaf)
+    assert_canonical([Node, Colour, Colour.RED])
+
+
+# -- the repository's own inputs ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in WORKLOADS])
+def test_registered_workload_programs(name):
+    spec = WORKLOADS.get(name).spec()
+    assert_canonical(spec)
+    assert_canonical(tuple(generate_program(spec, batches=2, seed=5)))
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in MACHINES])
+def test_registered_machine_presets(name):
+    assert_canonical(MACHINES.get(name).build())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EEWAConfig(),
+        EEWAConfig(
+            cc_mode="fluid",
+            headroom=0.2,
+            memory_bound_mode=MemoryBoundMode.REGRESSION,
+            overhead_model=OverheadModel(base_seconds=2.0**-11),
+        ),
+    ],
+)
+def test_eewa_configs(config):
+    assert_canonical(config)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [FaultSpec(), FaultSpec(dvfs_deny_rate=0.25, stall_rate=0.05, stall_duration_s=1e-4)],
+)
+def test_fault_specs(faults):
+    assert_canonical(faults)
+
+
+def test_schema_3_scenario_digest_matches_its_canonical_form():
+    spec = ScenarioSpec.from_dict(
+        {
+            "schema": 3,
+            "workload": "JE",
+            "policy": {"name": "eewa", "params": {"headroom": 0.2, "cc_mode": "fluid"}},
+            "machine": {"preset": "big-little-test", "core_types": [["big", 2], ["little", 6]]},
+            "seeds": [4, 9],
+            "batches": 3,
+            "faults": {"stall_rate": 0.1, "stall_duration_s": 0.002},
+        }
+    )
+    assert_canonical(spec)
+    reference = digest(
+        [
+            "scenario-spec", SCENARIO_SCHEMA_VERSION,
+            "workload", canonical_value(spec.resolve_workload()),
+            "machine", canonical_value(spec.build_machine()),
+            "policy", spec.policy.name,
+            "core_levels", canonical_value(spec.policy.core_levels),
+            "params", canonical_value(spec.policy.params),
+            "config", canonical_value(spec.policy.config),
+            "seeds", canonical_value(spec.seeds),
+            "batches", spec.batches,
+            "faults", canonical_value(spec.faults),
+        ]
+    )
+    assert spec.digest() == reference
+
+
+# -- cell keys a cache written before the one-pass encoder holds -------------
+
+OPTERON = opteron_8380_machine()
+
+PINNED_CELLS = {
+    "table2-sha1-eewa": (
+        CellSpec(benchmark="SHA-1", policy="eewa", seed=7),
+        OPTERON,
+        "a1215eeb6230ec65e52e3d6527d4fb390102325af59de23c5199c492517a4420",
+    ),
+    "table2-bwc-wats": (
+        CellSpec(
+            benchmark="BWC", policy="wats", seed=61050,
+            core_levels=tuple(spread_levels_for(OPTERON)),
+        ),
+        OPTERON,
+        "94983b91f60ff3c43b373c214b9369b9bcb2971fe198250ebfa0c619397b8158",
+    ),
+    "periodic-eewa": (
+        CellSpec(benchmark="periodic", policy="eewa", seed=3, batches=30),
+        OPTERON,
+        "8e0fc07931917e713e0160d8e3cf2db6b29d37ac81e789a69a91bd65ec8d011e",
+    ),
+    "big-little-cilk-d": (
+        CellSpec(
+            benchmark="JE", policy="cilk-d", seed=5, batches=4,
+            policy_params=(("idle_grace_s", 0.001),),
+        ),
+        big_little_test_machine(),
+        "4618f6a0408f14a0ebecd46a62a9e90d5611f8ed685ba167056070867e64a924",
+    ),
+    "custom-eewa-config": (
+        CellSpec(
+            benchmark="MD5", policy="eewa", seed=11, batches=5,
+            eewa_config=EEWAConfig(
+                cc_mode="fluid",
+                headroom=0.2,
+                memory_bound_mode=MemoryBoundMode.REGRESSION,
+                overhead_model=OverheadModel(
+                    base_seconds=2.0**-11, per_cell_seconds=2.0**-17
+                ),
+            ),
+        ),
+        OPTERON,
+        "37f8443f5963b314c71d6fddcaa386c4a86adaa8643fd6fbcc987e372b0a67f8",
+    ),
+    "faults-cilk": (
+        CellSpec(
+            benchmark="LZW", policy="cilk", seed=2, batches=3,
+            faults=FaultSpec(
+                dvfs_deny_rate=0.25, stall_rate=0.05, stall_duration_s=1e-4,
+                counter_noise_rate=0.1, counter_noise_intensity=0.3,
+            ),
+        ),
+        OPTERON,
+        "35c82e07a37c629a3365817597c2e260ef88ea832c4bf9f9a9a5248f42a48b98",
+    ),
+    "explicit-program-wats": (
+        CellSpec(
+            benchmark="periodic", policy="wats", seed=0,
+            core_levels=(0, 0, 0, 0, 2, 2, 2, 2),
+            program=tuple(periodic_program(6, 2, 4)),
+        ),
+        opteron_8380_machine(num_cores=8),
+        "2d2edc4de4bee27f25c692cbf6c1e82e1ad19545696be78051a8c86fc41a13be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CELLS))
+def test_pinned_cell_keys(name):
+    """The key the sweep engine computes for each cell (fast-forward on)."""
+    spec, machine, pinned = PINNED_CELLS[name]
+    key = cell_key(
+        _resolve_program(spec), spec.policy, machine, spec.seed,
+        core_levels=spec.core_levels, eewa_config=spec.eewa_config,
+        policy_params=spec.policy_params, fast_forward=True, faults=spec.faults,
+    )
+    assert key == pinned

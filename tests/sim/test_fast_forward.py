@@ -156,3 +156,63 @@ class TestBailOuts:
             seed=11, record_power_series=True,
         )
         assert result.batches_fast_forwarded == 0
+
+
+class TestNeighbourPreCheck:
+    """A boundary whose batch repeats neither neighbour skips its snapshot."""
+
+    @pytest.fixture
+    def rng_fingerprints(self, monkeypatch):
+        from repro.sim.rng import RngStreams
+
+        calls = []
+        original = RngStreams.state_fingerprint
+
+        def spy(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RngStreams, "state_fingerprint", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_jittered_table2_cell_takes_no_fingerprint(self, name, rng_fingerprints):
+        from repro.scenario.registry import POLICIES as REGISTRY
+        from repro.scenario.registry import spread_levels_for
+        from repro.workloads.benchmarks import benchmark_program
+
+        machine = opteron_8380_machine()
+        levels = spread_levels_for(machine) if name == "wats" else None
+        result = simulate(
+            benchmark_program("SHA-1", batches=4, seed=23),
+            REGISTRY.get(name).build(core_levels=levels),
+            machine,
+            seed=23,
+        )
+        assert result.batches_executed == 4
+        assert rng_fingerprints == []
+
+    def test_periodic_workload_still_fast_forwards(self, rng_fingerprints):
+        from repro.workloads.benchmarks import benchmark_program
+
+        result = simulate(
+            benchmark_program("periodic", batches=30, seed=5),
+            EEWAScheduler(),
+            opteron_8380_machine(),
+            seed=5,
+        )
+        assert rng_fingerprints
+        assert result.batches_fast_forwarded > 0
+
+    @pytest.mark.parametrize("name, replayed", [("eewa", 1), ("wats", 2)])
+    def test_alternating_prefix_then_steady_tail(self, name, replayed):
+        # A B A B: every boundary is skipped. The tail A A A A forms the
+        # chain at the same boundary it always did and replays the rest.
+        a = periodic_batch_specs(4, 8)
+        b = periodic_batch_specs(6, 2)
+        program = [
+            flat_batch(i, specs) for i, specs in enumerate([a, b, a, b, a, a, a, a])
+        ]
+        fast, full = run_pair(program, name)
+        assert_bit_identical(fast, full)
+        assert fast.batches_fast_forwarded == replayed
