@@ -14,17 +14,15 @@ Billing is deferred per segment. An observation only records the length of
 the interval it closes; a core's recorded intervals are billed together
 when its (state, level) changes, or when the accounts are read. Billing a
 segment performs, for each accumulator, the additions interval-by-interval
-billing would have performed, in the same order: ``functools.reduce`` with
-``operator.add`` is a left fold, so the floats are bit-identical. (Not
-``sum()``: since Python 3.12 it adds floats with compensation, which rounds
-differently.)
+billing would have performed, in the same order: one loop over the
+intervals adds each to all five accumulators, held in locals, so the
+floats are bit-identical. (Not ``sum()``: since Python 3.12 it adds floats
+with compensation, which rounds differently.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Any
 
 from repro.errors import SimulationError
@@ -55,29 +53,23 @@ class CoreEnergyAccount:
         Every accumulator receives one addition per interval, in order —
         exactly what billing the intervals one at a time would do.
         """
-        if len(intervals) == 1:
-            # Cores that change state together leave one-interval
-            # segments; the same additions, without the folds' overhead.
-            dt = intervals[0]
+        joules = self.joules
+        seconds = self.seconds
+        state_joules = self.joules_by_state.get(state, 0.0)
+        state_seconds = self.seconds_by_state.get(state, 0.0)
+        level_seconds = self.seconds_by_level.get(level, 0.0)
+        for dt in intervals:
             joules_dt = watts * dt
-            self.joules += joules_dt
-            self.seconds += dt
-            by_state = self.joules_by_state
-            by_state[state] = by_state.get(state, 0.0) + joules_dt
-            by_state = self.seconds_by_state
-            by_state[state] = by_state.get(state, 0.0) + dt
-            by_level = self.seconds_by_level
-            by_level[level] = by_level.get(level, 0.0) + dt
-            return
-        joules = [watts * dt for dt in intervals]
-        self.joules = reduce(add, joules, self.joules)
-        self.seconds = reduce(add, intervals, self.seconds)
-        by_state = self.joules_by_state
-        by_state[state] = reduce(add, joules, by_state.get(state, 0.0))
-        by_state = self.seconds_by_state
-        by_state[state] = reduce(add, intervals, by_state.get(state, 0.0))
-        by_level = self.seconds_by_level
-        by_level[level] = reduce(add, intervals, by_level.get(level, 0.0))
+            joules += joules_dt
+            seconds += dt
+            state_joules += joules_dt
+            state_seconds += dt
+            level_seconds += dt
+        self.joules = joules
+        self.seconds = seconds
+        self.joules_by_state[state] = state_joules
+        self.seconds_by_state[state] = state_seconds
+        self.seconds_by_level[level] = level_seconds
 
 
 class EnergyMeter:
@@ -130,15 +122,7 @@ class EnergyMeter:
         self._reset_record()
 
     def _reset_record(self) -> None:
-        """Empty the interval record; every core's segment starts now.
-
-        A finalized meter records nothing more and keeps no record, so a
-        memoised result holds no more than its accounts and series.
-        """
-        if self._finalized:
-            self._dts = self._seg_start = self._seg_state = self._seg_level = ()
-            self._spans = None
-            return
+        """Empty the interval record; every core's segment starts now."""
         cores = self._cores
         #: Lengths of the intervals observed since the record was cleared,
         #: and their (start, end) instants when a power series is recorded.
@@ -252,12 +236,8 @@ class EnergyMeter:
     def finalize(self, now: float) -> None:
         """Bill the final interval and freeze the meter."""
         self.observe(now)
-        self._freeze()
-
-    def _freeze(self) -> None:
         self._settle()
         self._finalized = True
-        self._reset_record()
 
     def billed_through(self, now: float, *, final: bool = False) -> None:
         """Continue metering from ``now``; the accounts already hold it.
@@ -272,8 +252,7 @@ class EnergyMeter:
             raise SimulationError(f"time went backwards: {self._last_time} -> {now}")
         self._settle()
         self._last_time = now
-        if final:
-            self._freeze()
+        self._finalized = final
 
     @property
     def accounts(self) -> list[CoreEnergyAccount]:

@@ -467,8 +467,9 @@ class Simulator:
         pos = self._next_batch_pos
         batches = self._batches
         specs = batches[pos].specs
+        repeats_prev = pos > 0 and batches[pos - 1].specs == specs
         if not (
-            (pos > 0 and batches[pos - 1].specs == specs)
+            repeats_prev
             or (pos + 1 < len(batches) and batches[pos + 1].specs == specs)
         ):
             # Replay needs three consecutive boundaries launching equal
@@ -489,7 +490,7 @@ class Simulator:
             prev is None
             or snap.pos != prev.pos + 1
             or snap.fingerprint != prev.fingerprint
-            or self._batches[snap.pos].specs != self._batches[prev.pos].specs
+            or not repeats_prev
         ):
             self._ff_delta = None
             return False
