@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     # Paired cache-temperature rows: "<load>_warm" vs "<load>_cold" run
-    # the same duplicate-heavy load against a packed cache vs from scratch.
+    # the same duplicate-heavy load against a warm cache vs from scratch.
     for name, entry in benches.items():
         if not name.endswith("_warm"):
             continue

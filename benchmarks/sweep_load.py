@@ -9,11 +9,11 @@ records, per phase:
   simulate. Per-submission latency is time-to-resolution from phase start.
 * **legacy per-call** — the pre-engine shape on the now-warm cache: every
   submission is its own run_cells-style call, paying one key computation
-  plus one loose-file ``open`` + unpickle round-trip per cell (exactly
+  plus one entry-file ``open`` + unpickle round-trip per cell (exactly
   what the one-shot ``ParallelRunner`` cost before the engine existed).
-* **warm** — a *new* engine over the compacted cache: the packed shard
-  indexes serve each distinct cell once, the in-memory memo serves every
-  duplicate, and zero cells simulate.
+* **warm** — a *new* engine over the same cache: one entry file serves
+  each distinct cell once, the in-memory memo serves every duplicate, and
+  zero cells simulate.
 
 Usage::
 
@@ -120,13 +120,13 @@ def run_engine_phase(
 
 
 def run_legacy_phase(load: list[CellSpec], cache_dir: str) -> dict[str, object]:
-    """The pre-engine per-call fan-out on a warm loose-file cache.
+    """The pre-engine per-call fan-out on a warm cache.
 
     Before the sweep engine, every ``run_cells`` call re-resolved its
-    cells against the flat loose-file cache: per cell, one content-key
+    cells against the on-disk cache: per cell, one content-key
     computation and one ``open`` + unpickle of the entry file, with no
-    cross-call memo. Replayed here verbatim (reads the loose files the
-    cold phase just wrote, *before* compaction packs them).
+    cross-call memo. Replayed here verbatim (reads the entry files the
+    cold phase just wrote).
     """
     machine = opteron_8380_machine()
     root = ResultCache(cache_dir)  # path layout helper only
@@ -192,14 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         legacy = run_legacy_phase(load, cache_dir)
         print(f"legacy: {legacy['wall_seconds']:.3f}s "
               f"({legacy['throughput_per_sec']:.0f} lookups/s, "
-              "one loose-file unpickle per call)")
-
-        compact_started = time.perf_counter()
-        absorbed = ResultCache(cache_dir).compact()
-        compact = {
-            "loose_entries_packed": absorbed,
-            "wall_seconds": time.perf_counter() - compact_started,
-        }
+              "one entry-file unpickle per call)")
 
         warm = run_engine_phase(load, cache_dir, workers=args.workers)
         warm["speedup_vs_legacy_per_call"] = (
@@ -230,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "cold": cold,
         "legacy_per_call": legacy,
-        "compact": compact,
         "warm": warm,
         "acceptance": {
             "warm_cells_simulated": warm["cells_simulated"],

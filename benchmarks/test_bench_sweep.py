@@ -3,7 +3,7 @@
 A small version of ``benchmarks/sweep_load.py`` shaped for
 pytest-benchmark: the same duplicate-heavy load is run cold (fresh cache,
 distinct cells simulate once, duplicates coalesce in flight) and warm (a
-new engine over the packed cache, zero simulations). The report script
+new engine over the same cache, zero simulations). The report script
 derives ``dedup_hit_rate`` and ``speedup_warm_vs_cold`` from the
 ``extra_info`` these attach.
 """
@@ -13,7 +13,7 @@ import tempfile
 
 import pytest
 
-from repro.experiments.parallel import CellSpec, ResultCache
+from repro.experiments.parallel import CellSpec
 from repro.experiments.sweep import SweepEngine
 
 #: Duplicate-heavy load: every submission repeats one of 4 distinct cells.
@@ -55,17 +55,16 @@ def test_bench_sweep_cold(benchmark):
 
 
 @pytest.fixture(scope="module")
-def packed_cache(tmp_path_factory):
+def warm_cache(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("bench-sweep-warm"))
     _drain(cache_dir)
-    ResultCache(cache_dir).compact()
     return cache_dir
 
 
-def test_bench_sweep_warm(benchmark, packed_cache):
-    outcomes, stats = benchmark(lambda: _drain(packed_cache))
+def test_bench_sweep_warm(benchmark, warm_cache):
+    outcomes, stats = benchmark(lambda: _drain(warm_cache))
     assert len(outcomes) == len(LOAD)
-    assert stats.executed == 0  # every cell served from the packed cache
+    assert stats.executed == 0  # every cell served from the cache
     benchmark.extra_info["submissions"] = stats.cells
     benchmark.extra_info["dedup_hits"] = stats.deduplicated + stats.cache_hits
     benchmark.extra_info["cells_simulated"] = stats.executed

@@ -18,7 +18,7 @@
   ``--fidelity model|auto`` serves cells from the analytic model tier;
 * ``predict`` — the analytic companion model (:mod:`repro.model`) for
   one cell: O(1) makespan/energy prediction, no simulation;
-* ``cache`` — result-cache maintenance: ``stats``, ``prune``, ``migrate``
+* ``cache`` — result-cache maintenance: ``stats``, ``prune``
   (see :mod:`repro.experiments.cachectl`);
 * ``calibrate`` — re-measure the real kernels behind the workload costs;
 * ``check`` — determinism lint, invariant model checking, race detection
@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cache = sub.add_parser(
-        "cache", help="result-cache maintenance (stats, prune, migrate)"
+        "cache", help="result-cache maintenance (stats, prune)"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats_p = cache_sub.add_parser(
@@ -324,12 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-bytes", type=int, default=None,
         help="evict oldest entries until the cache fits this many bytes",
     )
-    cache_migrate_p = cache_sub.add_parser(
-        "migrate",
-        help="flat→sharded layout migration + pack loose entries into "
-        "per-shard indexes",
-    )
-    for sub_p in (cache_stats_p, cache_prune_p, cache_migrate_p):
+    for sub_p in (cache_stats_p, cache_prune_p):
         sub_p.add_argument("--cache-dir", default=".repro-cache")
 
     cal = sub.add_parser("calibrate", help="re-measure real kernel costs")
@@ -1086,19 +1081,20 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         else:
             print(stats.summary())
         return 0
-    if args.cache_command == "prune":
-        if args.max_age_days is None and args.max_bytes is None:
-            raise ScenarioError(
-                "cache prune needs --max-age-days and/or --max-bytes"
-            )
-        result = cachectl.prune(
-            args.cache_dir,
-            max_age_days=args.max_age_days,
-            max_bytes=args.max_bytes,
+    if args.max_age_days is None and args.max_bytes is None:
+        raise ScenarioError("cache prune needs --max-age-days and/or --max-bytes")
+    # ``not >= 0`` also rejects NaN, which every comparison fails.
+    if args.max_age_days is not None and not args.max_age_days >= 0:
+        raise ScenarioError(
+            f"--max-age-days must be >= 0, got {args.max_age_days}"
         )
-        print(result.summary())
-        return 0
-    result = cachectl.migrate(args.cache_dir)
+    if args.max_bytes is not None and args.max_bytes < 0:
+        raise ScenarioError(f"--max-bytes must be >= 0, got {args.max_bytes}")
+    result = cachectl.prune(
+        args.cache_dir,
+        max_age_days=args.max_age_days,
+        max_bytes=args.max_bytes,
+    )
     print(result.summary())
     return 0
 

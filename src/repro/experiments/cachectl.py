@@ -1,16 +1,15 @@
 """Maintenance tooling for the sharded result cache (``repro cache``).
 
-Three operations over a :class:`~repro.experiments.parallel.ResultCache`
-root, none of which ever touch simulation semantics (cache keys are
+Two operations over a :class:`~repro.experiments.parallel.ResultCache`
+root, neither of which ever touches simulation semantics (cache keys are
 content-addressed, so removal can only cause re-simulation, never wrong
 results):
 
-* :func:`cache_stats` — entry/byte counts, shard distribution, and how
-  much of the cache is packed vs loose;
+* :func:`cache_stats` — entry/byte counts and shard distribution;
 * :func:`prune` — evict entries older than ``max_age_days`` and/or the
-  oldest entries beyond ``max_bytes``;
-* :func:`migrate` — fold a flat pre-shard layout into the sharded one and
-  compact every shard's loose entries into its packed index.
+  oldest entries beyond ``max_bytes``.
+
+Both are safe to run while other processes read and write the cache.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ class CacheStats:
 
     root: str
     entries: int
-    loose_entries: int
-    packed_entries: int
     total_bytes: int
     shards: int
     min_shard_entries: int
@@ -40,8 +37,7 @@ class CacheStats:
     def summary(self) -> str:
         lines = [
             f"cache {self.root}",
-            f"  entries: {self.entries} "
-            f"({self.packed_entries} packed, {self.loose_entries} loose)",
+            f"  entries: {self.entries}",
             f"  bytes:   {self.total_bytes}",
             f"  shards:  {self.shards}",
         ]
@@ -68,51 +64,22 @@ class PruneResult:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class MigrateResult:
-    moved_flat: int
-    packed: int
-
-    def summary(self) -> str:
-        return (
-            f"migrated {self.moved_flat} flat entries into shards, "
-            f"packed {self.packed} loose entries into shard indexes"
-        )
-
-
 def _entry_map(cache: ResultCache) -> dict[str, tuple[float, int]]:
-    """Distinct keys → (newest mtime, bytes). Loose overrides pack."""
-    entries: dict[str, tuple[float, int]] = {}
-    for info in cache.iter_entries():
-        seen = entries.get(info.key)
-        if seen is None or info.mtime >= seen[0]:
-            entries[info.key] = (info.mtime, info.nbytes)
-    return entries
+    """Key → (mtime, bytes) of every entry."""
+    return {info.key: (info.mtime, info.nbytes) for info in cache.iter_entries()}
 
 
 def cache_stats(root: str | os.PathLike[str]) -> CacheStats:
-    cache = ResultCache(root)
-    loose = 0
-    packed = 0
     per_shard: dict[str, int] = {}
-    keys: dict[str, tuple[float, int]] = {}
-    for info in cache.iter_entries():
-        if info.key not in keys:
-            per_shard[info.key[:2]] = per_shard.get(info.key[:2], 0) + 1
-            if info.source == "pack":
-                packed += 1
-            else:
-                loose += 1
-        seen = keys.get(info.key)
-        if seen is None or info.mtime >= seen[0]:
-            keys[info.key] = (info.mtime, info.nbytes)
+    total_bytes = 0
+    for info in ResultCache(root).iter_entries():
+        per_shard[info.key[:2]] = per_shard.get(info.key[:2], 0) + 1
+        total_bytes += info.nbytes
     counts = list(per_shard.values())
     return CacheStats(
         root=str(root),
-        entries=len(keys),
-        loose_entries=loose,
-        packed_entries=packed,
-        total_bytes=sum(nbytes for _, nbytes in keys.values()),
+        entries=sum(counts),
+        total_bytes=total_bytes,
         shards=len(counts),
         min_shard_entries=min(counts) if counts else 0,
         max_shard_entries=max(counts) if counts else 0,
@@ -129,9 +96,9 @@ def prune(
 ) -> PruneResult:
     """Evict stale and/or excess entries, oldest first.
 
-    ``max_age_days`` removes entries whose newest copy is older than the
-    cutoff; ``max_bytes`` then evicts the oldest remaining entries until
-    the cache fits. Either bound may be given alone.
+    ``max_age_days`` removes entries older than the cutoff; ``max_bytes``
+    then evicts the oldest remaining entries until the cache fits. Either
+    bound may be given alone.
     """
     cache = ResultCache(root)
     entries = _entry_map(cache)
@@ -163,19 +130,9 @@ def prune(
     )
 
 
-def migrate(root: str | os.PathLike[str]) -> MigrateResult:
-    """Flat→sharded layout migration plus shard compaction, idempotent."""
-    cache = ResultCache(root)  # __init__ already moves flat entries
-    moved = cache.migrated_flat + cache.migrate_flat()  # + any stragglers
-    packed = cache.compact()
-    return MigrateResult(moved_flat=moved, packed=packed)
-
-
 __all__ = [
     "CacheStats",
-    "MigrateResult",
     "PruneResult",
     "cache_stats",
-    "migrate",
     "prune",
 ]

@@ -11,9 +11,8 @@ vocabulary every figure module and the sweep engine build on:
 * **content-addressed caching** — each cell's inputs are canonically
   encoded (:mod:`repro.sim.fingerprint`) and SHA-256 hashed into a cache
   key; finished :class:`~repro.sim.engine.SimResult` objects are pickled
-  under that key in a :class:`ResultCache` sharded by two-hex digest
-  prefix, with an optional *packed per-shard index* so a warm sweep costs
-  one index read per shard instead of one stat+open per cell. A repeated
+  under that key in a :class:`ResultCache`, one file per entry, sharded
+  by two-hex digest prefix and safe to share between processes. A repeated
   sweep with unchanged inputs executes zero simulations; changing *any*
   input — a task spec, a policy tunable, the machine, the seed, the engine
   version tag (:data:`repro.sim.engine.ENGINE_VERSION`), or the scenario
@@ -252,15 +251,10 @@ class BenchRequest:
 # on-disk cache
 # ----------------------------------------------------------------------
 
-#: Per-shard packed index filename (lives inside each two-hex shard dir).
-PACK_FILENAME = "shard.pack"
-
-#: Bump when the pack file's internal structure changes; mismatched packs
-#: are discarded (the loose entries remain the source of truth).
-_PACK_FORMAT = 1
-
 _UNPICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                     ImportError, IndexError, KeyError, TypeError, ValueError)
+
+_HEX = frozenset("0123456789abcdef")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,142 +262,34 @@ class CacheEntryInfo:
     """One cache entry as seen by the maintenance tooling."""
 
     key: str
-    source: str  # "loose" | "pack"
     nbytes: int
     mtime: float
 
 
 class ResultCache:
-    """Sharded content-addressed pickle store with a packed per-shard index.
+    """Sharded content-addressed pickle store, one file per entry.
 
     On-disk layout (``root`` is the cache directory)::
 
-        root/<2-hex prefix>/<64-hex key>.pkl   # loose entry (atomic write)
-        root/<2-hex prefix>/shard.pack         # packed index of the shard
+        root/<2-hex prefix>/<64-hex key>.pkl
 
-    *Loose entries* are the write path: each ``put`` pickles the payload to
-    a temp file in the shard directory and ``os.replace``\\ s it into place,
-    so concurrent workers racing on one key both land a complete entry and
-    a crashed writer can never leave a torn file under the final name. A
-    torn or unreadable entry found by ``get`` is treated as a miss *and
-    deleted*, so it cannot poison later warm runs.
-
-    The *pack* is the read path: :meth:`compact` folds a shard's loose
-    entries into one pickle mapping ``key → (mtime, raw entry bytes)``,
-    written atomically. A warm sweep then costs one pack read per touched
-    shard (cached in memory for the life of this object) instead of one
-    ``stat`` + ``open`` per cell; keys missing from the pack fall back to
-    the loose files, so packs are never required for correctness and may
-    be stale while writers are active.
-
-    Instantiating the cache transparently migrates any *flat* pre-shard
-    layout (``root/<key>.pkl``) into the sharded one; the migration is a
-    no-op rename per entry and idempotent.
+    Each ``put`` pickles the payload to a temp file in the shard directory
+    and ``os.replace``\\ s it into place, so concurrent writers racing on
+    one key both land a complete entry and a crashed writer can never leave
+    a torn file under the final name. A torn or unreadable entry found by
+    ``get`` is treated as a miss *and deleted*, so it cannot poison later
+    warm runs. No operation reads, merges and rewrites a shared file, so
+    several processes can share one root without a lock: the worst a race
+    with :meth:`remove_keys` can do is turn a hit into a re-simulation.
     """
 
     def __init__(self, root: str | os.PathLike[str] = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self._packs: dict[str, dict[str, tuple[float, bytes]]] = {}
-        #: Flat-layout entries transparently moved into shards at open time.
-        self.migrated_flat = self.migrate_flat()
-
-    # -- layout ---------------------------------------------------------
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def _pack_path(self, prefix: str) -> Path:
-        return self.root / prefix / PACK_FILENAME
-
-    @staticmethod
-    def _is_entry_name(name: str) -> bool:
-        stem = name[: -len(".pkl")]
-        return (
-            name.endswith(".pkl")
-            and len(stem) == 64
-            and all(c in "0123456789abcdef" for c in stem)
-        )
-
-    def shard_prefixes(self) -> list[str]:
-        """Two-hex prefixes of the shard directories that exist on disk."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.name
-            for p in self.root.iterdir()
-            if p.is_dir() and len(p.name) == 2
-            and all(c in "0123456789abcdef" for c in p.name)
-        )
-
-    def migrate_flat(self) -> int:
-        """Move flat-layout entries (``root/<key>.pkl``) into their shards.
-
-        Returns the number of entries moved. Idempotent and cheap when the
-        layout is already sharded (one directory scan, no renames).
-        """
-        if not self.root.is_dir():
-            return 0
-        moved = 0
-        for entry in list(self.root.iterdir()):
-            if not entry.is_file() or not self._is_entry_name(entry.name):
-                continue
-            dest = self._path(entry.name[: -len(".pkl")])
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            with contextlib.suppress(OSError):
-                os.replace(entry, dest)
-                moved += 1
-        return moved
-
-    # -- reads ----------------------------------------------------------
-
-    def _load_pack(self, prefix: str) -> dict[str, tuple[float, bytes]]:
-        cached = self._packs.get(prefix)
-        if cached is not None:
-            return cached
-        entries: dict[str, tuple[float, bytes]] = {}
-        path = self._pack_path(prefix)
-        payload: Any = None
-        try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
-            payload = None  # no pack yet: the shard is all-loose
-        except _UNPICKLE_ERRORS:
-            with contextlib.suppress(OSError):
-                path.unlink()  # unreadable pack: discard, loose files remain
-        if (
-            isinstance(payload, dict)
-            and payload.get("format") == _PACK_FORMAT
-            and isinstance(payload.get("entries"), dict)
-        ):
-            entries = payload["entries"]
-        elif payload is not None:  # readable but unknown structure
-            with contextlib.suppress(OSError):
-                path.unlink()
-        self._packs[prefix] = entries
-        return entries
-
-    @staticmethod
-    def _decode(blob: bytes) -> Optional[dict[str, Any]]:
-        try:
-            payload = pickle.loads(blob)
-        except _UNPICKLE_ERRORS:
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("engine_version") != ENGINE_VERSION:
-            return None  # belt-and-braces; the key already encodes it
-        return payload
-
     def get(self, key: str) -> Optional[dict[str, Any]]:
-        packed = self._load_pack(key[:2]).get(key)
-        if packed is not None:
-            payload = self._decode(packed[1])
-            if payload is not None:
-                return payload
-        return self._get_loose(key)
-
-    def _get_loose(self, key: str) -> Optional[dict[str, Any]]:
         path = self._path(key)
         try:
             with path.open("rb") as fh:
@@ -420,17 +306,6 @@ class ResultCache:
         if not isinstance(payload, dict) or payload.get("engine_version") != ENGINE_VERSION:
             return None
         return payload
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
-        """Batch lookup: one pack read per touched shard, loose fallback."""
-        found: dict[str, dict[str, Any]] = {}
-        for key in keys:
-            payload = self.get(key)
-            if payload is not None:
-                found[key] = payload
-        return found
-
-    # -- writes ---------------------------------------------------------
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Atomically persist one entry (temp file + ``os.replace``).
@@ -451,103 +326,32 @@ class ResultCache:
                 os.unlink(tmp)
             raise
 
-    def _write_pack(
-        self, prefix: str, entries: dict[str, tuple[float, bytes]]
-    ) -> None:
-        shard = self.root / prefix
-        shard.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".packtmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(
-                    {"format": _PACK_FORMAT, "entries": entries},
-                    fh,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, self._pack_path(prefix))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        self._packs[prefix] = entries
-
-    def compact(self) -> int:
-        """Fold every shard's loose entries into its packed index.
-
-        Returns the number of loose entries absorbed. Valid entries are
-        merged into the pack (newest mtime wins over a stale packed copy)
-        and their loose files removed; torn entries are deleted. Safe to
-        run while writers are active — a loose entry that appears after
-        the pack is rewritten is still found by the fallback path.
-        """
-        absorbed = 0
-        for prefix in self.shard_prefixes():
-            entries = dict(self._load_pack(prefix))
-            merged: list[Path] = []
-            shard = self.root / prefix
-            for path in sorted(shard.glob("*.pkl")):
-                if not self._is_entry_name(path.name):
-                    continue
-                key = path.name[: -len(".pkl")]
-                try:
-                    blob = path.read_bytes()
-                    mtime = path.stat().st_mtime
-                except OSError:
-                    continue
-                if self._decode(blob) is None:
-                    with contextlib.suppress(OSError):
-                        path.unlink()  # torn entry: drop it
-                    continue
-                entries[key] = (mtime, blob)
-                merged.append(path)
-            if merged:
-                self._write_pack(prefix, entries)
-                for path in merged:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                absorbed += len(merged)
-        return absorbed
-
     # -- maintenance (repro cache) --------------------------------------
 
     def iter_entries(self) -> Iterator[CacheEntryInfo]:
-        """Every entry with its size and mtime (packed and loose)."""
-        for prefix in self.shard_prefixes():
-            for key, (mtime, blob) in self._load_pack(prefix).items():
-                yield CacheEntryInfo(key, "pack", len(blob), mtime)
-            shard = self.root / prefix
+        """Every entry with its size and mtime, in key order."""
+        if not self.root.is_dir():
+            return
+        for shard in sorted(self.root.iterdir()):
+            if len(shard.name) != 2 or not _HEX.issuperset(shard.name):
+                continue
             for path in sorted(shard.glob("*.pkl")):
-                if not self._is_entry_name(path.name):
+                key = path.name[: -len(".pkl")]
+                if len(key) != 64 or not _HEX.issuperset(key):
                     continue
                 try:
                     st = path.stat()
                 except OSError:
-                    continue
-                yield CacheEntryInfo(
-                    path.name[: -len(".pkl")], "loose", st.st_size, st.st_mtime
-                )
+                    continue  # removed since the listing
+                yield CacheEntryInfo(key, st.st_size, st.st_mtime)
 
     def remove_keys(self, keys: Iterable[str]) -> int:
-        """Delete entries by key from both the loose files and the packs."""
+        """Delete entries by key; returns how many were there to delete."""
         removed = 0
-        by_prefix: dict[str, set[str]] = {}
-        for key in keys:
-            by_prefix.setdefault(key[:2], set()).add(key)
-        for prefix, shard_keys in sorted(by_prefix.items()):
-            pack = self._load_pack(prefix)
-            packed_victims = shard_keys & set(pack)
-            if packed_victims:
-                remaining = {
-                    k: v for k, v in pack.items() if k not in packed_victims
-                }
-                self._write_pack(prefix, remaining)
-                removed += len(packed_victims)
-            for key in sorted(shard_keys):
-                path = self._path(key)
-                if path.exists():
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                        removed += 1
+        for key in sorted(keys):
+            with contextlib.suppress(OSError):
+                self._path(key).unlink()
+                removed += 1
         return removed
 
 

@@ -66,6 +66,8 @@ class Wait:
     retry_after: Optional[float] = None
 
 
+#: A closed union: the engine dispatches on the exact type, so an instance
+#: of a subclass is rejected as an unknown action.
 Action = RunTask | SetFrequency | Wait
 
 

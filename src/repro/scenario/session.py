@@ -12,8 +12,8 @@ Sweeps go through :meth:`Session.run_grid`, which fans every (scenario ×
 seed) cell through one :class:`~repro.experiments.parallel.ParallelRunner`
 — since the sweep-engine refactor a persistent
 :class:`~repro.experiments.sweep.SweepEngine` work-queue: deduplicated
-in-flight, optionally cached on disk (sharded, with packed per-shard
-indexes) and spread over a long-lived warm worker pool. Results are
+in-flight, optionally cached on disk (one file per cell, sharded by key
+prefix) and spread over a long-lived warm worker pool. Results are
 bit-identical whether a session runs in-process, pooled, or from cache.
 :meth:`Session.iter_grid_cells` streams per-cell outcomes as they
 complete instead of barriering on the full grid; the engine itself is

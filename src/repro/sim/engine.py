@@ -898,43 +898,8 @@ class Simulator:
                 # sibling pins the plane): ask the policy again now — its
                 # view (requested_level) has changed, so it will not loop.
                 self._queue.schedule(0.0, _CORE_READY, core_id=core_id)
-        elif isinstance(action, (RunTask, Wait, SetFrequency)):
-            # Subclassed actions take the slow path (type() checks miss them).
-            self._dispatch_subclassed(core, action)
-        else:  # pragma: no cover - action union is closed
-            raise SchedulingError(f"unknown action {action!r}")
-
-    def _dispatch_subclassed(self, core: SimCore, action: Action) -> None:
-        """Uncommon path: an action that *subclasses* one of the action
-        dataclasses rather than being one (scripted test policies do this)."""
-        if isinstance(action, RunTask):
-            self._start_task(core, action)
-        elif isinstance(action, Wait):
-            self._idle.add(core.core_id)
-            if action.retry_after is not None:
-                if action.retry_after < 0:
-                    raise SchedulingError("retry_after must be non-negative")
-                self._queue.schedule(
-                    action.retry_after, _CORE_READY, core_id=core.core_id
-                )
         else:
-            assert isinstance(action, SetFrequency)
-            if action.level == self._requested[core.core_id]:
-                raise SchedulingError(
-                    f"policy requested a no-op frequency change on core {core.core_id}"
-                )
-            self._ff_saw_dvfs_request = True
-            if self._injector is not None and self._injector.deny_dvfs(core.core_id):
-                self._policy.on_dvfs_denied(core.core_id, action.level)
-                self._queue.schedule(
-                    self._injector.spec.dvfs_deny_penalty_s,
-                    _CORE_READY,
-                    core_id=core.core_id,
-                )
-                return
-            began = self._request_levels({core.core_id: action.level})
-            if core.core_id not in began:
-                self._queue.schedule(0.0, _CORE_READY, core_id=core.core_id)
+            raise SchedulingError(f"unknown action {action!r}")
 
     def _record_lifecycle(self, kind: TaskEventKind, actor: int, task_id: int) -> None:
         if self._record_task_events:

@@ -2,8 +2,9 @@
 
 Covers the queue semantics the exhibits rely on (in-flight dedup,
 priority, cancellation, backpressure, streaming order), the cache's
-crash-safety contract (atomic writes, torn-entry recovery, flat-layout
-migration, pack compaction), and the ``repro cache`` backing functions.
+crash-safety contract (atomic writes, torn-entry recovery), and the
+``repro cache`` backing functions. Several processes sharing one cache
+are covered by ``test_cache_processes.py``.
 """
 
 import os
@@ -17,11 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
-from repro.experiments.parallel import (
-    PACK_FILENAME,
-    CellSpec,
-    ResultCache,
-)
+from repro.experiments.parallel import CellSpec, ResultCache
 from repro.experiments.sweep import SweepEngine
 from repro.sim.engine import ENGINE_VERSION
 from repro.sim.fingerprint import trace_fingerprint
@@ -332,71 +329,6 @@ class TestTornEntryRecovery:
         assert cache.get(key) is None
         assert not cache._path(key).exists()
 
-    def test_corrupt_pack_discarded_loose_survives(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "cd" + "0" * 62
-        payload = {"engine_version": ENGINE_VERSION, "result": 2}
-        cache.put(key, payload)
-        pack = tmp_path / key[:2] / PACK_FILENAME
-        pack.write_bytes(b"not a pack")
-        fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == payload  # loose fallback
-        assert not pack.exists()  # corrupt pack dropped
-
-
-def _flat_entry(root, key):
-    root.mkdir(parents=True, exist_ok=True)
-    (root / f"{key}.pkl").write_bytes(
-        pickle.dumps({"engine_version": ENGINE_VERSION, "result": key})
-    )
-
-
-class TestFlatMigration:
-    KEYS = ["ab" + "0" * 62, "ab" + "1" * 62, "cd" + "2" * 62]
-
-    def test_migration_moves_and_serves_flat_entries(self, tmp_path):
-        for key in self.KEYS:
-            _flat_entry(tmp_path, key)
-        cache = ResultCache(tmp_path)
-        assert cache.migrated_flat == 3
-        for key in self.KEYS:
-            assert cache.get(key) == {
-                "engine_version": ENGINE_VERSION, "result": key,
-            }
-            assert not (tmp_path / f"{key}.pkl").exists()
-            assert cache._path(key).exists()
-
-    def test_migration_is_idempotent(self, tmp_path):
-        for key in self.KEYS:
-            _flat_entry(tmp_path, key)
-        assert ResultCache(tmp_path).migrated_flat == 3
-        assert ResultCache(tmp_path).migrated_flat == 0
-        result = cachectl.migrate(tmp_path)
-        assert result.moved_flat == 0
-        assert result.packed == 3
-        # A second migrate finds nothing left to move or pack.
-        again = cachectl.migrate(tmp_path)
-        assert (again.moved_flat, again.packed) == (0, 0)
-
-
-class TestCompaction:
-    def test_compact_packs_loose_entries(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
-            cold = eng.run_cells([spec(seed=s) for s in (11, 23)])
-        assert ResultCache(cache_dir).compact() == 2
-        loose = [
-            p for p in cache_dir.rglob("*.pkl")
-            if ResultCache._is_entry_name(p.name)
-        ]
-        assert loose == []
-        with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
-            warm = eng.run_cells([spec(seed=s) for s in (11, 23)])
-            assert eng.stats.executed == 0  # served from the packs
-        assert [trace_fingerprint(o.result) for o in warm] == [
-            trace_fingerprint(o.result) for o in cold
-        ]
-
 
 class TestCachectl:
     def _warm(self, cache_dir, seeds=(11, 23)):
@@ -404,15 +336,20 @@ class TestCachectl:
             eng.run_cells([spec(seed=s) for s in seeds])
 
     def test_stats_counts_loose_and_packed(self, tmp_path):
+        # Entries are the loose files; a shard.pack left by an older
+        # version is neither counted nor served.
         self._warm(tmp_path)
         stats = cachectl.cache_stats(tmp_path)
         assert stats.entries == 2
-        assert stats.loose_entries == 2
-        assert stats.packed_entries == 0
         assert stats.total_bytes > 0
-        cachectl.migrate(tmp_path)
-        stats = cachectl.cache_stats(tmp_path)
-        assert (stats.entries, stats.loose_entries, stats.packed_entries) == (2, 0, 2)
+        orphan = "ab" + "0" * 62
+        blob = pickle.dumps({"engine_version": ENGINE_VERSION, "result": 0})
+        (tmp_path / "ab").mkdir(exist_ok=True)
+        (tmp_path / "ab" / "shard.pack").write_bytes(
+            pickle.dumps({"format": 1, "entries": {orphan: (0.0, blob)}})
+        )
+        assert cachectl.cache_stats(tmp_path) == stats
+        assert ResultCache(tmp_path).get(orphan) is None
 
     def test_prune_by_age(self, tmp_path):
         self._warm(tmp_path)
@@ -436,13 +373,6 @@ class TestCachectl:
         result = cachectl.prune(tmp_path, max_bytes=largest_two)
         assert result.removed == 1
         assert cache.get(oldest) is None  # oldest evicted first
-
-    def test_prune_removes_packed_entries(self, tmp_path):
-        self._warm(tmp_path)
-        cachectl.migrate(tmp_path)
-        result = cachectl.prune(tmp_path, max_bytes=0)
-        assert result.removed == 2
-        assert cachectl.cache_stats(tmp_path).entries == 0
 
     def test_prune_keeps_entry_exactly_at_age_cutoff(self, tmp_path):
         # The age bound is strict (mtime < cutoff): an entry whose mtime
@@ -482,15 +412,3 @@ class TestCachectl:
             tmp_path / "never-written", max_age_days=1, max_bytes=0
         )
         assert (result.removed, result.kept, result.bytes_freed) == (0, 0, 0)
-
-    def test_prune_just_migrated_cache_keeps_packed_entries(self, tmp_path):
-        # Migration rewrites entries into per-shard packs; generous bounds
-        # must see (and keep) the packed copies, not treat them as gone.
-        self._warm(tmp_path)
-        cachectl.migrate(tmp_path)
-        result = cachectl.prune(
-            tmp_path, max_age_days=10_000, max_bytes=1 << 40
-        )
-        assert (result.removed, result.kept) == (0, 2)
-        assert result.bytes_freed == 0
-        assert cachectl.cache_stats(tmp_path).entries == 2

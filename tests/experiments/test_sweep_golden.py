@@ -4,7 +4,7 @@ Every golden cell — the 30 jittered-benchmark cells pinned in
 ``tests/sim/golden_hashes.json`` and the 8 long-horizon periodic cells in
 ``tests/sim/golden_longhorizon.json`` — must hash identically when run
 through the :class:`~repro.experiments.sweep.SweepEngine`, both **cold**
-(simulated via the queue/chunk path) and **warm** (served from the packed
+(simulated via the queue/chunk path) and **warm** (served from the
 on-disk cache by a second engine). The engine is allowed to change where
 and when cells run, never what they compute.
 """
@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.core.eewa import EEWAConfig
-from repro.experiments.parallel import CellSpec, ResultCache
+from repro.experiments.parallel import CellSpec
 from repro.experiments.sweep import SweepEngine
 from repro.sim.fingerprint import trace_fingerprint
 
@@ -105,9 +105,8 @@ def test_sweep_engine_bit_identical_cold_and_warm(cells, tmp_path):
         assert engine.stats.executed == len(specs)  # all distinct
     _assert_matches_fixture(cold, pairs)
 
-    # Warm: a fresh engine over the *packed* cache must serve every cell
+    # Warm: a fresh engine over the on-disk cache must serve every cell
     # without simulating anything — and still hash identically.
-    ResultCache(cache_dir).compact()
     with SweepEngine(workers=0, cache_dir=cache_dir) as engine:
         warm = engine.run_cells(specs)
         assert engine.stats.executed == 0

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.machine.topology import small_test_machine
 from repro.runtime.cilk import CilkScheduler
-from repro.runtime.policy import SchedulerPolicy, Wait
+from repro.runtime.policy import RunTask, SchedulerPolicy, Wait
 from repro.runtime.task import TaskSpec, flat_batch
 from repro.sim.engine import Simulator, simulate
 
@@ -144,3 +144,22 @@ class TestLivelockGuard:
         sim = Simulator(machine, BadPolicy(), max_events=5000)
         with pytest.raises(SimulationError, match="livelock|outstanding"):
             sim.run([batch_of(0, 0.1)])
+
+
+class TestActionDispatch:
+    def test_subclassed_action_is_an_unknown_action(self):
+        class TaggedRunTask(RunTask):
+            pass
+
+        class SubclassingPolicy(SchedulerPolicy):
+            name = "subclassing"
+
+            def on_batch_start(self, batch, tasks):
+                self._tasks = list(tasks)
+
+            def next_action(self, core_id):
+                return TaggedRunTask(self._tasks.pop())
+
+        machine = small_test_machine(num_cores=1)
+        with pytest.raises(SchedulingError, match="unknown action"):
+            simulate([batch_of(0, 0.1)], SubclassingPolicy(), machine)
