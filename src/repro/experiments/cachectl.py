@@ -7,7 +7,8 @@ results):
 
 * :func:`cache_stats` — entry/byte counts and shard distribution;
 * :func:`prune` — evict entries older than ``max_age_days`` and/or the
-  oldest entries beyond ``max_bytes``.
+  oldest entries beyond ``max_bytes``; the age bound also deletes temp
+  files that crashed writers left behind.
 
 Both are safe to run while other processes read and write the cache.
 """
@@ -96,7 +97,9 @@ def prune(
 ) -> PruneResult:
     """Evict stale and/or excess entries, oldest first.
 
-    ``max_age_days`` removes entries older than the cutoff; ``max_bytes``
+    ``max_age_days`` removes entries older than the cutoff, and temp files
+    older than it (a writer that died before renaming its temp file into
+    place leaves one; a live writer's is only seconds old); ``max_bytes``
     then evicts the oldest remaining entries until the cache fits. Either
     bound may be given alone.
     """
@@ -108,6 +111,7 @@ def prune(
     if max_age_days is not None:
         cutoff = now - max_age_days * 86400.0
         victims.update(k for k, (mtime, _) in entries.items() if mtime < cutoff)
+        cache.remove_temp_files(older_than=cutoff)
     if max_bytes is not None:
         kept = [
             (mtime, key, nbytes)

@@ -11,17 +11,22 @@ from typing import Optional
 
 from repro.machine.topology import MachineConfig
 from repro.sim.engine import SimResult
+from repro.sim.record import CellResult
 
 __all__ = ["RunOutcome", "modal_levels_from_result"]
 
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """One benchmark under one policy, possibly over several seeds."""
+    """One benchmark under one policy, possibly over several seeds.
+
+    ``results`` are full results from the serial runner and cell records
+    from the sweep engine; both carry the scalars and the trace.
+    """
 
     benchmark: str
     policy: str
-    results: tuple[SimResult, ...]
+    results: tuple[SimResult | CellResult, ...]
 
     @property
     def time_mean(self) -> float:
@@ -32,12 +37,12 @@ class RunOutcome:
         return sum(r.total_joules for r in self.results) / len(self.results)
 
     @property
-    def first(self) -> SimResult:
+    def first(self) -> SimResult | CellResult:
         return self.results[0]
 
 
 def modal_levels_from_result(
-    result: SimResult,
+    result: SimResult | CellResult,
     num_cores: int,
     machine: Optional[MachineConfig] = None,
 ) -> list[int]:

@@ -10,16 +10,21 @@ vocabulary every figure module and the sweep engine build on:
   :func:`cell_key`, the content-addressed identity of one simulation;
 * **content-addressed caching** — each cell's inputs are canonically
   encoded (:mod:`repro.sim.fingerprint`) and SHA-256 hashed into a cache
-  key; finished :class:`~repro.sim.engine.SimResult` objects are pickled
-  under that key in a :class:`ResultCache`, one file per entry, sharded
-  by two-hex digest prefix and safe to share between processes. A repeated
-  sweep with unchanged inputs executes zero simulations; changing *any*
-  input — a task spec, a policy tunable, the machine, the seed, the engine
-  version tag (:data:`repro.sim.engine.ENGINE_VERSION`), or the scenario
-  schema version (:data:`repro.scenario.spec.SCENARIO_SCHEMA_VERSION`,
-  which versions the key layout itself) — changes the key and misses.
-  Entries written under an older schema version are therefore never
-  served.
+  key; each finished cell's :class:`~repro.sim.record.CellResult` (the
+  record a worker builds from its :class:`~repro.sim.engine.SimResult`,
+  without the energy meter or the ``Task`` objects) is pickled under that
+  key in a :class:`ResultCache`, one file per entry, sharded by two-hex
+  digest prefix and safe to share between processes. Entries load through
+  an allow-listed unpickler that admits only the classes a record holds,
+  so an entry names its own layout: one holding anything else (such as a
+  whole ``SimResult``, as earlier versions wrote) is a miss, deleted and
+  re-simulated. A repeated sweep with unchanged inputs executes zero
+  simulations; changing *any* input — a task spec, a policy tunable, the
+  machine, the seed, the engine version tag
+  (:data:`repro.sim.engine.ENGINE_VERSION`), or the scenario schema
+  version (:data:`repro.scenario.spec.SCENARIO_SCHEMA_VERSION`, which
+  versions the key layout itself) — changes the key and misses. Entries
+  written under an older schema version are therefore never served.
 * **fan-out** — :class:`ParallelRunner`, the stable API the exhibits call.
   Since the sweep-engine refactor it is a thin shim over
   :class:`repro.experiments.sweep.SweepEngine`: a persistent priority
@@ -51,6 +56,8 @@ from repro.core.eewa import EEWAConfig
 from repro.errors import ConfigurationError
 from repro.experiments.outcome import RunOutcome, modal_levels_from_result
 from repro.faults.spec import FaultSpec
+from repro.machine.operating_point import OperatingPoint, OperatingPointSpace
+from repro.machine.power import PowerModel, VoltageCurve
 from repro.machine.topology import MachineConfig
 from repro.runtime.task import Batch
 from repro.scenario.registry import POLICIES
@@ -59,17 +66,21 @@ from repro.scenario.spec import (
     SCENARIO_SCHEMA_VERSION,
     ScenarioSpec,
 )
-from repro.sim.engine import ENGINE_VERSION, SimResult, simulate
+from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.sim.fingerprint import digest
+from repro.sim.record import CellResult
+from repro.sim.trace import BatchTrace, DvfsTransition, TraceRecorder
 from repro.workloads.benchmarks import benchmark_program
 from repro.workloads.spec import WorkloadSpec
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Bump to invalidate cache entries whose *stored format* changed (the
-#: simulated behaviour itself is versioned by ``ENGINE_VERSION`` and the
-#: key layout by ``SCENARIO_SCHEMA_VERSION``).
+#: Part of every cell key, and kept at 1 so keys do not move. The stored
+#: format needs no key bump: an entry names its own layout through the
+#: classes it pickles, and :data:`_ENTRY_CLASSES` admits only the current
+#: one. (The simulated behaviour is versioned by ``ENGINE_VERSION`` and
+#: the key layout by ``SCENARIO_SCHEMA_VERSION``.)
 _CACHE_FORMAT = 1
 
 
@@ -203,14 +214,19 @@ class CellSpec:
 
 @dataclasses.dataclass(frozen=True)
 class CellOutcome:
-    """One finished cell: the result plus cache/bookkeeping metadata."""
+    """One finished cell: its record plus cache/bookkeeping metadata.
+
+    ``result`` is a :class:`CellResult` however the cell was served —
+    simulated, from the memo or disk cache, coalesced, or predicted.
+    """
 
     spec: CellSpec
     key: str
-    result: SimResult
+    result: CellResult
     from_cache: bool
     #: Real (non-simulated) seconds spent inside the EEWA adjuster, and the
     #: number of adjustment decisions — Table III's "measured" column.
+    #: Both are 0 for model outcomes.
     adjuster_wallclock_s: float = 0.0
     adjuster_decisions: int = 0
     #: Provenance: ``"sim"`` for simulator results (fresh or cached),
@@ -254,6 +270,29 @@ class BenchRequest:
 _UNPICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                     ImportError, IndexError, KeyError, TypeError, ValueError)
 
+#: The only classes an entry may load: a :class:`CellResult` and what it
+#: holds. Any other global fails the load with ``UnpicklingError``, so a
+#: file planted in (or left over in) the cache directory cannot make a
+#: reader import or call anything.
+_ENTRY_CLASSES = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in (
+        CellResult, TraceRecorder, BatchTrace, DvfsTransition, MachineConfig,
+        OperatingPoint, OperatingPointSpace, PowerModel, VoltageCurve,
+    )
+}
+
+
+class _EntryUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return _ENTRY_CLASSES[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(
+                f"a cache entry may not load {module}.{name}"
+            ) from None
+
+
 _HEX = frozenset("0123456789abcdef")
 
 
@@ -278,9 +317,11 @@ class ResultCache:
     one key both land a complete entry and a crashed writer can never leave
     a torn file under the final name. A torn or unreadable entry found by
     ``get`` is treated as a miss *and deleted*, so it cannot poison later
-    warm runs. No operation reads, merges and rewrites a shared file, so
-    several processes can share one root without a lock: the worst a race
-    with :meth:`remove_keys` can do is turn a hit into a re-simulation.
+    warm runs; so is an entry that pickles a class outside
+    :data:`_ENTRY_CLASSES`. No operation reads, merges and rewrites a
+    shared file, so several processes can share one root without a lock:
+    the worst a race with :meth:`remove_keys` can do is turn a hit into a
+    re-simulation.
     """
 
     def __init__(self, root: str | os.PathLike[str] = DEFAULT_CACHE_DIR) -> None:
@@ -293,13 +334,13 @@ class ResultCache:
         path = self._path(key)
         try:
             with path.open("rb") as fh:
-                payload = pickle.load(fh)
+                payload = _EntryUnpickler(fh).load()
         except FileNotFoundError:
             return None
         except _UNPICKLE_ERRORS:
-            # Torn or unreadable entry (e.g. a crashed pre-atomic writer):
-            # delete it so it can be re-simulated instead of poisoning
-            # every later warm run.
+            # Torn, unreadable or foreign entry (a crashed pre-atomic
+            # writer, an earlier layout, a planted file): delete it so it
+            # is re-simulated instead of poisoning every later warm run.
             with contextlib.suppress(OSError):
                 path.unlink()
             return None
@@ -354,6 +395,21 @@ class ResultCache:
                 removed += 1
         return removed
 
+    def remove_temp_files(self, older_than: float) -> int:
+        """Delete ``put`` temp files last modified before ``older_than``.
+
+        A writer that dies between ``mkstemp`` and ``os.replace`` leaves
+        its temp file behind; a live writer's is only seconds old.
+        Returns how many were deleted.
+        """
+        removed = 0
+        for path in sorted(self.root.glob("??/*.tmp")):
+            with contextlib.suppress(OSError):
+                if path.stat().st_mtime < older_than:
+                    path.unlink()
+                    removed += 1
+        return removed
+
 
 # ----------------------------------------------------------------------
 # workers
@@ -399,7 +455,12 @@ def _simulate_cell(
     fast_forward: bool = True,
     faults: Optional[FaultSpec] = None,
 ) -> dict[str, Any]:
-    """Run one cell; module-level so worker processes can unpickle it."""
+    """Run one cell; module-level so worker processes can unpickle it.
+
+    The payload holds the run's :class:`CellResult`, built here so a
+    worker ships the record, not the meter and ``Task`` objects, to the
+    parent.
+    """
     policy = POLICIES.get(policy_name).build(
         core_levels=core_levels,
         params=dict(policy_params) if policy_params else None,
@@ -413,7 +474,7 @@ def _simulate_cell(
     decisions = getattr(policy, "decisions", None)
     return {
         "engine_version": ENGINE_VERSION,
-        "result": result,
+        "result": CellResult.from_sim(result),
         "adjuster_wallclock_s": wallclock() if callable(wallclock) else 0.0,
         "adjuster_decisions": len(decisions) if decisions is not None else 0,
     }

@@ -304,10 +304,16 @@ class SweepEngine:
 
         A submission coalesces onto an identical in-flight cell, resolves
         instantly from the memo/disk cache, or joins the priority queue.
+        However it is served, the outcome's ``result`` is a
+        :class:`~repro.sim.record.CellResult`: scalars, per-batch trace and
+        task rows, without the energy meter or ``Task`` objects (a full
+        :class:`~repro.sim.engine.SimResult` comes only from
+        :func:`~repro.sim.engine.simulate`, e.g. through
+        ``Session.run_single(record_power_series=True)``).
         ``fidelity`` overrides the engine default for this one cell —
-        consumers that need a full :class:`~repro.sim.engine.SimResult`
-        (per-batch traces, task lists) pass ``"sim"`` to bypass the model
-        tier regardless of the engine's setting.
+        consumers that need the per-batch trace or task rows pass
+        ``"sim"`` to bypass the model tier, whose records carry neither,
+        regardless of the engine's setting.
         """
         if fidelity is not None and fidelity not in FIDELITIES:
             raise ConfigurationError(
@@ -616,8 +622,9 @@ class SweepEngine:
             "engine_version": ENGINE_VERSION,
             "model_version": MODEL_VERSION,
             "result": result,
+            # No adjuster runs against a wall clock for a prediction.
             "adjuster_wallclock_s": 0.0,
-            "adjuster_decisions": result.adjuster_decisions,
+            "adjuster_decisions": 0,
             "source": "model",
         }
         if self.cache is not None:

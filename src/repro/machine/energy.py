@@ -139,10 +139,10 @@ class EnergyMeter:
     # -- pickling -----------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
-        # The pickled layout is fixed: the settled accounts and series under
-        # the names ``accounts`` and ``power_series`` and no billing record,
-        # so cache entries keep their bytes and entries written by earlier
-        # versions, which stored exactly these attributes, still load.
+        # The pickled layout is fixed, and pinned by the meter's tests: the
+        # settled accounts and series under the names ``accounts`` and
+        # ``power_series`` and no billing record. (Cache entries hold a
+        # ``CellResult``, which has no meter.)
         self._settle()
         return {
             "_cores": self._cores,

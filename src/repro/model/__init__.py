@@ -18,15 +18,15 @@ model's per-operating-point busy/idle watts. Three modules:
 
 The model never shadows simulation results: predictions are cached under
 a distinct model-versioned key (:func:`~repro.model.predict.model_key`)
-and carried in a :class:`~repro.model.predict.ModelResult` whose
-provenance is visible as ``CellOutcome.source == "model"``.
+and carried in a :class:`~repro.sim.record.CellResult` (the cell's
+machine, an empty trace, no task rows) whose provenance is visible as
+``CellOutcome.source == "model"``.
 """
 
 from repro.model.bounds import MAX_RELATIVE_ERROR, Eligibility, classify_cell
 from repro.model.predict import (
     MODEL_POLICIES,
     MODEL_VERSION,
-    ModelResult,
     decline_reason,
     model_key,
     predict_cell,
@@ -37,7 +37,6 @@ __all__ = [
     "MODEL_POLICIES",
     "MODEL_VERSION",
     "Eligibility",
-    "ModelResult",
     "classify_cell",
     "decline_reason",
     "model_key",

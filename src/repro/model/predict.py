@@ -46,7 +46,6 @@ is measured honestly by :mod:`repro.model.validate`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import heapq
 from typing import Any, Optional, Sequence
@@ -54,6 +53,7 @@ from typing import Any, Optional, Sequence
 from repro.machine.topology import MachineConfig
 from repro.runtime.task import Batch, TaskSpec
 from repro.sim.fingerprint import digest
+from repro.sim.record import CellResult
 
 #: Version tag of the model's *mathematics*. Part of every model cache
 #: key: bump it whenever a predictor changes behaviour, and stale model
@@ -72,41 +72,6 @@ def model_key(sim_key: str) -> str:
     :data:`MODEL_VERSION` orphans only model entries.
     """
     return digest(["model", MODEL_VERSION, sim_key])
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelResult:
-    """Scalar result surface of one predicted cell.
-
-    Field-compatible with the scalar half of
-    :class:`~repro.sim.engine.SimResult` (what the exhibits, tables, and
-    sweep consumers read); carries no trace, meter, or task records —
-    that observability is exactly what the model path trades away.
-    """
-
-    policy_name: str
-    total_time: float
-    total_joules: float
-    core_joules: float
-    baseline_joules: float
-    spin_joules: float
-    running_joules: float
-    tasks_executed: int
-    batches_executed: int
-    adjust_overhead_seconds: float = 0.0
-    adjuster_decisions: int = 0
-    policy_stats: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    @property
-    def average_power(self) -> float:
-        if self.total_time <= 0:
-            return 0.0
-        return self.total_joules / self.total_time
-
-    #: Mirror of the simulator's batch counters: a prediction replays
-    #: nothing and fast-forwards nothing.
-    batches_simulated: int = 0
-    batches_fast_forwarded: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +302,7 @@ def _predict_cilk(
     program: Sequence[Batch],
     machine: MachineConfig,
     core_levels: Optional[Sequence[int]],
-) -> Optional[ModelResult]:
+) -> Optional[CellResult]:
     m = machine.num_cores
     levels = list(core_levels) if core_levels is not None else [0] * m
     speeds = _speeds(machine, levels)
@@ -378,8 +343,9 @@ def _predict_cilk(
         power.busy[c][levels[c]] * running_by_core[c] for c in core_ids
     )
     baseline = power.base_power * total_time
-    return ModelResult(
+    return CellResult(
         policy_name="cilk",
+        machine=machine,
         total_time=total_time,
         total_joules=core_joules + baseline,
         core_joules=core_joules,
@@ -400,7 +366,7 @@ def _predict_cilk_d(
     program: Sequence[Batch],
     machine: MachineConfig,
     idle_grace_s: float,
-) -> ModelResult:
+) -> CellResult:
     m = machine.num_cores
     levels = [0] * m
     speeds = _speeds(machine, levels)
@@ -472,8 +438,9 @@ def _predict_cilk_d(
 
     baseline = power.base_power * total_time
     core_total = core_joules + idle_joules
-    return ModelResult(
+    return CellResult(
         policy_name="cilk-d",
+        machine=machine,
         total_time=total_time,
         total_joules=core_total + baseline,
         core_joules=core_total,
@@ -494,7 +461,7 @@ def _predict_eewa(
     program: Sequence[Batch],
     machine: MachineConfig,
     config,
-) -> ModelResult:
+) -> CellResult:
     from repro.core.adjuster import WorkloadAwareFrequencyAdjuster
     from repro.core.cgroups import uniform_plan
     from repro.core.membound import MemoryBoundMode, classify_application
@@ -520,7 +487,6 @@ def _predict_eewa(
     levels = [0] * m
     frozen = False
     search_failures = 0
-    decisions = 0
     adjust_overhead = 0.0
     total_time = 0.0
     core_joules = 0.0
@@ -554,13 +520,12 @@ def _predict_eewa(
         )
         if 0 < b < last and prev_entry == entry:
             assert prev_delta is not None
-            dt, d_core, d_run, d_spin, d_oh, d_dec, nxt = prev_delta
+            dt, d_core, d_run, d_spin, d_oh, nxt = prev_delta
             total_time += dt
             core_joules += d_core
             running_joules += d_run
             spin_joules += d_spin
             adjust_overhead += d_oh
-            decisions += d_dec
             levels, plan, frozen, search_failures, carry_ready = nxt
             continue
         snap = (
@@ -569,7 +534,6 @@ def _predict_eewa(
             running_joules,
             spin_joules,
             adjust_overhead,
-            decisions,
         )
         # -- run the batch: one list schedule per c-group ----------------
         speeds = _speeds(machine, levels)
@@ -649,7 +613,6 @@ def _predict_eewa(
             if decision is None:
                 decision = adjuster.decide(profiler)
                 decision_memo[decision_key] = decision
-            decisions += 1
             new_levels = list(decision.plan.core_levels)
             new_plan = decision.plan
             if decision.fallback_reason == "no feasible k-tuple":
@@ -702,15 +665,15 @@ def _predict_eewa(
                 running_joules - snap[2],
                 spin_joules - snap[3],
                 adjust_overhead - snap[4],
-                decisions - snap[5],
                 (levels, plan, frozen, search_failures, carry_ready),
             )
         else:
             prev_entry = None
 
     baseline = power.base_power * total_time
-    return ModelResult(
+    return CellResult(
         policy_name="eewa",
+        machine=machine,
         total_time=total_time,
         total_joules=core_joules + baseline,
         core_joules=core_joules,
@@ -720,7 +683,6 @@ def _predict_eewa(
         tasks_executed=tasks,
         batches_executed=len(program),
         adjust_overhead_seconds=adjust_overhead,
-        adjuster_decisions=decisions,
         policy_stats=stats,
     )
 
@@ -740,12 +702,14 @@ def predict_cell(
     eewa_config: Any = None,
     policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
     faults: Any = None,
-) -> Optional[ModelResult]:
+) -> Optional[CellResult]:
     """Predict one cell analytically; ``None`` when the cell declines.
 
     Mirrors the argument surface of the simulation path
     (:func:`repro.experiments.parallel._simulate_cell`) so the sweep
-    engine can hand either one the same cell. ``seed`` is accepted for
+    engine can hand either one the same cell, and returns the same record
+    type: a :class:`~repro.sim.record.CellResult` with the cell's machine,
+    an empty trace and no task rows. ``seed`` is accepted for
     symmetry: the prediction depends on it only through ``program``
     (which already carries the seed's jitter and drift).
     """
@@ -779,7 +743,6 @@ def predict_cell(
 __all__ = [
     "MODEL_POLICIES",
     "MODEL_VERSION",
-    "ModelResult",
     "decline_reason",
     "model_key",
     "predict_cell",

@@ -32,6 +32,7 @@ from repro.sim.engine import SimResult, simulate
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.outcome import RunOutcome
     from repro.experiments.parallel import CellOutcome, SweepStats
+    from repro.sim.record import CellResult
 
 #: The exhibit modules' shared on-disk cache default (mirrors
 #: ``repro.experiments.parallel.DEFAULT_CACHE_DIR``; asserted in tests).
@@ -229,14 +230,18 @@ class Session:
         *,
         seed: Optional[int] = None,
         record_power_series: bool = False,
-    ) -> SimResult:
-        """One seed's full :class:`SimResult` (default: the first seed).
+    ) -> SimResult | CellResult:
+        """One seed's simulated result (default: the first seed).
 
-        ``record_power_series=True`` runs outside the runner/cache — power
-        traces are observability extras the content-addressed cache does
-        not store. Always simulates regardless of the session's
-        ``fidelity``: a *full* result (per-batch trace) is the contract,
-        and the analytic model does not produce one.
+        Always simulates regardless of the session's ``fidelity``: the
+        per-batch trace and task rows are the contract, and the analytic
+        model does not produce them. The cell runs through the session's
+        engine and cache, so the result is the engine's
+        :class:`~repro.sim.record.CellResult` record, which has no energy
+        meter and no ``Task`` objects. ``record_power_series=True`` is the
+        path that returns a full :class:`SimResult`: it runs outside the
+        engine and cache, since power traces are observability extras the
+        content-addressed cache does not store.
         """
         resolved = self._bound(spec)
         if seed is None:

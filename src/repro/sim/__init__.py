@@ -9,11 +9,13 @@ from repro.sim.export import (
     transitions_to_csv,
 )
 from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.record import CellResult, TaskRecord
 from repro.sim.rng import RngStreams, derive_seed
 from repro.sim.trace import BatchTrace, DvfsTransition, TraceRecorder
 
 __all__ = [
     "BatchTrace",
+    "CellResult",
     "batches_to_csv",
     "result_to_dict",
     "result_to_json",
@@ -27,6 +29,7 @@ __all__ = [
     "RngStreams",
     "SimResult",
     "Simulator",
+    "TaskRecord",
     "TraceRecorder",
     "derive_seed",
     "simulate",

@@ -1,9 +1,11 @@
 """Result and trace export.
 
-Serialises a :class:`~repro.sim.engine.SimResult` to plain dictionaries
-(JSON-ready) and CSV rows so runs can be archived, diffed across commits,
-or analysed outside Python. Only derived values are exported — no live
-object references — so exports are stable across library versions.
+Serialises a :class:`~repro.sim.engine.SimResult`, or the
+:class:`~repro.sim.record.CellResult` record the sweep engine returns for
+it, to plain dictionaries (JSON-ready) and CSV rows so runs can be
+archived, diffed across commits, or analysed outside Python. Only derived
+values are exported — no live object references — so exports are stable
+across library versions, and a result and its record export identically.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import json
 from typing import Any
 
 from repro.sim.engine import SimResult
+from repro.sim.record import CellResult
 
 
-def result_to_dict(result: SimResult, *, include_tasks: bool = False) -> dict[str, Any]:
+def result_to_dict(result: SimResult | CellResult, *, include_tasks: bool = False) -> dict[str, Any]:
     """A JSON-serialisable summary of one run."""
     out: dict[str, Any] = {
         "policy": result.policy_name,
@@ -72,12 +75,12 @@ def result_to_dict(result: SimResult, *, include_tasks: bool = False) -> dict[st
     return out
 
 
-def result_to_json(result: SimResult, *, include_tasks: bool = False, indent: int = 2) -> str:
+def result_to_json(result: SimResult | CellResult, *, include_tasks: bool = False, indent: int = 2) -> str:
     """JSON text of :func:`result_to_dict`."""
     return json.dumps(result_to_dict(result, include_tasks=include_tasks), indent=indent)
 
 
-def batches_to_csv(result: SimResult) -> str:
+def batches_to_csv(result: SimResult | CellResult) -> str:
     """CSV of per-batch metrics (one row per batch)."""
     buffer = io.StringIO()
     r = result.machine.r
@@ -95,7 +98,7 @@ def batches_to_csv(result: SimResult) -> str:
     return buffer.getvalue()
 
 
-def tasks_to_csv(result: SimResult) -> str:
+def tasks_to_csv(result: SimResult | CellResult) -> str:
     """CSV of per-task execution records (requires ``keep_tasks=True``)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -112,7 +115,7 @@ def tasks_to_csv(result: SimResult) -> str:
     return buffer.getvalue()
 
 
-def transitions_to_csv(result: SimResult) -> str:
+def transitions_to_csv(result: SimResult | CellResult) -> str:
     """CSV of the DVFS transition log."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)

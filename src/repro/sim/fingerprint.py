@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimResult
+    from repro.sim.record import CellResult
 
 
 def canonical_value(value: Any) -> Any:
@@ -121,7 +122,7 @@ def digest(parts: Iterable[Any]) -> str:
     return hashlib.sha256(canonical_blob(parts)).hexdigest()
 
 
-def result_scalars(result: "SimResult") -> dict[str, Any]:
+def result_scalars(result: "SimResult | CellResult") -> dict[str, Any]:
     """The scalar observables the golden suite pins, by name."""
     return {
         "total_time": result.total_time,
@@ -136,7 +137,7 @@ def result_scalars(result: "SimResult") -> dict[str, Any]:
     }
 
 
-def trace_fingerprint(result: "SimResult") -> str:
+def trace_fingerprint(result: "SimResult | CellResult") -> str:
     """SHA-256 over every observable of one run.
 
     Covers the result scalars, batch traces, DVFS transitions, per-task

@@ -19,9 +19,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
 from repro.experiments.parallel import CellSpec, ResultCache
+from repro.experiments.runner import make_policy
 from repro.experiments.sweep import SweepEngine
-from repro.sim.engine import ENGINE_VERSION
+from repro.machine.topology import opteron_8380_machine
+from repro.scenario.registry import MACHINES, POLICIES, spread_levels_for
+from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.sim.fingerprint import trace_fingerprint
+from repro.sim.record import CellResult
+from repro.workloads.benchmarks import benchmark_program
 
 BATCHES = 2
 
@@ -330,6 +335,88 @@ class TestTornEntryRecovery:
         assert not cache._path(key).exists()
 
 
+def _touch(path):
+    """Where a planted entry's pickle calls: proof that it ran."""
+    open(path, "x").close()
+    return {"engine_version": ENGINE_VERSION, "result": None}
+
+
+class _Planted:
+    """Pickles as a call to :func:`_touch`."""
+
+    def __init__(self, flag):
+        self.flag = flag
+
+    def __reduce__(self):
+        return _touch, (str(self.flag),)
+
+
+class TestEntryLayout:
+    def test_planted_entry_is_a_deleted_miss_that_runs_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" + "0" * 62
+        flag = tmp_path / "ran"
+        blob = pickle.dumps(_Planted(flag), protocol=pickle.HIGHEST_PROTOCOL)
+        cache._path(key).parent.mkdir(parents=True)
+        cache._path(key).write_bytes(blob)
+        assert cache.get(key) is None
+        assert not cache._path(key).exists()
+        assert not flag.exists()
+        pickle.loads(blob)  # a plain unpickler would have run it
+        assert flag.exists()
+
+    def test_records_round_trip_for_every_preset_and_paper_policy(self, tmp_path):
+        # A class a record holds but the allow-list misses would turn
+        # every warm hit into a re-simulation; here it fails instead.
+        cache_dir = tmp_path / "cache"
+        outcomes = []
+        with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
+            for preset in MACHINES.names():
+                machine = MACHINES.get(preset).build()
+                for policy in ("cilk", "cilk-d", "wats", "eewa"):
+                    levels = (
+                        tuple(spread_levels_for(machine))
+                        if POLICIES.get(policy).needs_core_levels else None
+                    )
+                    outcomes.append(eng.submit(CellSpec(
+                        benchmark="SHA-1", policy=policy, seed=11,
+                        batches=BATCHES, machine=machine, core_levels=levels,
+                    )).result())
+            # A cell not simulated above: a cached sim result would win.
+            model = eng.submit(
+                spec(policy="eewa", seed=23), fidelity="model"
+            ).result()
+            assert eng.stats.executed == len(outcomes)
+        assert model.source == "model"
+        fresh = ResultCache(cache_dir)
+        for outcome in (*outcomes, model):
+            assert isinstance(outcome.result, CellResult)
+            payload = fresh.get(outcome.key)
+            assert payload is not None, outcome.spec
+            assert payload["result"] == outcome.result
+
+    def test_entry_in_the_earlier_layout_is_a_miss_and_rewritten(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
+            key = eng.submit(spec()).result().key
+        # Earlier versions stored the whole SimResult under the same key.
+        full = simulate(
+            benchmark_program("SHA-1", batches=BATCHES, seed=11),
+            make_policy("cilk"), opteron_8380_machine(), seed=11,
+        )
+        cache = ResultCache(cache_dir)
+        cache.put(key, {
+            "engine_version": ENGINE_VERSION, "result": full,
+            "adjuster_wallclock_s": 0.0, "adjuster_decisions": 0,
+        })
+        with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
+            again = eng.submit(spec()).result()
+            assert eng.stats.executed == 1
+        assert not again.from_cache
+        assert trace_fingerprint(again.result) == trace_fingerprint(full)
+        assert isinstance(cache.get(key)["result"], CellResult)
+
+
 class TestCachectl:
     def _warm(self, cache_dir, seeds=(11, 23)):
         with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
@@ -406,6 +493,24 @@ class TestCachectl:
         assert cache.get(min(entries)) is None  # smallest key loses the tie
         for key in sorted(entries)[1:]:
             assert cache.get(key) is not None
+
+    def test_prune_by_age_removes_only_stale_temp_files(self, tmp_path):
+        # A writer that died between mkstemp and os.replace left the
+        # stale one; a live writer's temp file is only seconds old.
+        self._warm(tmp_path)
+        cache = ResultCache(tmp_path)
+        entries = cachectl._entry_map(cache)
+        shard = cache._path(min(entries)).parent
+        stale, live = shard / "tmpdead.tmp", shard / "tmplive.tmp"
+        stale.write_bytes(b"torn")
+        live.write_bytes(b"torn")
+        now = time.time()
+        os.utime(stale, (now - 3 * 86400, now - 3 * 86400))
+        result = cachectl.prune(tmp_path, max_age_days=1, now=now)
+        assert not stale.exists()
+        assert live.exists()
+        assert (result.removed, result.kept) == (0, len(entries))
+        assert cachectl._entry_map(cache) == entries
 
     def test_prune_empty_cache_is_a_noop(self, tmp_path):
         result = cachectl.prune(

@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.experiments.parallel import CellSpec
+from repro.model.predict import predict_cell
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 from repro.service.client import ServiceError, SweepServiceClient
@@ -356,6 +357,39 @@ class TestUnixSocket:
             srv.drain_and_close()
             thread.join(timeout=10)
         assert not (tmp_path / "serve.sock").exists()
+
+
+class TestModelFidelity:
+    def test_model_and_auto_requests_stream_model_cells(self, tmp_path):
+        # A predicted cell carries its machine and an empty trace, so it
+        # encodes like a simulated one instead of failing mid-stream.
+        path = str(tmp_path / "serve.sock")
+        srv = serve(unix_socket=path, cache_dir=None)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        assert srv.wait_until_serving()
+        try:
+            client = SweepServiceClient(f"unix:{path}")
+            for fidelity, request in (
+                ("model", scenario(workload="periodic", policy="eewa")),
+                ("auto", scenario(workload="SHA-1", policy="eewa")),
+            ):
+                cells, end = client.run([request], fidelity=fidelity)
+                assert end["frame"] == "end"
+                assert end["sources"] == {"model": 1}
+                (frame,) = cells
+                assert frame["source"] == "model"
+                spec = ScenarioSpec.from_dict(request)
+                predicted = predict_cell(
+                    tuple(spec.program(11)), "eewa", spec.build_machine()
+                )
+                expected = json.loads(json.dumps(result_to_dict(predicted)))
+                assert frame["result"] == expected
+                assert expected["batches"] == []
+        finally:
+            srv.drain_and_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
