@@ -131,14 +131,16 @@ class EEWAScheduler(GroupedStealingPolicy):
         assert self.profiler is not None and self.regression is not None
         level = task.executed_level
         assert level is not None
-        machine = self._require_ctx().machine
-        core_type = (
-            machine.core_type_of(core_id) if machine.is_heterogeneous else None
-        )
+        core_types = self._core_types
+        core_type = None if core_types is None else core_types[core_id]
+        elapsed = task.elapsed
         self.profiler.observe(
-            task.function, task.elapsed, level, task.spec.counters, core_type
+            task.function, elapsed, level, task.spec.counters, core_type
         )
-        self.regression.observe(task.function, task.elapsed, level, core_type)
+        # Only the regression decision path reads these samples; in any
+        # other mode they would pile up unread, one per task.
+        if self.config.memory_bound_mode is MemoryBoundMode.REGRESSION:
+            self.regression.observe(task.function, elapsed, level, core_type)
 
     def on_dvfs_denied(self, core_id: int, level: int) -> None:
         super().on_dvfs_denied(core_id, level)

@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.core.cc_table import CCTable
 from repro.errors import SearchError
 from repro.machine.power import PowerModel
@@ -95,6 +97,35 @@ class KTupleSolution:
         return all(a <= b for a, b in zip(self.assignment, self.assignment[1:]))
 
 
+def _search(
+    i: int,
+    a: list[int],
+    used: list[float],
+    cc: np.ndarray,
+    r: int,
+    bucket_of_row: list[int],
+    budgets: list[float],
+) -> bool:
+    """Algorithm 1's recursion: assign classes ``i..k-1`` into ``a``.
+
+    A module-level function, not a closure: a closure that calls itself
+    holds a reference to itself, and each search would leave a reference
+    cycle behind for the garbage collector.
+    """
+    if i >= len(a):
+        return True
+    lower = a[i - 1] if i > 0 else 0  # monotonicity bound (constraint 3)
+    for j in range(r - 1, lower - 1, -1):  # lowest frequency first (constraint 2)
+        b = bucket_of_row[j]
+        if cc[j, i] + used[b] <= budgets[b] + 1e-9:
+            a[i] = j
+            used[b] += cc[j, i]
+            if _search(i + 1, a, used, cc, r, bucket_of_row, budgets):
+                return True
+            used[bucket_of_row[a[i]]] -= cc[a[i], i]
+    return False
+
+
 def search_ktuple(
     table: CCTable, num_cores: int, *, capacities: Optional[Capacities] = None
 ) -> Optional[KTupleSolution]:
@@ -111,32 +142,11 @@ def search_ktuple(
     """
     if num_cores < 1:
         raise SearchError("num_cores must be >= 1")
-    r, k = table.r, table.k
     cc = table.values
     bucket_of_row, budgets = _capacity_layout(table, num_cores, capacities)
-    a = [0] * k
+    a = [0] * table.k
     used = [0.0] * len(budgets)
-
-    def select(i: int, j: int) -> bool:
-        b = bucket_of_row[j]
-        if cc[j, i] + used[b] <= budgets[b] + 1e-9:
-            a[i] = j
-            used[b] += cc[j, i]
-            return True
-        return False
-
-    def search(i: int) -> bool:
-        if i >= k:
-            return True
-        lower = a[i - 1] if i > 0 else 0  # monotonicity bound (constraint 3)
-        for j in range(r - 1, lower - 1, -1):  # lowest frequency first (constraint 2)
-            if select(i, j):
-                if search(i + 1):
-                    return True
-                used[bucket_of_row[a[i]]] -= cc[a[i], i]
-        return False
-
-    if not search(0):
+    if not _search(0, a, used, cc, table.r, bucket_of_row, budgets):
         return None
     assignment = tuple(a)
     demand = tuple(float(cc[j, i]) for i, j in enumerate(assignment))

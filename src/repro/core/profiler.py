@@ -90,6 +90,14 @@ class OnlineProfiler:
     _tasks_seen: int = 0
     _memory_bound_seen: int = 0
 
+    def __post_init__(self) -> None:
+        # ``scale.relative_speed`` of every operating point, built once: the
+        # same floats, without a method call and a bounds check per task.
+        # A plain attribute, not a field, so it is no part of the profiler's
+        # dataclass identity.
+        scale = self.scale
+        self._speeds = tuple(scale.relative_speed(i) for i in range(scale.r))
+
     # -- observation ----------------------------------------------------------
 
     def normalized_workload(
@@ -106,11 +114,15 @@ class OnlineProfiler:
         """
         if elapsed < 0:
             raise ProfilingError("elapsed time must be non-negative")
+        speeds = self._speeds
         if core_type is None:
-            index = self.scale.validate_index(level)
+            if not 0 <= level < len(speeds):
+                # The scale's own bounds error.
+                self.scale.validate_index(level)
+            index = level
         else:
             index = self.scale.index_for(core_type, level)
-        return elapsed * self.scale.relative_speed(index)
+        return elapsed * speeds[index]
 
     def observe(
         self,

@@ -84,14 +84,20 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _CACHE_FORMAT = 1
 
 
+#: Programs the generation caches below keep. The key memo shares the
+#: bound: a program those caches have dropped is never keyed by identity
+#: again, so a larger memo would only pin dropped programs (100-200 KB
+#: each) in memory.
+_PROGRAM_CACHE_ENTRIES = 256
+
 #: Sub-digests of immutable inputs, memoised by object identity — a sweep
 #: hashes the same program once per (program, policy-count) instead of
 #: re-walking thousands of task specs per cell. Identity keying is sound
 #: because an entry holds a strong reference to its keyed object (so its
 #: id cannot be recycled while the entry lives) and every hit re-verifies
-#: identity. The memo is a bounded LRU: a long-lived session sweeping many
-#: distinct programs evicts the oldest instead of pinning them all.
-_BLOB_MEMO_ENTRIES = 4096
+#: identity. The memo is an LRU bounded like the program caches, so it
+#: holds no more programs than they do.
+_BLOB_MEMO_ENTRIES = _PROGRAM_CACHE_ENTRIES
 _blob_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
 
 
@@ -416,7 +422,7 @@ class ResultCache:
 # ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_PROGRAM_CACHE_ENTRIES)
 def _generated_program(
     benchmark: str, batches: Optional[int], seed: int
 ) -> tuple[Batch, ...]:

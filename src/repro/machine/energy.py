@@ -18,6 +18,16 @@ billing would have performed, in the same order: one loop over the
 intervals adds each to all five accumulators, held in locals, so the
 floats are bit-identical. (Not ``sum()``: since Python 3.12 it adds floats
 with compensation, which rounds differently.)
+
+A segment ends when its core's draw differs from the one it was billed
+at, so an observation that closes an interval compares cores with their
+segments. The engine changes one core at a time and names it:
+``observe(now, core)`` precedes a change to ``core`` alone, and the next
+observation that closes an interval compares only the cores named since
+the previous one. An observation naming no core (boot, a request that
+retunes several cores, direct use of the meter) makes the next one
+compare every core. Either way the same segments close at the same
+interval indices, so the additions and their order are unchanged.
 """
 
 from __future__ import annotations
@@ -135,6 +145,10 @@ class EnergyMeter:
         self._seg_start = [0] * len(cores)
         self._seg_state = [core.state for core in cores]
         self._seg_level = [core.level for core in cores]
+        #: Cores named by observations since the last closed interval, the
+        #: only ones whose draw may have changed; ``None`` when one named
+        #: no core, so every core is compared.
+        self._marked: list[int] | None = None
 
     # -- pickling -----------------------------------------------------------
 
@@ -164,37 +178,50 @@ class EnergyMeter:
 
     # -- billing ------------------------------------------------------------
 
-    def observe(self, now: float) -> None:
-        """Record the interval ``[last, now]`` at every core's current draw."""
+    def observe(self, now: float, core: int | None = None) -> None:
+        """Record the interval ``[last, now]`` at every core's current draw.
+
+        ``core`` names the one core the caller changes next; with ``None``
+        any number of cores may change (see the module docstring).
+        """
         if self._finalized:
             raise SimulationError("energy meter already finalized")
         last = self._last_time
         dt = now - last
         if dt < -1e-12:
             raise SimulationError(f"time went backwards: {last} -> {now}")
+        marked = self._marked
         if dt <= 0.0:
             # A tiny negative dt within tolerance is float jitter, not time
             # travel — but rewinding to ``now`` would stretch the *next*
             # billing interval by the jitter. Keep the later instant.
             self._last_time = max(last, now)
-            return
-        if len(self._dts) >= _SETTLE_EVERY:
-            self._settle()
-        dts = self._dts
-        n = len(dts)
-        # A core whose draw changed since the previous interval has ended
-        # a segment: bill it at the draw it had.
-        seg_state = self._seg_state
-        seg_level = self._seg_level
-        i = 0
-        for core in self._cores:
-            if core.state is not seg_state[i] or core.level != seg_level[i]:
-                self._close_segment(i, n)
-            i += 1
-        dts.append(dt)
-        if self._spans is not None:
-            self._spans.append((last, now))
-        self._last_time = now
+        else:
+            if len(self._dts) >= _SETTLE_EVERY:
+                self._settle()
+            dts = self._dts
+            n = len(dts)
+            # A core whose draw changed since the previous interval has
+            # ended a segment: bill it at the draw it had.
+            cores = self._cores
+            seg_state = self._seg_state
+            seg_level = self._seg_level
+            for i in range(len(cores)) if marked is None else marked:
+                c = cores[i]
+                if c.state is not seg_state[i] or c.level != seg_level[i]:
+                    self._close_segment(i, n)
+            dts.append(dt)
+            if self._spans is not None:
+                self._spans.append((last, now))
+            self._last_time = now
+            if marked is None:
+                self._marked = marked = []
+            else:
+                marked.clear()
+        if core is None:
+            self._marked = None
+        elif marked is not None:
+            marked.append(core)
 
     def _close_segment(self, i: int, end: int) -> None:
         """Bill core ``i``'s intervals before ``end``; its next segment

@@ -114,24 +114,24 @@ class CilkScheduler(SchedulerPolicy):
     # -- scheduling ---------------------------------------------------------
 
     def next_action(self, core_id: int) -> Action:
-        ctx = self._require_ctx()
         grid = self._grid
         assert grid is not None
+        stats = self.stats
 
         task = grid.pop_local(core_id, 0)
         if task is not None:
-            self.stats.local_pops += 1
-            self.stats.tasks_executed += 1
-            return RunTask(task, acquire_cycles=ctx.machine.pop_cycles)
+            stats.local_pops += 1
+            stats.tasks_executed += 1
+            return RunTask(task, acquire_cycles=self._pop_cycles)
 
         victims = grid.victims_with_work(0, exclude=core_id)
         if victims:
-            victim = ctx.rng_choice("cilk.victim", victims)
+            victim = self._require_ctx().rng_choice("cilk.victim", victims)
             stolen = grid.steal(victim, 0)
             if stolen is not None:
-                self.stats.tasks_stolen += 1
-                self.stats.tasks_executed += 1
-                return RunTask(stolen, acquire_cycles=ctx.machine.steal_cycles)
+                stats.tasks_stolen += 1
+                stats.tasks_executed += 1
+                return RunTask(stolen, acquire_cycles=self._steal_cycles)
 
-        self.stats.failed_scans += 1
-        return Wait(scan_cycles=ctx.machine.failed_scan_cycles)
+        stats.failed_scans += 1
+        return Wait(scan_cycles=self._scan_cycles)

@@ -43,6 +43,8 @@ class CilkDScheduler(CilkScheduler):
             raise ValueError("idle_grace_s must be non-negative")
         self._idle_grace = idle_grace_s
         self._idle_since: dict[int, Optional[float]] = {}
+        #: Per core: its ladder's slowest level, bound at program start.
+        self._slowest: tuple[int, ...] = ()
 
     def on_batch_start(self, batch: Batch, tasks: Sequence[Task]) -> None:
         super().on_batch_start(batch, tasks)
@@ -61,36 +63,34 @@ class CilkDScheduler(CilkScheduler):
         # effective level can be pinned fast by a sibling, and re-requesting
         # the same target forever would livelock.
         level = ctx.requested_level(core_id)
-        # Per-core ladder: on a heterogeneous machine each core type has
-        # its own slowest P-state (identical to the machine scale's on
-        # homogeneous ones, where ladder_of returns the scale itself).
-        slowest = ctx.machine.ladder_of(core_id).slowest_index
+        stats = self.stats
 
         if work_visible:
             self._idle_since[core_id] = None
             if level != 0:
                 # Scale back up before touching the work (the transition
                 # costs DVFS latency; the task may be gone when we return).
-                self.stats.extra["dvfs_raises"] = self.stats.extra.get("dvfs_raises", 0) + 1
+                stats.extra["dvfs_raises"] = stats.extra.get("dvfs_raises", 0) + 1
                 return SetFrequency(0)
             task = grid.pop_local(core_id, 0)
             if task is not None:
-                self.stats.local_pops += 1
-                self.stats.tasks_executed += 1
-                return RunTask(task, acquire_cycles=ctx.machine.pop_cycles)
+                stats.local_pops += 1
+                stats.tasks_executed += 1
+                return RunTask(task, acquire_cycles=self._pop_cycles)
             victims = grid.victims_with_work(0, exclude=core_id)
             if victims:
                 victim = ctx.rng_choice("cilk.victim", victims)
                 stolen = grid.steal(victim, 0)
                 if stolen is not None:
-                    self.stats.tasks_stolen += 1
-                    self.stats.tasks_executed += 1
-                    return RunTask(stolen, acquire_cycles=ctx.machine.steal_cycles)
+                    stats.tasks_stolen += 1
+                    stats.tasks_executed += 1
+                    return RunTask(stolen, acquire_cycles=self._steal_cycles)
             # Visible work evaporated between the check and the steal.
 
+        slowest = self._slowest[core_id]
         if level == slowest:
-            self.stats.failed_scans += 1
-            return Wait(scan_cycles=ctx.machine.failed_scan_cycles)
+            stats.failed_scans += 1
+            return Wait(scan_cycles=self._scan_cycles)
 
         now = ctx.now()
         idle_since = self._idle_since.get(core_id)
@@ -101,14 +101,21 @@ class CilkDScheduler(CilkScheduler):
         # Sub-nanosecond residuals would schedule a same-timestamp retry
         # forever; treat the grace period as elapsed.
         if remaining <= 1e-9:
-            self.stats.extra["dvfs_drops"] = self.stats.extra.get("dvfs_drops", 0) + 1
+            stats.extra["dvfs_drops"] = stats.extra.get("dvfs_drops", 0) + 1
             self._idle_since[core_id] = None
             return SetFrequency(slowest)
-        self.stats.failed_scans += 1
-        return Wait(scan_cycles=ctx.machine.failed_scan_cycles, retry_after=remaining)
+        stats.failed_scans += 1
+        return Wait(scan_cycles=self._scan_cycles, retry_after=remaining)
 
     def on_program_start(self) -> BatchAdjustment:
         self._idle_since.clear()
+        # Per-core ladder: on a heterogeneous machine each core type has
+        # its own slowest P-state (identical to the machine scale's on
+        # homogeneous ones, where ladder_of returns the scale itself).
+        machine = self._require_ctx().machine
+        self._slowest = tuple(
+            machine.ladder_of(i).slowest_index for i in range(machine.num_cores)
+        )
         return super().on_program_start()
 
     def state_fingerprint(self) -> Optional[str]:

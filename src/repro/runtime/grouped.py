@@ -36,6 +36,11 @@ class GroupedStealingPolicy(SchedulerPolicy):
         self._rr_cursor: dict[int, int] = {}
         self._group_max_workload: Optional[list[float]] = None
         self._ideal_time: Optional[float] = None
+        #: Each core's type on a heterogeneous machine, ``None`` on a
+        #: homogeneous one; bound when the first plan is installed.
+        self._core_types: Optional[tuple[str, ...]] = None
+        #: Each installed group's global operating-point rank.
+        self._group_ranks: tuple[int, ...] = ()
 
     # -- plan management ------------------------------------------------------
 
@@ -71,7 +76,9 @@ class GroupedStealingPolicy(SchedulerPolicy):
                 observer=observer,
                 core_types=core_types,
             )
+            self._core_types = core_types
         self._plan = plan
+        self._group_ranks = tuple(g.rank for g in plan.groups)
         self._prefs = preference_lists(plan.num_groups)
         self._rr_cursor = {g.index: 0 for g in plan.groups}
         self._group_max_workload = None
@@ -143,12 +150,13 @@ class GroupedStealingPolicy(SchedulerPolicy):
         in the task pool of the fastest c-group" — avoids running unknown
         (possibly heavy) work on slow cores.
         """
-        return self.plan.class_to_group.get(function, self.plan.fastest_group_index())
+        plan = self.plan
+        return plan.class_to_group.get(function, plan.fastest_group_index())
 
     def _place_in_group(self, task: Task, group_index: int) -> None:
         """Round-robin a task across the cores of its group."""
-        assert self._grid is not None
-        group = self.plan.groups[group_index]
+        assert self._grid is not None and self._plan is not None
+        group = self._plan.groups[group_index]
         cursor = self._rr_cursor[group_index]
         core_id = group.core_ids[cursor % len(group.core_ids)]
         self._rr_cursor[group_index] = cursor + 1
@@ -168,13 +176,15 @@ class GroupedStealingPolicy(SchedulerPolicy):
         self._grid.push(core_id, group_index, task)
 
     def next_action(self, core_id: int) -> Action:
-        ctx = self._require_ctx()
         grid = self._grid
         assert grid is not None
-        plan = self.plan
+        plan = self._plan
+        assert plan is not None
+        stats = self.stats
         own_group = plan.group_of_core[core_id]
 
-        thief_rank = plan.groups[own_group].rank
+        ranks = self._group_ranks
+        thief_rank = ranks[own_group]
         for group_index in self._prefs[own_group]:
             # A slower core helping out a faster group must not pick up a
             # task too heavy to finish within the iteration budget. Group
@@ -182,33 +192,31 @@ class GroupedStealingPolicy(SchedulerPolicy):
             # stay meaningful across core types.
             if (
                 group_index != own_group
-                and plan.groups[group_index].rank < thief_rank
+                and ranks[group_index] < thief_rank
                 and self._steal_would_blow_budget(thief_rank, group_index)
             ):
-                self.stats.extra["guarded_steals"] = (
-                    self.stats.extra.get("guarded_steals", 0) + 1
-                )
+                stats.extra["guarded_steals"] = stats.extra.get("guarded_steals", 0) + 1
                 continue
             # Local pool for this group first (lock-free pop).
             task = grid.pop_local(core_id, group_index)
             if task is not None:
-                self.stats.local_pops += 1
-                self.stats.tasks_executed += 1
+                stats.local_pops += 1
+                stats.tasks_executed += 1
                 if group_index != own_group:
-                    self.stats.cross_group_steals += 1
-                return RunTask(task, acquire_cycles=ctx.machine.pop_cycles)
+                    stats.cross_group_steals += 1
+                return RunTask(task, acquire_cycles=self._pop_cycles)
             # Then random stealing within the group.
             victims = grid.victims_with_work(group_index, exclude=core_id)
             if victims:
-                victim = ctx.rng_choice(f"{self.name}.victim", victims)
+                victim = self._require_ctx().rng_choice(f"{self.name}.victim", victims)
                 stolen = grid.steal(victim, group_index)
                 if stolen is not None:
-                    self.stats.tasks_stolen += 1
-                    self.stats.tasks_executed += 1
+                    stats.tasks_stolen += 1
+                    stats.tasks_executed += 1
                     if group_index != own_group:
-                        self.stats.cross_group_steals += 1
-                    return RunTask(stolen, acquire_cycles=ctx.machine.steal_cycles)
+                        stats.cross_group_steals += 1
+                    return RunTask(stolen, acquire_cycles=self._steal_cycles)
             # Group drained everywhere -> move down the preference list.
 
-        self.stats.failed_scans += 1
-        return Wait(scan_cycles=ctx.machine.failed_scan_cycles)
+        stats.failed_scans += 1
+        return Wait(scan_cycles=self._scan_cycles)

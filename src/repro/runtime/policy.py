@@ -150,12 +150,22 @@ class SchedulerPolicy(abc.ABC):
     def __init__(self) -> None:
         self.ctx: Optional[RuntimeContext] = None
         self.stats = PolicyStats()
+        #: The machine's task-acquisition costs in cycles (local pop,
+        #: steal, failed scan), fixed for a run and bound by :meth:`bind`
+        #: so that dispatch does not look them up for every action.
+        self._pop_cycles = 0.0
+        self._steal_cycles = 0.0
+        self._scan_cycles = 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
     def bind(self, ctx: RuntimeContext) -> None:
         """Attach the engine context. Called once before the program starts."""
         self.ctx = ctx
+        machine = ctx.machine
+        self._pop_cycles = machine.pop_cycles
+        self._steal_cycles = machine.steal_cycles
+        self._scan_cycles = machine.failed_scan_cycles
 
     def on_program_start(self) -> BatchAdjustment | None:
         """Called before the first batch. May set initial frequencies."""

@@ -146,10 +146,8 @@ class WATSScheduler(GroupedStealingPolicy):
         assert self.profiler is not None
         level = task.executed_level
         assert level is not None
-        machine = self._require_ctx().machine
-        core_type = (
-            machine.core_type_of(core_id) if machine.is_heterogeneous else None
-        )
+        core_types = self._core_types
+        core_type = None if core_types is None else core_types[core_id]
         self.profiler.observe(
             task.function, task.elapsed, level, task.spec.counters, core_type
         )

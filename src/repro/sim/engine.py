@@ -65,6 +65,7 @@ to full simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from heapq import heappush
 from typing import Optional, Sequence
 
 from repro.errors import SchedulingError, SimulationError
@@ -241,6 +242,12 @@ class Simulator:
             for i in range(machine.num_cores)
         ]
         self._ladders = [machine.ladder_of(i) for i in range(machine.num_cores)]
+        #: Per core: reference cycles retired per second at each level of
+        #: its ladder (``SimCore.effective_hz``, tabulated: same floats).
+        self._hz_by_level = [
+            tuple(f * core.ipc_scale for f in core.scale.levels)
+            for core in self._cores
+        ]
         self._op_maps = [
             machine.op_index_map_of(i) for i in range(machine.num_cores)
         ]
@@ -261,17 +268,25 @@ class Simulator:
         #: Spinning cores with no wake in flight — the targets of the next
         #: wakeup wave. See "Wakeup strategy" in the module docstring.
         self._idle: set[int] = set()
-        self._inflight: dict[int, Task] = {}
         self._finished_tasks: list[Task] = []
         self._tasks_executed = 0
         self._done = False
         # Per-core *requested* DVFS levels; with dvfs_domains the effective
         # level is the fastest request in the domain (voltage-plane rule).
         self._requested: list[int] = [0] * machine.num_cores
-        # Remaining-work bookkeeping for mid-run retunes (domain coercion
-        # can change a RUNNING core's frequency).
-        self._run_state: dict[int, dict[str, float]] = {}
-        self._expected_done_seq: dict[int, int] = {}
+        # Per-core slots, indexed by core id: the task the core is running
+        # (None when it runs none) and the seq of the TASK_DONE event that
+        # ends it, so a superseded event is recognised as stale. The last
+        # three hold the remaining-work bookkeeping for mid-run retunes
+        # (domain coercion can change a RUNNING core's frequency): cycles
+        # and memory stall left at the start of the running segment, and
+        # the instant that segment started.
+        n = machine.num_cores
+        self._running: list[Optional[Task]] = [None] * n
+        self._done_seq: list[int] = [-1] * n
+        self._run_cycles: list[float] = [0.0] * n
+        self._run_stall: list[float] = [0.0] * n
+        self._run_seg_start: list[float] = [0.0] * n
         #: batch_index -> position in ``trace.batches`` (O(1) patching).
         self._batch_trace_pos: dict[int, int] = {}
 
@@ -393,12 +408,18 @@ class Simulator:
                 raise SimulationError(f"unknown event kind {kind}")
 
         if not self._done:
+            inflight = sum(task is not None for task in self._running)
             raise SimulationError(
                 f"event queue drained with work outstanding "
-                f"(batch={self._barrier.batch_index}, inflight={len(self._inflight)})"
+                f"(batch={self._barrier.batch_index}, inflight={inflight})"
             )
 
-        return self._build_result()
+        result = self._build_result()
+        # The policy holds this simulator as its ``ctx``; dropping the
+        # reverse reference leaves no reference cycle, so the run is freed
+        # as soon as its caller lets go of it, not by the cycle collector.
+        self._policy = None
+        return result
 
     # ------------------------------------------------------------------
     # event handlers
@@ -760,7 +781,7 @@ class Simulator:
                 # End of the fault-injected offline window: the core comes
                 # back up and asks for work like any other woken core.
                 del self._stalled[core_id]
-                self._meter.observe(self._queue._now)
+                self._meter.observe(self._queue._now, core_id)
                 core.spin()
                 self._dispatch(core)
                 return
@@ -769,13 +790,13 @@ class Simulator:
         self._dispatch(core)
 
     def _handle_task_done(self, core_id: int, task_id: int, seq: int) -> None:
-        if self._expected_done_seq.get(core_id) != seq:
+        if self._done_seq[core_id] != seq:
             return  # superseded by a mid-run retune reschedule
         core = self._cores[core_id]
-        task = self._inflight.pop(task_id)
-        self._run_state.pop(core_id, None)
+        task = self._running[core_id]
+        self._running[core_id] = None
         now = self._queue._now
-        self._meter.observe(now)
+        self._meter.observe(now, core_id)
         finished_id = core.finish_task()
         if finished_id != task_id:
             raise SimulationError(
@@ -803,7 +824,7 @@ class Simulator:
 
     def _handle_dvfs_done(self, core_id: int) -> None:
         core = self._cores[core_id]
-        self._meter.observe(self._queue._now)
+        self._meter.observe(self._queue._now, core_id)
         core.complete_transition()
         self._dispatch(core)
 
@@ -856,7 +877,7 @@ class Simulator:
                 # only) and a seq-guarded wake brings it back. It is not in
                 # the idle set, so batch launches and spawn wakes skip it;
                 # work stealing routes around it meanwhile.
-                self._meter.observe(self._queue._now)
+                self._meter.observe(self._queue._now, core_id)
                 core.park()
                 event = self._queue.schedule(stall, _CORE_READY, core_id=core_id)
                 self._stalled[core_id] = event.seq
@@ -910,49 +931,55 @@ class Simulator:
 
     def _start_task(self, core: SimCore, action: RunTask) -> None:
         task = action.task
-        now = self._queue._now
-        self._meter.observe(now)
+        task_id = task.task_id
+        core_id = core.core_id
+        queue = self._queue
+        now = queue._now
+        self._meter.observe(now, core_id)
         if self._record_task_events:
-            self._record_lifecycle(TaskEventKind.EXEC, core.core_id, task.task_id)
-        core.start_task(task.task_id)
+            self._record_lifecycle(TaskEventKind.EXEC, core_id, task_id)
+        core.start_task(task_id)
         spec = task.spec
-        # Same arithmetic as SimCore.exec_seconds, with the effective-speed
-        # load hoisted; spec costs were validated non-negative at
-        # construction. Cycle-denominated costs (task work and the acquire
-        # overhead) retire at the core's effective speed.
-        effective_hz = core.scale.levels[core.level] * core.ipc_scale
-        acquire_seconds = action.acquire_cycles / effective_hz
-        exec_seconds = spec.cpu_cycles / effective_hz + spec.mem_stall_seconds
+        # Same arithmetic as SimCore.exec_seconds, with the effective speed
+        # read from the per-core table; spec costs were validated
+        # non-negative at construction. Cycle-denominated costs (task work
+        # and the acquire overhead) retire at the core's effective speed.
+        level = core.level
+        effective_hz = self._hz_by_level[core_id][level]
+        acquire_cycles = action.acquire_cycles
+        stall = spec.mem_stall_seconds
+        acquire_seconds = acquire_cycles / effective_hz
+        exec_seconds = spec.cpu_cycles / effective_hz + stall
         task.start_time = now + acquire_seconds
-        task.executed_on = core.core_id
-        task.executed_level = core.level
-        self._inflight[task.task_id] = task
-        self._run_state[core.core_id] = {
-            "cycles": action.acquire_cycles + spec.cpu_cycles,
-            "stall": spec.mem_stall_seconds,
-            "seg_start": now,
-        }
-        event = self._queue.schedule(
-            acquire_seconds + exec_seconds,
-            _TASK_DONE,
-            core_id=core.core_id,
-            task_id=task.task_id,
-        )
-        self._expected_done_seq[core.core_id] = event.seq
+        task.executed_on = core_id
+        task.executed_level = level
+        self._running[core_id] = task
+        self._run_cycles[core_id] = acquire_cycles + spec.cpu_cycles
+        self._run_stall[core_id] = stall
+        self._run_seg_start[core_id] = now
+        # EventQueue.schedule, inlined: the heap holds plain tuples in the
+        # Event layout, ordered by (time, seq) exactly as Events are.
+        delay = acquire_seconds + exec_seconds
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (now + delay, seq, _TASK_DONE, core_id, task_id, None))
+        self._done_seq[core_id] = seq
         # Cilk semantics: spawned children become stealable when the parent
         # starts running.
         children = spec.children
         if children:
-            self._trace_actor = core.core_id
+            self._trace_actor = core_id
             record_events = self._record_task_events
             for child_spec in children:
                 child = self._factory.make(child_spec, task.batch_index)
                 self._barrier.add_task()
                 if record_events:
                     self._record_lifecycle(
-                        TaskEventKind.CREATE, core.core_id, child.task_id
+                        TaskEventKind.CREATE, core_id, child.task_id
                     )
-                self._policy.on_spawn(core.core_id, child)
+                self._policy.on_spawn(core_id, child)
             self._wake_idle(len(children))
 
     def _wake_idle(self, new_tasks: Optional[int] = None) -> None:
@@ -970,10 +997,16 @@ class Simulator:
         targets = sorted(idle)
         if new_tasks is not None and new_tasks < len(targets):
             targets = targets[:new_tasks]
-        schedule = self._queue.schedule
+        queue = self._queue
+        heap = queue._heap
+        now = queue._now
+        seq = queue._seq
         for core_id in targets:
             idle.discard(core_id)
-            schedule(0.0, _CORE_READY, core_id=core_id)
+            # A zero-delay wake, pushed as a plain Event-layout tuple.
+            heappush(heap, (now, seq, _CORE_READY, core_id, None, None))
+            seq += 1
+        queue._seq = seq
 
     # ------------------------------------------------------------------
     # frequency application helpers
@@ -1060,7 +1093,11 @@ class Simulator:
                         effective[c] = fastest
             affected = sorted(affected_set)
 
-        self._meter.observe(self._queue._now)
+        # A single-core request names its core to the meter; several cores
+        # change here at once otherwise, so none is named (full scan).
+        self._meter.observe(
+            self._queue._now, affected[0] if len(affected) == 1 else None
+        )
         began: set[int] = set()
         for core_id in affected:
             core = self._cores[core_id]
@@ -1102,26 +1139,29 @@ class Simulator:
         instantly — the glitch of a plane transition is microseconds and
         the running core does not stall for it in hardware.
         """
-        state = self._run_state.get(core.core_id)
-        if state is None:
-            raise SimulationError(
-                f"core {core.core_id} RUNNING without execution state"
-            )
-        old_duration = state["cycles"] / core.effective_hz + state["stall"]
-        elapsed = self.now() - state["seg_start"]
+        core_id = core.core_id
+        if self._running[core_id] is None:
+            raise SimulationError(f"core {core_id} RUNNING without execution state")
+        now = self.now()
+        cycles = self._run_cycles[core_id]
+        stall = self._run_stall[core_id]
+        old_duration = cycles / core.effective_hz + stall
+        elapsed = now - self._run_seg_start[core_id]
         fraction = 0.0 if old_duration <= 0 else min(1.0, elapsed / old_duration)
-        state["cycles"] *= 1.0 - fraction
-        state["stall"] *= 1.0 - fraction
-        state["seg_start"] = self.now()
+        cycles *= 1.0 - fraction
+        stall *= 1.0 - fraction
+        self._run_cycles[core_id] = cycles
+        self._run_stall[core_id] = stall
+        self._run_seg_start[core_id] = now
 
         core.level = level
-        remaining = state["cycles"] / core.effective_hz + state["stall"]
+        remaining = cycles / core.effective_hz + stall
         task_id = core.running_task_id
         assert task_id is not None
         event = self._queue.schedule(
-            remaining, _TASK_DONE, core_id=core.core_id, task_id=task_id
+            remaining, _TASK_DONE, core_id=core_id, task_id=task_id
         )
-        self._expected_done_seq[core.core_id] = event.seq
+        self._done_seq[core_id] = event.seq
 
     def _check_levels(self, levels: Sequence[Optional[int]]) -> None:
         if len(levels) != self._machine.num_cores:

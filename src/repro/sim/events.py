@@ -14,7 +14,10 @@ slots and the comparison never reaches the (unorderable) ``kind`` member.
 This replaced a frozen ``order=True`` dataclass whose generated ``__lt__``
 built throwaway tuples on every heap sift; the tuple form cuts event
 scheduling cost roughly in half while keeping the exact same ``(time,
-seq)`` order, field names, and :class:`EventQueue` API.
+seq)`` order, field names, and :class:`EventQueue` API. The engine pushes
+its per-task events (``TASK_DONE`` and zero-delay ``CORE_READY`` wakes)
+onto the heap itself as plain tuples in the same layout, drawing ``seq``
+from the queue's counter, so both kinds share one order.
 """
 
 from __future__ import annotations

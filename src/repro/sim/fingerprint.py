@@ -59,10 +59,19 @@ _SEQUENCE_TYPES = frozenset({tuple, list})
 
 
 @functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Optional[tuple[str, ...]]:
-    """Field names of a dataclass type; ``None`` for any other type."""
+def _dataclass_tokens(cls: type) -> Optional[tuple[str, tuple[tuple[str, str], ...]]]:
+    """A dataclass type's encoding tokens; ``None`` for any other type.
+
+    The opening token (``"['TaskSpec'|"``) and, per field, its name and
+    the token written before its value (``"'function'|"``): the bytes the
+    generic walk writes for ``[cls.__name__, name, value, ...]``, built
+    once per class instead of once per instance.
+    """
     if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls))
+        head = "[" + repr(cls.__name__) + "|"
+        return head, tuple(
+            (f.name, repr(f.name) + "|") for f in dataclasses.fields(cls)
+        )
     return None
 
 
@@ -71,7 +80,8 @@ def _encode(parts: Iterable[Any], out: list[str]) -> None:
 
     A dataclass, enum or dict is written as the list
     :func:`canonical_value` turns it into — one walk over the raw value,
-    with no intermediate tree.
+    with no intermediate tree. A dataclass is written from its class's
+    precomputed tokens, with scalar and sequence field values inline.
     """
     append = out.append
     for part in parts:
@@ -82,14 +92,25 @@ def _encode(parts: Iterable[Any], out: list[str]) -> None:
             append("[")
             _encode(part, out)
             append("]")
+        elif (tokens := _dataclass_tokens(cls)) is not None:
+            head, fields = tokens
+            append(head)
+            for name, token in fields:
+                append(token)
+                value = getattr(part, name)
+                value_cls = type(value)
+                if value_cls in _REPR_TYPES:
+                    append(repr(value))
+                    append("|")
+                elif value_cls in _SEQUENCE_TYPES:
+                    append("[")
+                    _encode(value, out)
+                    append("]|")
+                else:
+                    _encode((value,), out)
+            append("]")
         else:
-            names = _field_names(cls)
-            if names is not None:
-                items = [cls.__name__]
-                for name in names:
-                    items.append(name)
-                    items.append(getattr(part, name))
-            elif isinstance(part, enum.Enum):
+            if isinstance(part, enum.Enum):
                 items = [cls.__name__, part.value]
             elif isinstance(part, (list, tuple)):
                 items = part

@@ -144,3 +144,13 @@ class TestConfigKnobs:
         # It ran on the fastest c-group of its batch's plan (level 0 cores
         # exist in every scaled plan here) unless stolen late.
         assert novel[0].executed_level == 0 or novel[0].stolen
+
+
+class TestRegressionSamples:
+    def test_default_mode_records_no_regression_samples(self):
+        # Only the REGRESSION decision path reads these samples.
+        policy = EEWAScheduler()
+        assert policy.config.memory_bound_mode is MemoryBoundMode.FALLBACK
+        simulate(granular_program(), policy, opteron_8380_machine(), seed=4)
+        assert policy.profiler is not None and policy.decisions
+        assert policy.regression.functions() == []

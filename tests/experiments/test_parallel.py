@@ -106,6 +106,20 @@ class TestBlobMemo:
         assert cell_key(tuple(program), "cilk", machine, 11) == key
 
 
+    def test_memo_holds_no_more_programs_than_the_program_cache(self):
+        # A program the generation cache has dropped is never keyed by
+        # identity again, so the memo must not keep it alive either.
+        from repro.experiments import parallel
+
+        machine = opteron_8380_machine()
+        parallel._blob_memo.clear()
+        for seed in range(300):
+            program = parallel._generated_program("SHA-1", 1, seed)
+            cell_key(program, "cilk", machine, seed)
+        held = sum(isinstance(value, tuple) for value, _ in parallel._blob_memo.values())
+        assert held <= parallel._generated_program.cache_info().maxsize
+
+
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -162,6 +162,84 @@ def test_segments_bill_exactly_what_eager_billing_does(ops, record_series, settl
     )
 
 
+change_kinds = st.sampled_from(["start", "finish", "spin", "park", "begin", "complete", "level"])
+#: Clock advance before an observation: none (a second observation at the
+#: same instant, as when a finished core starts its next task) or some.
+advances = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=3.0))
+
+marked_steps = st.one_of(
+    # A change to one core, preceded by an observation at ``now + dt``
+    # that names the core, or (``named`` false) names none.
+    st.tuples(
+        st.just("change"), change_kinds, st.integers(0, 2), st.integers(0, 3),
+        advances, st.booleans(),
+    ),
+    # Several cores changed after one observation that names no core, as
+    # when one DVFS request retunes a whole plane.
+    st.tuples(
+        st.just("several"),
+        st.lists(
+            st.tuples(change_kinds, st.integers(0, 2), st.integers(0, 3)),
+            min_size=1,
+            max_size=3,
+        ),
+        advances,
+    ),
+    # An observation naming a core that then does not change.
+    st.tuples(st.just("name"), st.integers(0, 2), st.floats(min_value=0.0, max_value=3.0)),
+    st.just(("read",)),
+    st.tuples(st.just("skip"), st.floats(min_value=0.0, max_value=3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(marked_steps, max_size=60),
+    st.booleans(),
+    st.sampled_from([2, 3, 4096]),
+)
+def test_marked_observations_bill_exactly_what_eager_billing_does(
+    ops, record_series, settle_every
+):
+    """The engine's protocol: every core change follows an observation that
+    names that core, or names none. The marked meter then compares only
+    the named cores, and must still bill what the eager meter bills."""
+    cores = make_cores()
+    with mock.patch.object(energy, "_SETTLE_EVERY", settle_every):
+        meter = EnergyMeter(
+            cores, BIG_POWER, type_powers=TYPE_POWERS, record_series=record_series
+        )
+        eager = EagerMeter(cores, record_series)
+        for op in ops:
+            if op[0] == "change":
+                _, kind, index, level, dt, named = op
+                now = eager.last + dt
+                meter.observe(now, index if named else None)
+                eager.observe(now)
+                apply_change(cores[index], kind, level)
+            elif op[0] == "several":
+                _, changes, dt = op
+                now = eager.last + dt
+                meter.observe(now)
+                eager.observe(now)
+                for kind, index, level in changes:
+                    apply_change(cores[index], kind, level)
+            elif op[0] == "name":
+                _, index, dt = op
+                now = eager.last + dt
+                meter.observe(now, index)
+                eager.observe(now)
+            elif op[0] == "read":
+                assert_same(meter, eager)
+            else:
+                eager.last += op[1]
+                meter.billed_through(eager.last)
+        end = eager.last + 1.0
+        meter.finalize(end)
+        eager.observe(end)
+    assert_same(meter, eager)
+
+
 def test_long_segment_matches_interval_by_interval_billing():
     cores = make_cores()
     cores[0].spin()
