@@ -10,7 +10,7 @@ records, per phase:
 * **legacy per-call** — the pre-engine shape on the now-warm cache: every
   submission is its own run_cells-style call, paying one key computation
   plus one entry-file ``open`` + unpickle round-trip per cell (exactly
-  what the one-shot ``ParallelRunner`` cost before the engine existed).
+  what the one-shot per-call fan-out cost before the engine existed).
 * **warm** — a *new* engine over the same cache: one entry file serves
   each distinct cell once, the in-memory memo serves every duplicate, and
   zero cells simulate.

@@ -15,10 +15,10 @@ from conftest import save_exhibit
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
 from repro.experiments.report import format_table
-from repro.experiments.runner import modal_eewa_levels
 from repro.machine.topology import opteron_8380_machine
 from repro.runtime.cilk import CilkScheduler
 from repro.runtime.wats import WATSScheduler
+from repro.scenario import ScenarioSpec, Session
 from repro.sim.engine import simulate
 from repro.workloads.benchmarks import benchmark_program
 
@@ -128,7 +128,11 @@ def test_bench_ablation_preference_stealing(benchmark, results_dir):
 
     def run_all():
         machine = opteron_8380_machine()
-        levels = modal_eewa_levels(BENCH, batches=BATCHES, seed=SEED)
+        with Session() as session:
+            levels = session.modal_eewa_levels(
+                ScenarioSpec(workload=BENCH, policy="eewa", batches=BATCHES),
+                seed=SEED,
+            )
         program = benchmark_program(BENCH, batches=BATCHES, seed=SEED)
         random_steal = simulate(
             program, CilkScheduler(core_levels=levels), machine, seed=SEED

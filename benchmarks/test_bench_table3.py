@@ -48,9 +48,9 @@ def test_bench_algorithm1_scaling(benchmark):
     the paper's scalability argument for the O(k*r^2) bound."""
     import numpy as np
 
-    from repro.machine.frequency import FrequencyScale
+    from repro.machine.operating_point import homogeneous_space
 
-    scale = FrequencyScale(tuple(3.0e9 * 0.8**i for i in range(6)))
+    scale = homogeneous_space(tuple(3.0e9 * 0.8**i for i in range(6)))
     rng = np.random.default_rng(0)
     row0 = rng.uniform(0.5, 3.0, size=8)
     values = np.outer([scale.slowdown(j) for j in range(6)], row0)

@@ -45,7 +45,6 @@ Package layout
 
 from repro.core import EEWAConfig, EEWAScheduler
 from repro.machine import (
-    FrequencyScale,
     MachineConfig,
     opteron_8380_machine,
     small_test_machine,
@@ -68,7 +67,6 @@ __all__ = [
     "CilkScheduler",
     "EEWAConfig",
     "EEWAScheduler",
-    "FrequencyScale",
     "MachineConfig",
     "SimResult",
     "Simulator",

@@ -39,7 +39,7 @@ from repro.core.cc_table import CCTable, cc_table_from_values
 from repro.core.ktuple import KTupleSolution, search_ktuple
 from repro.core.preference import preference_order
 from repro.errors import ReproError
-from repro.machine.frequency import FrequencyScale
+from repro.machine.operating_point import OperatingPointSpace, homogeneous_space
 
 SearchFn = Callable[[CCTable, int], Optional[KTupleSolution]]
 
@@ -52,10 +52,10 @@ DEFAULT_DEMAND_VALUES = (0.5, 1.0, 2.5)
 _EPS = 1e-9
 
 
-def _scale_for(r: int) -> FrequencyScale:
+def _scale_for(r: int) -> OperatingPointSpace:
     """A strictly-descending ladder with ``r`` levels: F_j = F0 * (r-j)/r."""
     base = 2.0e9
-    return FrequencyScale(tuple(base * (r - j) / r for j in range(r)))
+    return homogeneous_space(tuple(base * (r - j) / r for j in range(r)))
 
 
 def generate_tables(

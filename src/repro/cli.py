@@ -8,8 +8,8 @@
   first (``--policies`` defaults to the Cilk-normalised baseline set);
 * ``figure`` — regenerate one exhibit (fig1/fig6/fig7/fig8/fig9/table3,
   plus the heterogeneous extension ``fig_hetero``);
-* ``run-spec`` — run a JSON file: either a full scenario spec
-  (:class:`repro.scenario.ScenarioSpec`) or a bare workload spec;
+* ``run-spec`` — run a scenario JSON file
+  (:class:`repro.scenario.ScenarioSpec`; the workload may be inline);
 * ``bench`` — parallel cached sweep over (workload × policy × seed) cells
   (see :mod:`repro.experiments.parallel`);
 * ``sweep`` — the same grid through the persistent
@@ -138,17 +138,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser(
         "run-spec",
-        help="run a JSON spec file (full scenario spec or bare workload spec)",
+        help="run a scenario JSON file (workload/policy/machine/seeds)",
     )
     spec.add_argument(
         "spec_file",
-        help="path to a scenario JSON (workload/policy/machine/seeds) or a "
-        "bare workload spec JSON",
+        help="path to a scenario JSON; its workload is a registered name "
+        "or an inline workload object",
     )
     spec.add_argument(
         "policy", nargs="?", choices=POLICIES.names(),
-        help="policy to run (required for bare workload specs; overrides "
-        "the policy of a scenario spec)",
+        help="policy to run instead of the scenario's",
     )
     spec.add_argument("--batches", type=int, default=None)
     spec.add_argument("--cores", type=int, default=None)
@@ -411,7 +410,6 @@ def _resolve_levels(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    session = Session()
     faults = _load_faults(args.faults)
     scenario = ScenarioSpec(
         workload=args.benchmark,
@@ -424,9 +422,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         batches=args.batches,
         faults=faults,
     )
-    scenario = _resolve_levels(session, scenario, args.core_levels)
+    with Session() as session:
+        scenario = _resolve_levels(session, scenario, args.core_levels)
+        result = session.run_single(scenario, record_power_series=args.thermal)
     cores = scenario.build_machine().num_cores
-    result = session.run_single(scenario, record_power_series=args.thermal)
     print(
         f"{args.benchmark} / {args.policy} on {cores} cores: "
         f"{result.total_time*1e3:.1f} ms, {result.total_joules:.2f} J "
@@ -475,22 +474,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    session = Session()
     machine = _machine_spec(args.cores, preset=args.machine)
     cores = machine.build().num_cores
     faults = _load_faults(args.faults)
-    scenarios = [
-        _resolve_levels(
-            session,
-            ScenarioSpec(
-                workload=args.benchmark, policy=name, machine=machine,
-                seeds=(args.seed,), batches=args.batches, faults=faults,
-            ),
-            args.core_levels if POLICIES.get(name).needs_core_levels else None,
-        )
-        for name in args.policies
-    ]
-    outcomes = session.run_grid(scenarios)
+    with Session() as session:
+        scenarios = [
+            _resolve_levels(
+                session,
+                ScenarioSpec(
+                    workload=args.benchmark, policy=name, machine=machine,
+                    seeds=(args.seed,), batches=args.batches, faults=faults,
+                ),
+                args.core_levels if POLICIES.get(name).needs_core_levels else None,
+            )
+            for name in args.policies
+        ]
+        outcomes = session.run_grid(scenarios)
     base = outcomes[0]
     rows = [
         (
@@ -539,10 +538,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _load_run_spec_scenario(args: argparse.Namespace) -> ScenarioSpec:
-    """Build the scenario for ``run-spec``: scenario JSON or workload JSON."""
+    """Build the scenario for ``run-spec``: the scenario JSON plus overrides."""
     import json
-
-    from repro.workloads.io import spec_from_dict
+    from dataclasses import replace as _replace
 
     try:
         with open(args.spec_file) as fh:
@@ -554,52 +552,36 @@ def _load_run_spec_scenario(args: argparse.Namespace) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise ScenarioError(f"{args.spec_file}: expected a JSON object")
 
-    if "classes" in data:  # bare workload spec (legacy format)
-        if args.policy is None:
-            raise ScenarioError(
-                "a policy argument is required when running a bare workload "
-                "spec (or use a full scenario JSON with a 'policy' field)"
-            )
-        scenario = ScenarioSpec(
-            workload=spec_from_dict(data),
-            policy=args.policy,
-            machine=MachineSpec(num_cores=args.cores or 16),
-            seeds=(args.seed if args.seed is not None else 11,),
-            batches=args.batches,
+    # Overrides go through dataclasses.replace so every field the
+    # override does not touch (notably ``faults``) is preserved.
+    scenario = ScenarioSpec.from_dict(data)
+    if args.policy is not None:
+        scenario = scenario.with_policy(args.policy)
+    if args.cores is not None:
+        scenario = _replace(
+            scenario,
+            machine=MachineSpec(
+                preset=scenario.machine.preset, num_cores=args.cores
+            ),
         )
-    else:
-        # Overrides go through dataclasses.replace so every field the
-        # override does not touch (notably ``faults``) is preserved.
-        from dataclasses import replace as _replace
-
-        scenario = ScenarioSpec.from_dict(data)
-        if args.policy is not None:
-            scenario = scenario.with_policy(args.policy)
-        if args.cores is not None:
-            scenario = _replace(
-                scenario,
-                machine=MachineSpec(
-                    preset=scenario.machine.preset, num_cores=args.cores
-                ),
-            )
-        if args.seed is not None:
-            scenario = scenario.with_seeds((args.seed,))
-        if args.batches is not None:
-            scenario = _replace(scenario, batches=args.batches)
+    if args.seed is not None:
+        scenario = scenario.with_seeds((args.seed,))
+    if args.batches is not None:
+        scenario = _replace(scenario, batches=args.batches)
     return scenario
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
     from repro.workloads.validation import diagnose
 
-    session = Session()
     scenario = _load_run_spec_scenario(args)
-    scenario = _resolve_levels(session, scenario, None)
-    cores = scenario.build_machine().num_cores
-    if args.diagnose:
-        print(diagnose(scenario.resolve_workload(), cores).summary())
-        print()
-    outcome = session.run(scenario)
+    with Session() as session:
+        scenario = _resolve_levels(session, scenario, None)
+        cores = scenario.build_machine().num_cores
+        if args.diagnose:
+            print(diagnose(scenario.resolve_workload(), cores).summary())
+            print()
+        outcome = session.run(scenario)
     result = outcome.first
     seeds = list(scenario.seeds)
     suffix = f" (mean over seeds {seeds})" if len(seeds) > 1 else ""
@@ -1057,7 +1039,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         print(f"  outside the calibrated envelope: {verdict.reason}")
     if args.compare:
-        sim = Session().run_single(scenario)
+        with Session() as session:
+            sim = session.run_single(scenario)
         time_err = abs(result.total_time - sim.total_time) / sim.total_time
         joule_err = abs(result.total_joules - sim.total_joules) / sim.total_joules
         print(

@@ -20,28 +20,21 @@ from repro.experiments.report import (
     frequency_timeline,
     grouped_bar_chart,
 )
-from repro.experiments.runner import (
-    DEFAULT_SEEDS,
-    RunOutcome,
-    make_policy,
-    modal_eewa_levels,
-    run_benchmark,
-)
+from repro.experiments.outcome import RunOutcome
 from repro.experiments.parallel import (
     CellOutcome,
     CellSpec,
-    ParallelRunner,
     ResultCache,
     SweepStats,
 )
 from repro.experiments.sweep import SweepEngine, SweepTicket
 from repro.experiments.table3 import Table3Result, Table3Row, run_table3
+from repro.scenario.spec import DEFAULT_SEEDS
 
 __all__ = [
     "CellOutcome",
     "CellSpec",
     "DEFAULT_SEEDS",
-    "ParallelRunner",
     "ResultCache",
     "SweepEngine",
     "SweepStats",
@@ -67,9 +60,6 @@ __all__ = [
     "format_percent",
     "format_series",
     "format_table",
-    "make_policy",
-    "modal_eewa_levels",
-    "run_benchmark",
     "run_fig1",
     "run_fig6",
     "run_fig7",

@@ -85,28 +85,28 @@ def run_thermal_study(
         policies = baseline_policy_names()
     if params is None:
         params = ThermalParams()
-    session = Session()
     machine_spec = (
         MachineSpec() if machine is None else MachineSpec.inline(machine)
     )
     rows = []
-    for policy in policies:
-        scenario = ScenarioSpec(
-            workload=benchmark, policy=policy, machine=machine_spec,
-            seeds=(seed,), batches=batches,
-        )
-        result = session.run_single(scenario, record_power_series=True)
-        report = thermal_report(result, params)
-        sockets = socket_thermal_report(result)
-        peaks = [c.peak_c for c in report.cores]
-        rows.append(
-            ThermalRow(
-                policy=policy,
-                peak_c=report.peak_c,
-                mean_peak_c=sum(peaks) / len(peaks),
-                socket_peaks_c=tuple(c.peak_c for c in sockets.cores),
-                throttle_seconds=report.total_throttle_seconds,
-                energy_joules=result.total_joules,
+    with Session() as session:
+        for policy in policies:
+            scenario = ScenarioSpec(
+                workload=benchmark, policy=policy, machine=machine_spec,
+                seeds=(seed,), batches=batches,
             )
-        )
+            result = session.run_single(scenario, record_power_series=True)
+            report = thermal_report(result, params)
+            sockets = socket_thermal_report(result)
+            peaks = [c.peak_c for c in report.cores]
+            rows.append(
+                ThermalRow(
+                    policy=policy,
+                    peak_c=report.peak_c,
+                    mean_peak_c=sum(peaks) / len(peaks),
+                    socket_peaks_c=tuple(c.peak_c for c in sockets.cores),
+                    throttle_seconds=report.total_throttle_seconds,
+                    energy_joules=result.total_joules,
+                )
+            )
     return ThermalStudyResult(benchmark=benchmark, params=params, rows=tuple(rows))

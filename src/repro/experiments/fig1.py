@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
-from repro.machine.frequency import FrequencyScale
+from repro.machine.operating_point import homogeneous_space
 from repro.machine.power import calibrated_power_model
 from repro.machine.topology import MachineConfig
 from repro.sim.engine import SimResult, simulate
@@ -26,7 +26,7 @@ from repro.workloads.synthetic import fig1_program
 
 def fig1_machine() -> MachineConfig:
     """Dual-core machine with levels ``{f_0, 0.5 f_0}``."""
-    scale = FrequencyScale((2.0e9, 1.0e9))
+    scale = homogeneous_space((2.0e9, 1.0e9))
     power = calibrated_power_model(
         scale,
         top_core_busy_watts=20.0,
@@ -90,20 +90,19 @@ def run_fig1(
     program = fig1_program(t, ref_frequency=machine.scale.fastest, batches=batches)
     config = EEWAConfig(headroom=0.0)
     if parallel:
-        from repro.experiments.parallel import CellSpec, ParallelRunner
+        from repro.experiments.parallel import DEFAULT_CACHE_DIR, CellSpec
+        from repro.experiments.sweep import SweepEngine
 
-        runner = ParallelRunner(
+        with SweepEngine(
             machine=machine, workers=0,
-            cache_dir=cache_dir if cache_dir is not None else ".repro-cache",
-        )
-        (outcome,) = runner.run_cells(
-            [
+            cache_dir=cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
+        ) as engine:
+            outcome = engine.submit(
                 CellSpec(
                     benchmark="fig1", policy="eewa", seed=seed,
                     eewa_config=config, program=tuple(program),
                 )
-            ]
-        )
+            ).result()
         return outcome.result
     return simulate(program, EEWAScheduler(config), machine, seed=seed)
 

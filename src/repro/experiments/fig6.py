@@ -101,9 +101,6 @@ def run_fig6(
     cells across a process pool with the content-addressed result cache;
     results are identical either way.
     """
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     policies = baseline_policy_names()
     machine_spec = _machine_spec(machine)
     grid = [
@@ -114,9 +111,12 @@ def run_fig6(
         for name in benchmarks
         for policy in policies
     ]
-    outcomes = {
-        (o.benchmark, o.policy): o for o in session.run_grid(grid)
-    }
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        outcomes = {
+            (o.benchmark, o.policy): o for o in session.run_grid(grid)
+        }
     rows = []
     for name in benchmarks:
         base_t = outcomes[(name, "cilk")].time_mean

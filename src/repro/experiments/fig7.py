@@ -90,9 +90,6 @@ def run_fig7(
     process pool with result caching; results are identical either way.
     """
     names = list(benchmarks) + (["DMC-phased"] if include_phased else [])
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     machine_spec = (
         MachineSpec() if machine is None else MachineSpec.inline(machine)
     )
@@ -103,24 +100,27 @@ def run_fig7(
         )
         for name in names
     ]
-    levels_by_name = {
-        name: tuple(session.modal_eewa_levels(spec))
-        for name, spec in zip(names, eewa_grid)
-    }
-    eewa_outcomes = session.run_grid(eewa_grid)
-    fixed = session.run_grid(
-        [
-            ScenarioSpec(
-                workload=name,
-                policy=PolicySpec(policy, core_levels=levels_by_name[name]),
-                machine=machine_spec,
-                seeds=tuple(seeds),
-                batches=batches,
-            )
-            for name in names
-            for policy in ("cilk", "wats")
-        ]
-    )
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        levels_by_name = {
+            name: tuple(session.modal_eewa_levels(spec))
+            for name, spec in zip(names, eewa_grid)
+        }
+        eewa_outcomes = session.run_grid(eewa_grid)
+        fixed = session.run_grid(
+            [
+                ScenarioSpec(
+                    workload=name,
+                    policy=PolicySpec(policy, core_levels=levels_by_name[name]),
+                    machine=machine_spec,
+                    seeds=tuple(seeds),
+                    batches=batches,
+                )
+                for name in names
+                for policy in ("cilk", "wats")
+            ]
+        )
     rows = []
     for i, (name, eewa) in enumerate(zip(names, eewa_outcomes)):
         cilk, wats = fixed[2 * i], fixed[2 * i + 1]

@@ -57,9 +57,6 @@ def run_fig8(
     through the content-addressed result cache, making repeated
     regeneration (and sharing with other exhibits' EEWA cells) free.
     """
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     spec = ScenarioSpec(
         workload=benchmark,
         policy=PolicySpec("eewa", config=config),
@@ -67,7 +64,10 @@ def run_fig8(
         seeds=(seed,),
         batches=batches,
     )
-    result = session.run_single(spec)
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        result = session.run_single(spec)
     machine_config = spec.build_machine()
     return Fig8Result(
         benchmark=benchmark,

@@ -77,9 +77,6 @@ def run_fig9(
     """
     if base_machine is None:
         base_machine = opteron_8380_machine()
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     policies = baseline_policy_names()
     grid = [
         ScenarioSpec(
@@ -92,12 +89,15 @@ def run_fig9(
         for cores in core_counts
         for policy in policies
     ]
-    outcomes = dict(
-        zip(
-            [(cores, policy) for cores in core_counts for policy in policies],
-            session.run_grid(grid),
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        outcomes = dict(
+            zip(
+                [(cores, policy) for cores in core_counts for policy in policies],
+                session.run_grid(grid),
+            )
         )
-    )
     points = []
     for cores in core_counts:
         base_t = outcomes[(cores, "cilk")].time_mean

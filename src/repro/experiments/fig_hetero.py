@@ -87,9 +87,6 @@ def run_fig_hetero(
     ``core_types`` axis, so the cells cache under the exact machine shape.
     """
     names = list(benchmarks) + (["DMC-phased"] if include_phased else [])
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     machine_spec = MachineSpec(
         preset="big-little-test",
         core_types=(("big", big_cores), ("little", little_cores)),
@@ -110,7 +107,10 @@ def run_fig_hetero(
         for name in names
         for policy in HETERO_POLICIES
     ]
-    outcomes = session.run_grid(grid)
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        outcomes = session.run_grid(grid)
     rows = []
     width = len(HETERO_POLICIES)
     for i, name in enumerate(names):

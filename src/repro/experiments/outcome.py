@@ -1,7 +1,7 @@
-"""Result containers shared by the runner, the parallel runner, and Session.
+"""Result containers shared by Session and the exhibit modules.
 
 Kept free of experiment-layer imports so both the scenario layer and the
-experiment runners can depend on it without cycles.
+exhibits can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ __all__ = ["RunOutcome", "modal_levels_from_result"]
 class RunOutcome:
     """One benchmark under one policy, possibly over several seeds.
 
-    ``results`` are full results from the serial runner and cell records
-    from the sweep engine; both carry the scalars and the trace.
+    ``results`` are the sweep engine's cell records, which carry the
+    scalars and the trace.
     """
 
     benchmark: str
     policy: str
-    results: tuple[SimResult | CellResult, ...]
+    results: tuple[CellResult, ...]
 
     @property
     def time_mean(self) -> float:
@@ -37,7 +37,7 @@ class RunOutcome:
         return sum(r.total_joules for r in self.results) / len(self.results)
 
     @property
-    def first(self) -> SimResult | CellResult:
+    def first(self) -> CellResult:
         return self.results[0]
 
 

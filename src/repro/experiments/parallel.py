@@ -1,10 +1,10 @@
-"""Parallel, cached experiment execution — cell model, cache, and shim.
+"""Parallel, cached experiment execution — the cell model and the cache.
 
 The paper's evaluation repeats every (benchmark × policy) pair ~100 times;
 our exhibits repeat each cell over seeds. The cells are embarrassingly
 parallel — every simulation is a pure function of *(program, policy config,
 machine, seed, engine version)* — so this module provides the shared
-vocabulary every figure module and the sweep engine build on:
+vocabulary the sweep engine (:mod:`repro.experiments.sweep`) builds on:
 
 * **cell model** — :class:`CellSpec` / :class:`CellOutcome` /
   :func:`cell_key`, the content-addressed identity of one simulation;
@@ -25,12 +25,9 @@ vocabulary every figure module and the sweep engine build on:
   version (:data:`repro.scenario.spec.SCENARIO_SCHEMA_VERSION`, which
   versions the key layout itself) — changes the key and misses. Entries
   written under an older schema version are therefore never served.
-* **fan-out** — :class:`ParallelRunner`, the stable API the exhibits call.
-  Since the sweep-engine refactor it is a thin shim over
-  :class:`repro.experiments.sweep.SweepEngine`: a persistent priority
-  work-queue with a long-lived warm worker pool, chunked dispatch, and
-  in-flight deduplication. ``run_cells`` / ``run_many`` /
-  ``run_benchmark`` keep their exact pre-engine semantics.
+
+Cells run through :class:`repro.experiments.sweep.SweepEngine`, directly
+or through :class:`repro.scenario.session.Session`.
 
 Determinism note: results are byte-identical whether a cell is computed
 in-process, in a worker, or served from cache — the simulation itself is
@@ -54,18 +51,13 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.eewa import EEWAConfig
 from repro.errors import ConfigurationError
-from repro.experiments.outcome import RunOutcome, modal_levels_from_result
 from repro.faults.spec import FaultSpec
 from repro.machine.operating_point import OperatingPoint, OperatingPointSpace
 from repro.machine.power import PowerModel, VoltageCurve
 from repro.machine.topology import MachineConfig
 from repro.runtime.task import Batch
 from repro.scenario.registry import POLICIES
-from repro.scenario.spec import (
-    DEFAULT_SEEDS,
-    SCENARIO_SCHEMA_VERSION,
-    ScenarioSpec,
-)
+from repro.scenario.spec import SCENARIO_SCHEMA_VERSION, ScenarioSpec
 from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.sim.fingerprint import digest
 from repro.sim.record import CellResult
@@ -127,10 +119,9 @@ def cell_key(
 ) -> str:
     """Content hash of one simulation's complete input set.
 
-    This is the resolved-scenario digest: policy names are canonicalised
-    through the registry (so ``cilk_d`` and ``cilk-d`` alias to one
-    entry), and the layout is versioned by ``SCENARIO_SCHEMA_VERSION`` —
-    bumping it orphans every entry written under the old layout.
+    This is the resolved-scenario digest: the policy name must be
+    registered, and the layout is versioned by ``SCENARIO_SCHEMA_VERSION``
+    — bumping it orphans every entry written under the old layout.
     ``fast_forward`` is part of the key: on machines whose arithmetic is
     not float-exact a fast-forwarded result may differ from a full one in
     last-ulp positions, so the two modes must never share cache entries.
@@ -171,7 +162,7 @@ class CellSpec:
     inline :class:`~repro.workloads.spec.WorkloadSpec` instead (the cache
     key hashes generated program *content*, so an inline spec and the
     registered workload it equals share cache entries). ``program``
-    overrides generation entirely; ``machine`` overrides the runner's
+    overrides generation entirely; ``machine`` overrides the engine's
     default machine (Fig. 9's core-count sweep). ``policy_params`` are the
     JSON-scalar tunables of a :class:`~repro.scenario.spec.PolicySpec`.
     """
@@ -197,7 +188,7 @@ class CellSpec:
             if not isinstance(policy.config, EEWAConfig):
                 raise ConfigurationError(
                     f"{policy.name}: only EEWAConfig objects can ride through "
-                    "the parallel runner; use JSON params instead"
+                    "the sweep engine; use JSON params instead"
                 )
             eewa_config = policy.config
         return cls(
@@ -240,33 +231,6 @@ class CellOutcome:
     #: ``fidelity="model"|"auto"`` tier. Model outcomes carry the
     #: model-versioned key, never the simulation key.
     source: str = "sim"
-
-
-@dataclasses.dataclass(frozen=True)
-class BenchRequest:
-    """A multi-seed benchmark×policy request (``run_benchmark`` shaped)."""
-
-    benchmark: str
-    policy: str
-    batches: Optional[int] = None
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
-    core_levels: Optional[tuple[int, ...]] = None
-    eewa_config: Optional[EEWAConfig] = None
-    machine: Optional[MachineConfig] = None
-
-    def cells(self) -> list[CellSpec]:
-        return [
-            CellSpec(
-                benchmark=self.benchmark,
-                policy=self.policy,
-                seed=seed,
-                batches=self.batches,
-                core_levels=self.core_levels,
-                eewa_config=self.eewa_config,
-                machine=self.machine,
-            )
-            for seed in self.seeds
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +451,13 @@ def _simulate_cell(
 
 
 # ----------------------------------------------------------------------
-# runner
+# accounting
 # ----------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class SweepStats:
-    """Cumulative accounting of one sweep engine's (or runner's) work.
+    """Cumulative accounting of one sweep engine's work.
 
     ``cells`` counts submissions; every submission is exactly one of
     ``executed`` (simulated), ``cache_hits`` (served from the on-disk
@@ -513,160 +477,3 @@ class SweepStats:
     memo_hits: int = 0
     chunks: int = 0
     model_cells: int = 0
-
-
-class ParallelRunner:
-    """Fans (benchmark × policy × seed) cells out, deduplicated and cached.
-
-    Since the sweep-engine refactor this is a compatibility shim: all four
-    public entry points (``run_cells``, ``run_many``, ``run_benchmark``,
-    ``modal_eewa_levels``) submit through one persistent
-    :class:`repro.experiments.sweep.SweepEngine` owned by the runner
-    (exposed as :attr:`engine` for streaming/priority/cancellation use).
-    Ordering, statistics, and bit-identical results are preserved.
-
-    Parameters
-    ----------
-    machine:
-        Default machine for cells that do not carry their own.
-    workers:
-        Process count; ``0`` or ``1`` runs in-process (no pool), ``None``
-        uses ``os.cpu_count()``.
-    cache_dir:
-        Cache root directory; ``None`` disables the on-disk cache.
-    fast_forward:
-        Enable the engine's steady-state batch fast-forward (default).
-        ``False`` forces full event-by-event simulation of every cell —
-        the ``repro bench --no-fast-forward`` escape hatch. The flag is
-        part of every cell's cache key.
-    fidelity:
-        ``"sim"`` (default) simulates every cell; ``"auto"`` serves
-        model-eligible cells from the analytic predictor and simulates
-        the rest; ``"model"`` forces the predictor wherever it is
-        structurally expressible (see :mod:`repro.model`).
-    """
-
-    def __init__(
-        self,
-        *,
-        machine: Optional[MachineConfig] = None,
-        workers: Optional[int] = None,
-        cache_dir: str | os.PathLike[str] | None = DEFAULT_CACHE_DIR,
-        fast_forward: bool = True,
-        fidelity: str = "sim",
-    ) -> None:
-        from repro.experiments.sweep import SweepEngine  # circular-import guard
-
-        self.engine = SweepEngine(
-            machine=machine,
-            workers=workers,
-            cache_dir=cache_dir,
-            fast_forward=fast_forward,
-            fidelity=fidelity,
-        )
-        self._machine = self.engine.machine
-        self._workers = workers
-        self._cache = self.engine.cache
-        self._fast_forward = fast_forward
-
-    @property
-    def stats(self) -> SweepStats:
-        return self.engine.stats
-
-    def close(self) -> None:
-        """Shut down the engine's queue and worker pool (idempotent)."""
-        self.engine.close()
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- core fan-out ---------------------------------------------------
-
-    def run_cells(self, specs: Sequence[CellSpec]) -> list[CellOutcome]:
-        """Run every cell, in parallel where possible, and keep order.
-
-        Cells with identical content keys are simulated once; cached cells
-        are never submitted to the pool at all.
-        """
-        return self.engine.run_cells(specs)
-
-    # -- run_benchmark-shaped conveniences ------------------------------
-
-    def run_many(self, requests: Sequence[BenchRequest]) -> list[RunOutcome]:
-        """All requests' cells in one fan-out, regrouped per request."""
-        cells: list[CellSpec] = []
-        counts: list[int] = []
-        for request in requests:
-            request_cells = request.cells()
-            counts.append(len(request_cells))
-            cells.extend(request_cells)
-        outcomes = self.run_cells(cells)
-        grouped: list[RunOutcome] = []
-        pos = 0
-        for request, count in zip(requests, counts):
-            chunk = outcomes[pos : pos + count]
-            pos += count
-            grouped.append(
-                RunOutcome(
-                    benchmark=request.benchmark,
-                    policy=request.policy,
-                    results=tuple(c.result for c in chunk),
-                )
-            )
-        return grouped
-
-    def run_benchmark(
-        self,
-        benchmark: str,
-        policy: str,
-        *,
-        batches: Optional[int] = None,
-        seeds: Sequence[int] = DEFAULT_SEEDS,
-        core_levels: Optional[Sequence[int]] = None,
-        eewa_config: Optional[EEWAConfig] = None,
-        machine: Optional[MachineConfig] = None,
-    ) -> RunOutcome:
-        """Drop-in parallel/cached equivalent of ``runner.run_benchmark``."""
-        (outcome,) = self.run_many(
-            [
-                BenchRequest(
-                    benchmark=benchmark,
-                    policy=policy,
-                    batches=batches,
-                    seeds=tuple(seeds),
-                    core_levels=None if core_levels is None else tuple(core_levels),
-                    eewa_config=eewa_config,
-                    machine=machine,
-                )
-            ]
-        )
-        return outcome
-
-    def modal_eewa_levels(
-        self,
-        benchmark: str,
-        *,
-        batches: Optional[int] = None,
-        seed: int = DEFAULT_SEEDS[0],
-        eewa_config: Optional[EEWAConfig] = None,
-        machine: Optional[MachineConfig] = None,
-    ) -> list[int]:
-        """Cached equivalent of ``runner.modal_eewa_levels`` — shares its
-        cell (and therefore its cache entry) with any plain EEWA run of the
-        same benchmark and seed. Always simulates (``fidelity="sim"``):
-        the modal configuration is read off the per-batch trace, which the
-        analytic model does not produce."""
-        outcome = self.engine.submit(
-            CellSpec(
-                benchmark=benchmark, policy="eewa", seed=seed,
-                batches=batches, eewa_config=eewa_config, machine=machine,
-            ),
-            fidelity="sim",
-        ).result()
-        resolved = machine if machine is not None else self._machine
-        return modal_levels_from_result(
-            outcome.result, resolved.num_cores, resolved
-        )

@@ -43,8 +43,8 @@ Four mechanisms carry the load:
 Results stream: :meth:`SweepEngine.submit` returns a :class:`SweepTicket`
 immediately, :meth:`SweepEngine.iter_cells` yields outcomes in submission
 order as they resolve, and :meth:`SweepEngine.as_completed` yields them in
-completion order. :meth:`SweepEngine.run_cells` keeps the classic
-list-in-submission-order contract of ``ParallelRunner.run_cells``.
+completion order. :meth:`SweepEngine.run_cells` returns the whole list
+in submission order.
 
 Determinism contract: the engine changes *where and when* cells run,
 never *what* they compute — every simulation remains a pure seeded

@@ -79,24 +79,24 @@ def run_table3(
     and, when a cell is served from cache, reports the timing of the run
     that populated the cache.
     """
-    session = Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    )
     machine_spec = (
         MachineSpec() if machine is None else MachineSpec.inline(machine)
     )
-    grids = session.run_grid_detailed(
-        [
-            ScenarioSpec(
-                workload=name,
-                policy=PolicySpec("eewa", config=config),
-                machine=machine_spec,
-                seeds=(seed,),
-                batches=batches,
-            )
-            for name in benchmarks
-        ]
-    )
+    with Session.for_experiment(
+        parallel=parallel, workers=workers, cache_dir=cache_dir
+    ) as session:
+        grids = session.run_grid_detailed(
+            [
+                ScenarioSpec(
+                    workload=name,
+                    policy=PolicySpec("eewa", config=config),
+                    machine=machine_spec,
+                    seeds=(seed,),
+                    batches=batches,
+                )
+                for name in benchmarks
+            ]
+        )
     rows = []
     for name, (outcome,) in zip(benchmarks, grids):
         result = outcome.result

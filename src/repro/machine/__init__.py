@@ -14,7 +14,6 @@ from repro.machine.core import BUSY_STATES, CoreState, SimCore
 from repro.machine.energy import CoreEnergyAccount, EnergyMeter
 from repro.machine.frequency import (
     GHZ,
-    FrequencyScale,
     opteron_8380_scale,
     uniform_scale,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "CoreState",
     "DEFAULT_CORE_TYPE",
     "EnergyMeter",
-    "FrequencyScale",
     "GHZ",
     "MachineConfig",
     "OperatingPoint",

@@ -1,14 +1,11 @@
-"""Frequency scales for DVFS-capable cores.
+"""Frequency ladders for DVFS-capable cores.
 
 The paper assumes each core can run at ``r`` discrete frequencies
-``F_0 > F_1 > ... > F_{r-1}`` (Section III). Since the operating-point
-generalisation (:mod:`repro.machine.operating_point`) the canonical
-representation of that ordered set is a one-type
-:class:`~repro.machine.operating_point.OperatingPointSpace`;
-:class:`FrequencyScale` survives at its historical import path as a thin
-**deprecated** alias over it — constructing one emits a
-``DeprecationWarning`` (the same pattern as the ``cilk_d`` policy alias)
-and behaves exactly like :func:`repro.machine.operating_point.homogeneous_space`.
+``F_0 > F_1 > ... > F_{r-1}`` (Section III). That ordered set is a
+one-type :class:`~repro.machine.operating_point.OperatingPointSpace`,
+built from a flat ladder by
+:func:`~repro.machine.operating_point.homogeneous_space`; this module
+holds the ladder presets.
 
 Frequencies are stored in hertz as floats. The evaluation platform of the
 paper (AMD Opteron 8380) exposes 2.5, 1.8, 1.3 and 0.8 GHz; see
@@ -17,58 +14,11 @@ paper (AMD Opteron 8380) exposes 2.5, 1.8, 1.3 and 0.8 GHz; see
 
 from __future__ import annotations
 
-import warnings
-from typing import Sequence
-
 from repro.errors import ConfigurationError
-from repro.machine.operating_point import (
-    DEFAULT_CORE_TYPE,
-    OperatingPoint,
-    OperatingPointSpace,
-    homogeneous_space,
-)
+from repro.machine.operating_point import OperatingPointSpace, homogeneous_space
 
 GHZ = 1e9
 """Multiplier converting GHz to Hz."""
-
-
-class FrequencyScale(OperatingPointSpace):
-    """Deprecated homogeneous alias: an ordered, descending frequency set.
-
-    Parameters
-    ----------
-    levels:
-        Frequencies in hertz, strictly descending: ``levels[0]`` is the
-        fastest frequency ``F_0`` and ``levels[-1]`` the slowest
-        ``F_{r-1}``.
-
-    .. deprecated::
-        Use :func:`repro.machine.operating_point.homogeneous_space` (or a
-        full :class:`~repro.machine.operating_point.OperatingPointSpace`
-        for heterogeneous machines) instead. This alias keeps existing
-        examples and third-party scenario specs importable.
-    """
-
-    def __init__(self, levels: Sequence[float]) -> None:
-        warnings.warn(
-            "FrequencyScale is deprecated; use "
-            "repro.machine.operating_point.homogeneous_space(levels) "
-            "(or an OperatingPointSpace for heterogeneous machines)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        levels = tuple(float(f) for f in levels)
-        if not levels:
-            raise ConfigurationError("a frequency scale needs at least one level")
-        if any(f <= 0.0 for f in levels):
-            raise ConfigurationError(f"frequencies must be positive, got {levels}")
-        if any(a <= b for a, b in zip(levels, levels[1:])):
-            raise ConfigurationError(
-                f"frequencies must be strictly descending (F_0 fastest), got {levels}"
-            )
-        super().__init__(
-            tuple(OperatingPoint(DEFAULT_CORE_TYPE, f) for f in levels)
-        )
 
 
 def opteron_8380_scale() -> OperatingPointSpace:

@@ -88,9 +88,9 @@ class OperatingPointSpace:
     The flat-ladder API (``levels`` / ``slowdown`` / ``relative_speed`` /
     ``validate_index`` / iteration over frequencies) is preserved so the
     CC table and search code consume a space exactly as they consumed a
-    :class:`~repro.machine.frequency.FrequencyScale`; the additions are
-    the per-type views: :meth:`ladder`, :meth:`index_for`,
-    :meth:`core_type_of`, :meth:`type_level_of`.
+    flat frequency ladder; the additions are the per-type views:
+    :meth:`ladder`, :meth:`index_for`, :meth:`core_type_of`,
+    :meth:`type_level_of`.
     """
 
     points: tuple[OperatingPoint, ...] = field()
@@ -305,9 +305,8 @@ def homogeneous_space(
 ) -> OperatingPointSpace:
     """A one-type operating-point space from a flat frequency ladder.
 
-    This is the non-deprecated spelling of the old ``FrequencyScale``
-    constructor: strictly-descending positive frequencies, ``ipc_scale``
-    pinned at 1.0.
+    The frequencies must be positive and strictly descending; ``ipc_scale``
+    is pinned at 1.0.
     """
     levels = tuple(float(f) for f in levels)
     if not levels:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.machine.frequency import FrequencyScale
+from repro.machine.operating_point import OperatingPointSpace
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class PowerModel:
 
 
 def calibrated_power_model(
-    scale: FrequencyScale,
+    scale: OperatingPointSpace,
     *,
     top_core_busy_watts: float = 18.75,
     core_idle_watts: float = 2.0,

@@ -23,7 +23,6 @@ from typing import Iterator, Optional
 
 from repro.core.adjuster import OverheadModel
 from repro.core.eewa import EEWAConfig
-from repro.experiments.runner import make_policy
 from repro.machine.topology import (
     MachineConfig,
     dyadic_test_machine,
@@ -32,6 +31,7 @@ from repro.machine.topology import (
 from repro.model.bounds import MAX_RELATIVE_ERROR, classify_cell
 from repro.model.predict import predict_cell
 from repro.runtime.task import Batch, TaskSpec, flat_batch
+from repro.scenario.registry import POLICIES
 from repro.sim.engine import simulate
 from repro.workloads.benchmarks import benchmark_program
 from repro.workloads.periodic import periodic_program
@@ -161,8 +161,8 @@ def validate_cell(cell: ValidationCell) -> ValidationRow:
         eewa_config=cell.eewa_config,
     )
     t0 = time.perf_counter()
-    policy_obj = make_policy(
-        cell.policy, core_levels=cell.core_levels, eewa_config=cell.eewa_config
+    policy_obj = POLICIES.get(cell.policy).build(
+        core_levels=cell.core_levels, config=cell.eewa_config
     )
     sim = simulate(list(cell.program), policy_obj, cell.machine, seed=cell.seed)
     sim_seconds = time.perf_counter() - t0

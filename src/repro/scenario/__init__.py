@@ -32,7 +32,7 @@ from repro.scenario.spec import (
     PolicySpec,
     ScenarioSpec,
 )
-from repro.scenario.session import Session, run_grid
+from repro.scenario.session import Session
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -52,7 +52,6 @@ __all__ = [
     "register_machine",
     "register_policy",
     "register_workload",
-    "run_grid",
     "spread_levels",
     "workload_names",
 ]

@@ -16,13 +16,11 @@ Registering a new policy::
 
 after which ``repro run <bench> my-policy``, ``ScenarioSpec`` JSON files,
 the result cache, and ``repro.runtime.conformance.main`` all pick it up.
-Names are canonical and unique; legacy alias spellings (``cilk_d``) are
-accepted with a :class:`DeprecationWarning`.
+Each entry has exactly one name, unique within its registry.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -40,42 +38,24 @@ E = TypeVar("E")
 
 
 class Registry(Generic[E]):
-    """Name → entry mapping with alias resolution and duplicate rejection."""
+    """Name → entry mapping with duplicate rejection."""
 
     def __init__(self, kind: str) -> None:
         self._kind = kind
         self._entries: dict[str, E] = {}
-        self._aliases: dict[str, str] = {}
 
     def register(self, entry: E) -> E:
         name = entry.name  # type: ignore[attr-defined]
-        taken = set(self._entries) | set(self._aliases)
-        if name in taken:
+        if name in self._entries:
             raise ScenarioError(f"duplicate {self._kind} name {name!r}")
-        for alias in getattr(entry, "aliases", ()):
-            if alias in taken or alias == name:
-                raise ScenarioError(
-                    f"duplicate {self._kind} alias {alias!r} (registering {name!r})"
-                )
         self._entries[name] = entry
-        for alias in getattr(entry, "aliases", ()):
-            self._aliases[alias] = name
         return entry
 
     def canonical(self, name: str) -> str:
-        """Resolve ``name`` (or a legacy alias, with a deprecation note)
-        to its canonical spelling."""
+        """Return ``name`` if it is registered; raise a
+        :class:`ScenarioError` listing the registered names if not."""
         if name in self._entries:
             return name
-        if name in self._aliases:
-            canonical = self._aliases[name]
-            warnings.warn(
-                f"{self._kind} name {name!r} is a deprecated alias; "
-                f"use {canonical!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return canonical
         raise ScenarioError(
             f"unknown {self._kind} {name!r}; registered: {', '.join(self.names())}"
         )
@@ -91,7 +71,7 @@ class Registry(Generic[E]):
         return tuple(self._entries.values())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries or name in self._aliases
+        return name in self._entries
 
     def __iter__(self) -> Iterator[E]:
         return iter(self._entries.values())
@@ -127,8 +107,6 @@ class PolicyEntry:
     compare_baseline: bool = False
     #: Whether the conformance nested-spawn check applies.
     supports_spawns: bool = True
-    #: Legacy spellings accepted with a deprecation warning.
-    aliases: tuple[str, ...] = ()
 
     def build(
         self,
@@ -162,7 +140,6 @@ class MachinePresetEntry:
     #: Preset builds a heterogeneous machine and takes a core_types
     #: partition (the scenario schema v3 axis).
     supports_core_types: bool = False
-    aliases: tuple[str, ...] = ()
 
     def build(
         self,
@@ -188,7 +165,6 @@ class WorkloadEntry:
     description: str = ""
     #: True for the paper's Table II benchmarks.
     table2: bool = False
-    aliases: tuple[str, ...] = ()
 
     def spec(self) -> WorkloadSpec:
         return self.spec_factory()
@@ -212,7 +188,6 @@ def register_policy(
     accepts_core_levels: bool = False,
     compare_baseline: bool = False,
     supports_spawns: bool = True,
-    aliases: Sequence[str] = (),
 ) -> Callable[[Callable[..., SchedulerPolicy]], Callable[..., SchedulerPolicy]]:
     def decorate(builder: Callable[..., SchedulerPolicy]):
         POLICIES.register(
@@ -224,7 +199,6 @@ def register_policy(
                 accepts_core_levels=accepts_core_levels,
                 compare_baseline=compare_baseline,
                 supports_spawns=supports_spawns,
-                aliases=tuple(aliases),
             )
         )
         return builder
@@ -238,7 +212,6 @@ def register_machine(
     description: str = "",
     default_cores: int = 16,
     supports_core_types: bool = False,
-    aliases: Sequence[str] = (),
 ) -> Callable[[Callable[..., MachineConfig]], Callable[..., MachineConfig]]:
     def decorate(builder: Callable[..., MachineConfig]):
         MACHINES.register(
@@ -248,7 +221,6 @@ def register_machine(
                 description=description,
                 default_cores=default_cores,
                 supports_core_types=supports_core_types,
-                aliases=tuple(aliases),
             )
         )
         return builder
@@ -261,7 +233,6 @@ def register_workload(
     *,
     description: str = "",
     table2: bool = False,
-    aliases: Sequence[str] = (),
 ) -> Callable[[Callable[[], WorkloadSpec]], Callable[[], WorkloadSpec]]:
     def decorate(spec_factory: Callable[[], WorkloadSpec]):
         WORKLOADS.register(
@@ -270,7 +241,6 @@ def register_workload(
                 spec_factory=spec_factory,
                 description=description,
                 table2=table2,
-                aliases=tuple(aliases),
             )
         )
         return spec_factory
@@ -359,7 +329,6 @@ def _build_cilk(*, core_levels=None, params=None, config=None) -> SchedulerPolic
     description="Cilk with per-core DVFS idling: spinning cores drop to the "
     "lowest frequency after a grace period",
     compare_baseline=True,
-    aliases=("cilk_d",),
 )
 def _build_cilk_d(*, core_levels=None, params=None, config=None) -> SchedulerPolicy:
     from repro.runtime.cilk_d import CilkDScheduler

@@ -8,16 +8,18 @@ modules, and ad-hoc API use — runs simulations the same way::
     spec = ScenarioSpec(workload="SHA-1", policy=PolicySpec("eewa"))
     outcome = Session.from_spec(spec).run()          # RunOutcome over seeds
 
-Sweeps go through :meth:`Session.run_grid`, which fans every (scenario ×
-seed) cell through one :class:`~repro.experiments.parallel.ParallelRunner`
-— since the sweep-engine refactor a persistent
+Sweeps go through :meth:`Session.run_grid`, which submits every
+(scenario × seed) cell to the session's
 :class:`~repro.experiments.sweep.SweepEngine` work-queue: deduplicated
 in-flight, optionally cached on disk (one file per cell, sharded by key
 prefix) and spread over a long-lived warm worker pool. Results are
 bit-identical whether a session runs in-process, pooled, or from cache.
-:meth:`Session.iter_grid_cells` streams per-cell outcomes as they
-complete instead of barriering on the full grid; the engine itself is
-reachable as :attr:`Session.engine` for priority/cancellation use.
+The engine is :attr:`Session.engine`, for streaming, priority and
+cancellation use. A pooled session holds worker processes and a
+dispatcher thread until it is closed, so use it as a context manager::
+
+    with Session(workers=2, cache_dir=".repro-cache") as session:
+        outcomes = session.run_grid(specs)
 """
 
 from __future__ import annotations
@@ -80,9 +82,12 @@ class Session:
         fast_forward: bool = True,
         fidelity: str = "sim",
     ) -> None:
+        from repro.experiments.sweep import SweepEngine  # see _parallel
+
         self.spec = spec
         self._fast_forward = fast_forward
-        self._runner = _parallel().ParallelRunner(
+        #: The session's :class:`~repro.experiments.sweep.SweepEngine`.
+        self.engine = SweepEngine(
             workers=workers, cache_dir=cache_dir, fast_forward=fast_forward,
             fidelity=fidelity,
         )
@@ -130,14 +135,9 @@ class Session:
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def engine(self):
-        """The session's :class:`~repro.experiments.sweep.SweepEngine`."""
-        return self._runner.engine
-
     def close(self) -> None:
         """Shut down the engine's queue and worker pool (idempotent)."""
-        self._runner.close()
+        self.engine.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -188,8 +188,8 @@ class Session:
         """Run many scenarios in one fan-out, grouped per spec.
 
         All cells go through a single
-        :meth:`~repro.experiments.parallel.ParallelRunner.run_cells` call,
-        so identical cells across scenarios are simulated once and the
+        :meth:`~repro.experiments.sweep.SweepEngine.run_cells` call, so
+        identical cells across scenarios are simulated once and the
         process pool sees the whole sweep at once.
         """
         cell_spec = _parallel().CellSpec
@@ -198,31 +198,13 @@ class Session:
         for spec in specs:
             counts.append(len(spec.seeds))
             cells.extend(cell_spec.from_scenario(spec, seed) for seed in spec.seeds)
-        outcomes = self._runner.run_cells(cells)
+        outcomes = self.engine.run_cells(cells)
         grouped: list[list[CellOutcome]] = []
         pos = 0
         for count in counts:
             grouped.append(outcomes[pos : pos + count])
             pos += count
         return grouped
-
-    def iter_grid_cells(self, specs: Sequence[ScenarioSpec]):
-        """Stream ``(scenario, CellOutcome)`` pairs for a whole grid.
-
-        All cells are submitted up front (one dedup/cache pass over the
-        full grid, exactly like :meth:`run_grid`), then yielded in
-        submission order as each resolves — no barrier on the grid.
-        """
-        cell_spec = _parallel().CellSpec
-        owners: list[ScenarioSpec] = []
-        cells = []
-        for spec in specs:
-            for seed in spec.seeds:
-                owners.append(spec)
-                cells.append(cell_spec.from_scenario(spec, seed))
-        tickets = self.engine.submit_many(cells)
-        for owner, ticket in zip(owners, tickets):
-            yield owner, ticket.result()
 
     def run_single(
         self,
@@ -287,17 +269,7 @@ class Session:
     @property
     def stats(self) -> SweepStats:
         """Cumulative cell accounting (executed / cache hits / deduped)."""
-        return self._runner.stats
+        return self.engine.stats
 
 
-def run_grid(
-    specs: Sequence[ScenarioSpec],
-    *,
-    workers: Optional[int] = 0,
-    cache_dir: str | os.PathLike[str] | None = None,
-) -> list[RunOutcome]:
-    """One-shot sweep: ``Session(...).run_grid(specs)``."""
-    return Session(workers=workers, cache_dir=cache_dir).run_grid(specs)
-
-
-__all__ = ["Session", "run_grid"]
+__all__ = ["Session"]

@@ -179,7 +179,7 @@ class PolicySpec:
     config: Any = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "name", POLICIES.canonical(self.name))
+        POLICIES.canonical(self.name)  # fail fast on unknown names
         if self.core_levels is not None:
             object.__setattr__(
                 self, "core_levels", tuple(int(v) for v in self.core_levels)
@@ -263,10 +263,7 @@ class ScenarioSpec:
         if isinstance(self.policy, str):
             object.__setattr__(self, "policy", PolicySpec(name=self.policy))
         if isinstance(self.workload, str):
-            # Fail fast on unknown names (and canonicalise aliases).
-            object.__setattr__(
-                self, "workload", WORKLOADS.get(self.workload).name
-            )
+            WORKLOADS.canonical(self.workload)  # fail fast on unknown names
         elif not isinstance(self.workload, WorkloadSpec):
             raise ScenarioError(
                 "workload must be a registered name or a WorkloadSpec, "

@@ -11,9 +11,9 @@ One request, many frames back. The request body is a single JSON object::
     }
 
 Scenario objects go through :meth:`~repro.scenario.spec.ScenarioSpec.from_dict`
-— the exact validation path of ``repro run-spec`` — so schema versioning,
-unknown-field rejection, and alias canonicalisation behave identically
-over the wire and on the command line.
+— the exact validation path of ``repro run-spec`` — so schema versioning
+and unknown-field and unknown-name rejection behave identically over the
+wire and on the command line.
 
 The response is a newline-delimited JSON stream (``application/x-ndjson``),
 one frame per line, in completion order:

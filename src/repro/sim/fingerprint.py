@@ -8,7 +8,7 @@ shortest round-trip representation, so two fingerprints match *iff* the
 runs are bit-identical — the property the golden-trace regression suite
 pins and any engine refactor must preserve.
 
-The same canonical encoding keys the parallel runner's result cache
+The same canonical encoding keys the sweep engine's result cache
 (:mod:`repro.experiments.parallel`): identical inputs hash identically
 across processes and across Python sessions (no reliance on ``hash()``,
 which is salted per-process for strings).

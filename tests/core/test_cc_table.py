@@ -6,7 +6,7 @@ import pytest
 from repro.core.cc_table import CCTable, build_cc_table, cc_table_from_values
 from repro.core.profiler import TaskClassStats
 from repro.errors import SearchError
-from repro.machine.frequency import FrequencyScale, opteron_8380_scale
+from repro.machine.frequency import opteron_8380_scale
 from repro.machine.operating_point import homogeneous_space
 from repro.machine.topology import big_little_test_machine
 
@@ -140,7 +140,7 @@ class TestDiscreteTable:
 
     def test_zero_headroom_accepts_an_exact_fit(self):
         """headroom=0 is the boundary: a task taking exactly T is feasible."""
-        scale = FrequencyScale((2.0e9, 1.0e9))
+        scale = homogeneous_space((2.0e9, 1.0e9))
         table = build_cc_table(
             [stats("a", 6, 0.05)],
             scale,
@@ -164,14 +164,14 @@ class TestDiscreteTable:
 
 class TestDirectConstruction:
     def test_from_values(self):
-        scale = FrequencyScale((2.0e9, 1.0e9))
+        scale = homogeneous_space((2.0e9, 1.0e9))
         table = cc_table_from_values([[1.0, 2.0], [2.0, 4.0]], scale)
         assert table.k == 2 and table.r == 2
         assert table.class_names == ("TC0", "TC1")
         assert table.fastest_row_total() == pytest.approx(3.0)
 
     def test_shape_validation(self):
-        scale = FrequencyScale((2.0e9, 1.0e9))
+        scale = homogeneous_space((2.0e9, 1.0e9))
         with pytest.raises(SearchError):
             cc_table_from_values([[1.0, 2.0]], scale)  # 1 row for 2 levels
         with pytest.raises(SearchError):

@@ -7,7 +7,8 @@ from repro.core.cgroups import build_cgroup_plan, uniform_plan
 from repro.core.ktuple import search_ktuple
 from repro.core.preference import preference_lists, preference_order
 from repro.errors import SchedulingError, SearchError
-from repro.machine.frequency import FrequencyScale, opteron_8380_scale
+from repro.machine.frequency import opteron_8380_scale
+from repro.machine.operating_point import homogeneous_space
 
 FIG3_VALUES = [
     [2, 3, 1, 1],
@@ -82,7 +83,7 @@ class TestCGroupPlan:
     def test_rounding_overflow_merges_groups(self):
         """Three levels each demanding ~0.5 cores on a 2-core machine must
         merge rather than over-allocate."""
-        scale = FrequencyScale((4.0e9, 2.0e9, 1.0e9))
+        scale = homogeneous_space((4.0e9, 2.0e9, 1.0e9))
         table = cc_table_from_values(
             [[0.4, 0.4, 0.4], [0.8, 0.8, 0.8], [1.6, 1.6, 1.6]], scale
         )

@@ -11,7 +11,8 @@ from repro.core.ktuple import (
     search_ktuple,
 )
 from repro.errors import SearchError
-from repro.machine.frequency import FrequencyScale, opteron_8380_scale
+from repro.machine.frequency import opteron_8380_scale
+from repro.machine.operating_point import homogeneous_space
 from repro.machine.power import calibrated_power_model
 
 #: The exact CC table of the paper's Fig. 3.
@@ -66,7 +67,7 @@ class TestConstraints:
         assert solution.assignment == (3, 3, 3, 3)
 
     def test_single_class(self):
-        scale = FrequencyScale((2.0e9, 1.0e9))
+        scale = homogeneous_space((2.0e9, 1.0e9))
         table = cc_table_from_values([[2.0], [4.0]], scale)
         assert search_ktuple(table, num_cores=4).assignment == (1,)
         assert search_ktuple(table, num_cores=3).assignment == (0,)
@@ -115,7 +116,7 @@ class TestExhaustive:
         # (1,) costs 9 * (1/2)^3 = 1.125 — exactly equal in binary floats
         # — while (2,) does not fit. The energy-priority tie-break must
         # pick the slower assignment, not the first one enumerated.
-        scale = FrequencyScale((2.0e9, 1.0e9, 0.5e9))
+        scale = homogeneous_space((2.0e9, 1.0e9, 0.5e9))
         table = cc_table_from_values([[1.0], [9.0], [100.0]], scale)
         solution = exhaustive_search(table, num_cores=9)
         assert solution is not None

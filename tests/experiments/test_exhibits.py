@@ -10,35 +10,41 @@ from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.report import format_percent, format_series, format_table
-from repro.experiments.runner import make_policy, modal_eewa_levels, run_benchmark
 from repro.experiments.table3 import run_table3
 from repro.errors import ConfigurationError
+from repro.scenario import POLICIES, ScenarioSpec, Session
 
 SEEDS = (11,)
 
 
 class TestRunner:
     def test_make_policy_names(self):
-        assert make_policy("cilk").name == "cilk"
-        assert make_policy("cilk-d").name == "cilk-d"
-        assert make_policy("eewa").name == "eewa"
-        assert make_policy("wats", core_levels=[0, 1]).name == "wats"
+        assert POLICIES.get("cilk").build().name == "cilk"
+        assert POLICIES.get("cilk-d").build().name == "cilk-d"
+        assert POLICIES.get("eewa").build().name == "eewa"
+        assert POLICIES.get("wats").build(core_levels=[0, 1]).name == "wats"
 
     def test_make_policy_validation(self):
         with pytest.raises(ConfigurationError):
-            make_policy("rr")
+            POLICIES.get("rr")
         with pytest.raises(ConfigurationError):
-            make_policy("wats")
+            POLICIES.get("wats").build()
         with pytest.raises(ConfigurationError):
-            make_policy("eewa", core_levels=[0])
+            POLICIES.get("eewa").build(core_levels=[0])
 
     def test_run_benchmark_pairs_programs(self):
-        a = run_benchmark("MD5", "cilk", batches=3, seeds=(5,))
-        b = run_benchmark("MD5", "eewa", batches=3, seeds=(5,))
+        with Session() as session:
+            a, b = session.run_grid([
+                ScenarioSpec(workload="MD5", policy=policy, batches=3, seeds=(5,))
+                for policy in ("cilk", "eewa")
+            ])
         assert a.first.tasks_executed == b.first.tasks_executed
 
     def test_modal_levels_shape(self):
-        levels = modal_eewa_levels("SHA-1", batches=4)
+        with Session() as session:
+            levels = session.modal_eewa_levels(
+                ScenarioSpec(workload="SHA-1", policy="eewa", batches=4)
+            )
         assert len(levels) == 16
         assert all(0 <= lv <= 3 for lv in levels)
 

@@ -1,28 +1,42 @@
-"""Tests for the parallel cached experiment runner."""
+"""Tests for cached, deduplicated cell execution through Session and
+SweepEngine: cell keys, the result cache, and the exhibits' parallel paths."""
 
 import dataclasses
+import multiprocessing
+import threading
 
-import pytest
-
-from repro.core.eewa import EEWAConfig
-from repro.experiments.parallel import (
-    BenchRequest,
-    CellSpec,
-    ParallelRunner,
-    ResultCache,
-    cell_key,
-)
-from repro.experiments.runner import modal_eewa_levels, run_benchmark
+from repro.core.eewa import EEWAConfig, EEWAScheduler
+from repro.experiments.outcome import modal_levels_from_result
+from repro.experiments.parallel import CellSpec, ResultCache, cell_key
+from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
-from repro.sim.engine import ENGINE_VERSION
+from repro.scenario import POLICIES, MachineSpec, ScenarioSpec, Session
+from repro.scenario.spec import DEFAULT_SEEDS
+from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.workloads.benchmarks import benchmark_program
 
 BATCHES = 3
 
 
-@pytest.fixture()
-def runner(tmp_path):
-    return ParallelRunner(workers=0, cache_dir=tmp_path / "cache")
+def _scenario(benchmark, policy, **kwargs):
+    kwargs.setdefault("batches", BATCHES)
+    return ScenarioSpec(workload=benchmark, policy=policy, **kwargs)
+
+
+def _direct(benchmark, policy, seeds=DEFAULT_SEEDS):
+    """The reference: one plain ``simulate`` per seed, no engine or cache."""
+    machine = opteron_8380_machine()
+    return [
+        simulate(
+            benchmark_program(benchmark, batches=BATCHES, seed=seed),
+            POLICIES.get(policy).build(), machine, seed=seed,
+        )
+        for seed in seeds
+    ]
+
+
+def _scalars(results):
+    return [(r.total_time, r.total_joules) for r in results]
 
 
 class TestCellKey:
@@ -140,87 +154,85 @@ class TestResultCache:
 
 
 class TestParallelRunner:
-    def test_matches_serial_runner(self, runner):
-        serial = run_benchmark("SHA-1", "eewa", batches=BATCHES)
-        out = runner.run_benchmark("SHA-1", "eewa", batches=BATCHES)
-        assert [r.total_time for r in out.results] == [
-            r.total_time for r in serial.results
-        ]
-        assert [r.total_joules for r in out.results] == [
-            r.total_joules for r in serial.results
-        ]
+    """The cached, deduplicated fan-out, run through Session and SweepEngine.
+
+    The class and test names predate the deletion of the runner classes;
+    they are kept so each test keeps its ID.
+    """
+
+    def test_matches_serial_runner(self):
+        with Session() as session:
+            out = session.run(_scenario("SHA-1", "eewa"))
+        assert _scalars(out.results) == _scalars(_direct("SHA-1", "eewa"))
 
     def test_second_sweep_fully_cached(self, tmp_path):
-        first = ParallelRunner(workers=0, cache_dir=tmp_path / "c")
-        a = first.run_benchmark("BWC", "cilk", batches=BATCHES)
-        assert first.stats.executed == 3
-
-        second = ParallelRunner(workers=0, cache_dir=tmp_path / "c")
-        b = second.run_benchmark("BWC", "cilk", batches=BATCHES)
-        assert second.stats.executed == 0
-        assert second.stats.cache_hits == 3
-        assert [r.total_joules for r in a.results] == [
-            r.total_joules for r in b.results
-        ]
+        spec = _scenario("BWC", "cilk")
+        with Session(cache_dir=tmp_path / "c") as first:
+            a = first.run(spec)
+            assert first.stats.executed == 3
+        with Session(cache_dir=tmp_path / "c") as second:
+            b = second.run(spec)
+            assert second.stats.executed == 0
+            assert second.stats.cache_hits == 3
+        assert _scalars(a.results) == _scalars(b.results)
+        assert _scalars(b.results) == _scalars(_direct("BWC", "cilk"))
 
     def test_any_input_change_misses(self, tmp_path):
-        warm = ParallelRunner(workers=0, cache_dir=tmp_path / "c")
-        warm.run_benchmark("BWC", "cilk", batches=BATCHES)
+        with Session(cache_dir=tmp_path / "c") as warm:
+            warm.run(_scenario("BWC", "cilk"))
         for kwargs in (
-            {"batches": BATCHES + 1},              # program spec changes
-            {"batches": BATCHES, "seeds": (99,)},  # seed changes
-            {"batches": BATCHES,                   # machine changes
-             "machine": opteron_8380_machine(8)},
+            {"batches": BATCHES + 1},               # program spec changes
+            {"seeds": (99,)},                       # seed changes
+            {"machine": MachineSpec(num_cores=8)},  # machine changes
         ):
-            probe = ParallelRunner(workers=0, cache_dir=tmp_path / "c")
-            probe.run_benchmark("BWC", "cilk", **kwargs)
-            assert probe.stats.cache_hits == 0, kwargs
+            with Session(cache_dir=tmp_path / "c") as probe:
+                probe.run(_scenario("BWC", "cilk", **kwargs))
+                assert probe.stats.cache_hits == 0, kwargs
 
-    def test_duplicate_cells_simulated_once(self, runner):
+    def test_duplicate_cells_simulated_once(self, tmp_path):
         spec = CellSpec("SHA-1", "cilk", seed=11, batches=BATCHES)
-        outcomes = runner.run_cells([spec, spec])
-        assert runner.stats.executed == 1
-        assert runner.stats.deduplicated == 1
-        assert outcomes[0].result.total_joules == outcomes[1].result.total_joules
+        with SweepEngine(workers=0, cache_dir=tmp_path / "cache") as engine:
+            outcomes = engine.run_cells([spec, spec])
+            assert engine.stats.executed == 1
+            assert engine.stats.deduplicated == 1
+        (reference,) = _direct("SHA-1", "cilk", seeds=(11,))
+        assert _scalars(o.result for o in outcomes) == _scalars([reference] * 2)
 
-    def test_run_many_groups_per_request(self, runner):
-        requests = [
-            BenchRequest("SHA-1", "cilk", batches=BATCHES, seeds=(11, 23)),
-            BenchRequest("BWC", "eewa", batches=BATCHES, seeds=(11,)),
-        ]
-        out = runner.run_many(requests)
-        assert [(o.benchmark, o.policy, len(o.results)) for o in out] == [
-            ("SHA-1", "cilk", 2),
-            ("BWC", "eewa", 1),
-        ]
+    def test_modal_levels_match_serial_and_share_cache(self, tmp_path):
+        spec = _scenario("SHA-1", "eewa")
+        with Session(cache_dir=tmp_path / "c") as session:
+            session.run(spec)
+            executed = session.stats.executed
+            levels = session.modal_eewa_levels(spec)
+            # The modal cell is the first-seed EEWA cell — already cached.
+            assert session.stats.executed == executed
+        seed = DEFAULT_SEEDS[0]
+        machine = opteron_8380_machine()
+        reference = simulate(
+            benchmark_program("SHA-1", batches=BATCHES, seed=seed),
+            EEWAScheduler(), machine, seed=seed,
+        )
+        assert levels == modal_levels_from_result(
+            reference, machine.num_cores, machine
+        )
 
-    def test_modal_levels_match_serial_and_share_cache(self, runner):
-        serial_levels = modal_eewa_levels("SHA-1", batches=BATCHES)
-        runner.run_benchmark("SHA-1", "eewa", batches=BATCHES)
-        executed = runner.stats.executed
-        levels = runner.modal_eewa_levels("SHA-1", batches=BATCHES)
-        assert levels == serial_levels
-        # The modal cell is the seed-11 EEWA cell — already cached.
-        assert runner.stats.executed == executed
+    def test_cache_disabled(self):
+        spec = _scenario("BWC", "cilk", seeds=(11,))
+        with Session(cache_dir=None) as session:
+            session.run(spec)
+            session.run(spec)
+            assert session.stats.executed == 2
+            assert session.stats.cache_hits == 0
 
-    def test_cache_disabled(self, tmp_path):
-        runner = ParallelRunner(workers=0, cache_dir=None)
-        runner.run_benchmark("BWC", "cilk", batches=BATCHES, seeds=(11,))
-        runner.run_benchmark("BWC", "cilk", batches=BATCHES, seeds=(11,))
-        assert runner.stats.executed == 2
-        assert runner.stats.cache_hits == 0
-
-    def test_process_pool_matches_in_process(self, tmp_path):
-        pooled = ParallelRunner(workers=2, cache_dir=None)
-        inproc = ParallelRunner(workers=0, cache_dir=None)
-        a = pooled.run_benchmark("SHA-1", "cilk-d", batches=BATCHES, seeds=(11, 23))
-        b = inproc.run_benchmark("SHA-1", "cilk-d", batches=BATCHES, seeds=(11, 23))
-        assert [r.total_joules for r in a.results] == [
-            r.total_joules for r in b.results
-        ]
-        assert [r.total_time for r in a.results] == [
-            r.total_time for r in b.results
-        ]
+    def test_process_pool_matches_in_process(self):
+        spec = _scenario("SHA-1", "cilk-d", seeds=(11, 23))
+        with Session(workers=2) as pooled, Session(workers=0) as inproc:
+            a = pooled.run(spec)
+            b = inproc.run(spec)
+        assert _scalars(a.results) == _scalars(b.results)
+        assert _scalars(a.results) == _scalars(
+            _direct("SHA-1", "cilk-d", seeds=(11, 23))
+        )
 
 
 class TestFigureParallelPaths:
@@ -271,3 +283,20 @@ class TestFigureParallelPaths:
         )
         assert a.histograms == b.histograms
         assert a.result.total_joules == b.result.total_joules
+
+    def test_parallel_exhibit_closes_its_pool(self, tmp_path):
+        from repro.experiments.fig6 import run_fig6
+
+        def dispatchers():
+            return {
+                t for t in threading.enumerate() if t.name == "sweep-dispatcher"
+            }
+
+        children = set(multiprocessing.active_children())
+        threads = dispatchers()
+        run_fig6(
+            benchmarks=("SHA-1",), batches=BATCHES, seeds=(11,),
+            parallel=True, workers=2, cache_dir=str(tmp_path / "c"),
+        )
+        assert set(multiprocessing.active_children()) <= children
+        assert dispatchers() <= threads

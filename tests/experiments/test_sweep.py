@@ -18,8 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
+from repro.experiments.fig1 import fig1_machine
 from repro.experiments.parallel import CellSpec, ResultCache
-from repro.experiments.runner import make_policy
 from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
 from repro.scenario.registry import MACHINES, POLICIES, spread_levels_for
@@ -369,10 +369,11 @@ class TestEntryLayout:
         # A class a record holds but the allow-list misses would turn
         # every warm hit into a re-simulation; here it fails instead.
         cache_dir = tmp_path / "cache"
+        machines = [MACHINES.get(preset).build() for preset in MACHINES.names()]
+        machines.append(fig1_machine())
         outcomes = []
         with SweepEngine(workers=0, cache_dir=cache_dir) as eng:
-            for preset in MACHINES.names():
-                machine = MACHINES.get(preset).build()
+            for machine in machines:
                 for policy in ("cilk", "cilk-d", "wats", "eewa"):
                     levels = (
                         tuple(spread_levels_for(machine))
@@ -402,7 +403,7 @@ class TestEntryLayout:
         # Earlier versions stored the whole SimResult under the same key.
         full = simulate(
             benchmark_program("SHA-1", batches=BATCHES, seed=11),
-            make_policy("cilk"), opteron_8380_machine(), seed=11,
+            POLICIES.get("cilk").build(), opteron_8380_machine(), seed=11,
         )
         cache = ResultCache(cache_dir)
         cache.put(key, {

@@ -2,7 +2,7 @@
 combinations, and scale smoke tests."""
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
-from repro.machine.frequency import FrequencyScale
+from repro.machine.operating_point import homogeneous_space
 from repro.machine.power import calibrated_power_model
 from repro.machine.topology import MachineConfig, opteron_8380_machine
 from repro.runtime.cilk import CilkScheduler
@@ -15,7 +15,7 @@ from repro.workloads.synthetic import imbalance_sweep_spec
 
 
 def machine_with(levels, num_cores=8, domains=None):
-    scale = FrequencyScale(levels)
+    scale = homogeneous_space(levels)
     power = calibrated_power_model(scale)
     return MachineConfig(
         num_cores=num_cores, scale=scale, power=power, dvfs_domains=domains

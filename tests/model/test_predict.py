@@ -23,15 +23,14 @@ from repro.model import (
     model_key,
     predict_cell,
 )
+from repro.scenario.registry import POLICIES
 from repro.sim.engine import simulate
 from repro.workloads.benchmarks import benchmark_program
 from repro.workloads.periodic import periodic_program
 
 
 def _policy(name, **kwargs):
-    from repro.experiments.runner import make_policy
-
-    return make_policy(name, **kwargs)
+    return POLICIES.get(name).build(**kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,14 @@ from repro.core.cgroups import build_cgroup_plan
 from repro.core.ktuple import default_power_estimate, exhaustive_search, search_ktuple
 from repro.core.preference import preference_order
 from repro.core.profiler import OnlineProfiler, TaskClassStats
-from repro.machine.frequency import FrequencyScale, opteron_8380_scale
+from repro.machine.frequency import opteron_8380_scale
+from repro.machine.operating_point import homogeneous_space
 
 # -- strategies ---------------------------------------------------------------
 
 scales = st.integers(min_value=2, max_value=5).flatmap(
     lambda r: st.just(
-        FrequencyScale(tuple(3.0e9 * (0.7**i) for i in range(r)))
+        homogeneous_space(tuple(3.0e9 * (0.7**i) for i in range(r)))
     )
 )
 

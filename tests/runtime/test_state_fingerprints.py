@@ -45,7 +45,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def make_policy(name):
+def build_policy(name):
     if name == "cilk":
         return CilkScheduler()
     if name == "cilk-d":
@@ -62,7 +62,7 @@ def make_policy(name):
 
 
 def run_policy(name):
-    policy = make_policy(name)
+    policy = build_policy(name)
     simulate(
         periodic_program(5, 4, 8), policy,
         dyadic_test_machine(num_cores=8), seed=11,
@@ -74,7 +74,7 @@ class TestPolicyPins:
     def test_fresh_policies_opt_out(self):
         # Before a machine is attached there is no state to replay from.
         for name in POLICY_PINS:
-            assert make_policy(name).state_fingerprint() is None
+            assert build_policy(name).state_fingerprint() is None
 
     def test_post_run_fingerprints_pinned(self):
         got = {

@@ -1,4 +1,5 @@
-"""Registry behaviour: registration, aliases, metadata-driven validation."""
+"""Registry behaviour: registration, one name per entry, metadata-driven
+validation."""
 
 import warnings
 
@@ -18,8 +19,8 @@ from repro.scenario.registry import (
 )
 
 
-def _entry(name, aliases=()):
-    return PolicyEntry(name=name, builder=lambda **kw: None, aliases=tuple(aliases))
+def _entry(name):
+    return PolicyEntry(name=name, builder=lambda **kw: None)
 
 
 class TestRegistry:
@@ -29,43 +30,23 @@ class TestRegistry:
         with pytest.raises(ScenarioError, match="duplicate policy name 'p'"):
             reg.register(_entry("p"))
 
-    def test_duplicate_alias_rejected(self):
-        reg = Registry("policy")
-        reg.register(_entry("p", aliases=("old-p",)))
-        with pytest.raises(ScenarioError, match="duplicate policy alias 'old-p'"):
-            reg.register(_entry("q", aliases=("old-p",)))
-
-    def test_alias_clashing_with_name_rejected(self):
-        reg = Registry("policy")
-        reg.register(_entry("p"))
-        with pytest.raises(ScenarioError, match="duplicate policy alias 'p'"):
-            reg.register(_entry("q", aliases=("p",)))
-
     def test_unknown_name_lists_registered(self):
         reg = Registry("policy")
         reg.register(_entry("p"))
         with pytest.raises(ScenarioError, match="unknown policy 'x'.*registered: p"):
             reg.get("x")
 
-    def test_alias_resolves_with_deprecation_warning(self):
-        reg = Registry("policy")
-        reg.register(_entry("p", aliases=("old-p",)))
-        with pytest.warns(DeprecationWarning, match="'old-p' is a deprecated alias"):
-            assert reg.canonical("old-p") == "p"
-        with pytest.warns(DeprecationWarning):
-            assert reg.get("old-p").name == "p"
-
     def test_canonical_name_warns_nothing(self):
         reg = Registry("policy")
-        reg.register(_entry("p", aliases=("old-p",)))
+        reg.register(_entry("p"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert reg.canonical("p") == "p"
 
     def test_contains_and_len(self):
         reg = Registry("policy")
-        reg.register(_entry("p", aliases=("old-p",)))
-        assert "p" in reg and "old-p" in reg and "q" not in reg
+        reg.register(_entry("p"))
+        assert "p" in reg and "q" not in reg
         assert len(reg) == 1
         assert reg.names() == ("p",)
 
@@ -74,9 +55,17 @@ class TestShippedEntries:
     def test_shipped_policy_names(self):
         assert POLICIES.names() == ("cilk", "cilk-d", "wats", "eewa")
 
-    def test_cilk_d_legacy_spelling(self):
-        with pytest.warns(DeprecationWarning, match="use 'cilk-d'"):
-            assert POLICIES.canonical("cilk_d") == "cilk-d"
+    def test_cilk_d_legacy_spelling(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(
+            ScenarioError, match="unknown policy 'cilk_d'.*registered: cilk, cilk-d"
+        ):
+            POLICIES.get("cilk_d")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "SHA-1", "cilk_d"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cilk_d'" in capsys.readouterr().err
 
     def test_baseline_policy_names(self):
         # wats needs a caller-chosen level vector, so it is not in the

@@ -1,13 +1,14 @@
-"""The Session facade: parity with the serial runner, grids, caching."""
+"""The Session facade: parity with direct simulation, grids, caching."""
 
 import pytest
 
 from repro.errors import ScenarioError
 from repro.machine.topology import small_test_machine
-from repro.scenario import MachineSpec, PolicySpec, ScenarioSpec, Session, run_grid
+from repro.scenario import POLICIES, MachineSpec, PolicySpec, ScenarioSpec, Session
 from repro.scenario import session as session_mod
 from repro.experiments import parallel as parallel_mod
-from repro.experiments.runner import run_benchmark
+from repro.sim.engine import simulate
+from repro.workloads.benchmarks import benchmark_program
 
 SMALL = MachineSpec(preset="small-test")
 
@@ -51,15 +52,19 @@ def test_default_cache_dir_mirrors_parallel():
 class TestSingleScenario:
     def test_from_spec_run_matches_run_benchmark(self):
         spec = _spec()
-        outcome = Session.from_spec(spec).run()
-        legacy = run_benchmark(
-            "SHA-1",
-            "cilk",
-            machine=small_test_machine(num_cores=4, levels=(2.0e9, 1.5e9, 1.0e9)),
-            batches=2,
-            seeds=(3, 5),
-        )
-        assert _same_outcome(outcome, legacy)
+        with Session.from_spec(spec) as session:
+            outcome = session.run()
+        machine = small_test_machine(num_cores=4, levels=(2.0e9, 1.5e9, 1.0e9))
+        direct = [
+            simulate(
+                benchmark_program("SHA-1", batches=2, seed=seed),
+                POLICIES.get("cilk").build(), machine, seed=seed,
+            )
+            for seed in (3, 5)
+        ]
+        assert [_fingerprint(r) for r in outcome.results] == [
+            _fingerprint(r) for r in direct
+        ]
 
     def test_run_accepts_explicit_spec(self):
         session = Session()
@@ -92,10 +97,6 @@ class TestGrid:
         ]
         assert all(len(o.results) == 2 for o in outcomes)
 
-    def test_module_level_run_grid(self):
-        (outcome,) = run_grid([_spec(seeds=(3,))])
-        assert _same_outcome(outcome, Session().run(_spec(seeds=(3,))))
-
     def test_identical_cells_deduplicated(self):
         session = Session()
         session.run_grid([_spec(seeds=(3,)), _spec(seeds=(3,))])
@@ -115,13 +116,13 @@ class TestCaching:
         assert _same_outcome(a, b)
 
     def test_for_experiment_serial_is_uncached(self):
-        session = Session.for_experiment(parallel=False)
-        assert session._runner._cache is None
+        with Session.for_experiment(parallel=False) as session:
+            assert session.engine.cache is None
 
     def test_for_experiment_parallel_uses_shared_cache(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        session = Session.for_experiment(parallel=True, workers=0)
-        assert str(session._runner._cache.root) == session_mod.DEFAULT_CACHE_DIR
+        with Session.for_experiment(parallel=True, workers=0) as session:
+            assert str(session.engine.cache.root) == session_mod.DEFAULT_CACHE_DIR
 
 
 class TestModalLevels:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.experiments.runner import make_policy
 from repro.machine.topology import opteron_8380_machine
 from repro.runtime.task import TaskSpec, flat_batch
+from repro.scenario.registry import POLICIES
 from repro.sim.engine import simulate
 from repro.sim.fingerprint import trace_fingerprint
 from repro.workloads.benchmarks import benchmark_program
@@ -62,7 +62,7 @@ def run_cell(benchmark: str, policy: str, seed: int):
     else:
         program = benchmark_program(benchmark, batches=GOLDEN_BATCHES, seed=seed)
     core_levels = WATS_LEVELS_16 if policy == "wats" else None
-    policy_obj = make_policy(policy, core_levels=core_levels)
+    policy_obj = POLICIES.get(policy).build(core_levels=core_levels)
     result = simulate(program, policy_obj, machine, seed=seed)
     return {
         "total_time": result.total_time,

@@ -39,7 +39,7 @@ WATS_LEVELS_8 = [0, 0, 0, 0, 2, 2, 2, 2]
 DYADIC_OVERHEAD = OverheadModel(base_seconds=2.0**-11, per_cell_seconds=2.0**-17)
 
 
-def make_policy(name: str):
+def build_policy(name: str):
     if name == "cilk":
         return CilkScheduler()
     if name == "cilk-d":
@@ -58,7 +58,7 @@ def cells():
 def run_cell(policy: str, seed: int, *, fast_forward: bool = True):
     result = simulate(
         periodic_program(BATCHES, 4, 8),
-        make_policy(policy),
+        build_policy(policy),
         dyadic_test_machine(num_cores=8),
         seed=seed,
         fast_forward=fast_forward,

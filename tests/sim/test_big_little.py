@@ -23,7 +23,7 @@ POLICIES = ("cilk", "cilk-d", "wats", "eewa")
 DYADIC_OVERHEAD = OverheadModel(base_seconds=2.0**-11, per_cell_seconds=2.0**-17)
 
 
-def make_policy(name, machine):
+def build_policy(name, machine):
     if name == "cilk":
         return CilkScheduler()
     if name == "cilk-d":
@@ -47,7 +47,7 @@ def program(batches=3, tasks=12):
 @pytest.mark.parametrize("name", POLICIES)
 def test_policies_run_to_completion(name):
     machine = big_little_test_machine()
-    result = simulate(program(), make_policy(name, machine), machine, seed=11)
+    result = simulate(program(), build_policy(name, machine), machine, seed=11)
     assert result.tasks_executed == 3 * 12
     assert result.batches_executed == 3
     assert result.total_joules > 0
@@ -55,17 +55,17 @@ def test_policies_run_to_completion(name):
 @pytest.mark.parametrize("name", POLICIES)
 def test_deterministic_across_repeats(name):
     machine = big_little_test_machine()
-    a = simulate(program(), make_policy(name, machine), machine, seed=11)
-    b = simulate(program(), make_policy(name, machine), machine, seed=11)
+    a = simulate(program(), build_policy(name, machine), machine, seed=11)
+    b = simulate(program(), build_policy(name, machine), machine, seed=11)
     assert trace_fingerprint(a) == trace_fingerprint(b)
 
 
 @pytest.mark.parametrize("name", POLICIES)
 def test_fast_forward_parity(name):
     machine = big_little_test_machine()
-    fast = simulate(program(8), make_policy(name, machine), machine, seed=11)
+    fast = simulate(program(8), build_policy(name, machine), machine, seed=11)
     full = simulate(
-        program(8), make_policy(name, machine), machine, seed=11,
+        program(8), build_policy(name, machine), machine, seed=11,
         fast_forward=False,
     )
     assert trace_fingerprint(fast) == trace_fingerprint(full)

@@ -28,7 +28,7 @@ WATS_LEVELS_8 = [0, 0, 0, 0, 2, 2, 2, 2]
 DYADIC_OVERHEAD = OverheadModel(base_seconds=2.0**-11, per_cell_seconds=2.0**-17)
 
 
-def make_policy(name):
+def build_policy(name):
     if name == "cilk":
         return CilkScheduler()
     if name == "cilk-d":
@@ -40,9 +40,9 @@ def make_policy(name):
 
 def run_pair(program, name, *, seed=11, **kwargs):
     machine = dyadic_test_machine(num_cores=8)
-    fast = simulate(program, make_policy(name), machine, seed=seed, **kwargs)
+    fast = simulate(program, build_policy(name), machine, seed=seed, **kwargs)
     full = simulate(
-        program, make_policy(name), machine, seed=seed,
+        program, build_policy(name), machine, seed=seed,
         fast_forward=False, **kwargs,
     )
     return fast, full
@@ -135,7 +135,7 @@ class TestBailOuts:
     def test_flag_off_disables_replay(self):
         machine = dyadic_test_machine(num_cores=8)
         result = simulate(
-            periodic_program(30, 4, 8), make_policy("eewa"), machine,
+            periodic_program(30, 4, 8), build_policy("eewa"), machine,
             seed=11, fast_forward=False,
         )
         assert result.batches_fast_forwarded == 0
@@ -144,7 +144,7 @@ class TestBailOuts:
     def test_deep_trace_disables_replay(self):
         machine = dyadic_test_machine(num_cores=8)
         result = simulate(
-            periodic_program(30, 4, 8), make_policy("eewa"), machine,
+            periodic_program(30, 4, 8), build_policy("eewa"), machine,
             seed=11, record_task_events=True,
         )
         assert result.batches_fast_forwarded == 0
@@ -152,7 +152,7 @@ class TestBailOuts:
     def test_power_series_disables_replay(self):
         machine = dyadic_test_machine(num_cores=8)
         result = simulate(
-            periodic_program(30, 4, 8), make_policy("eewa"), machine,
+            periodic_program(30, 4, 8), build_policy("eewa"), machine,
             seed=11, record_power_series=True,
         )
         assert result.batches_fast_forwarded == 0

@@ -14,8 +14,8 @@ import sys
 
 import pytest
 
-from repro.experiments.runner import make_policy
 from repro.machine.topology import opteron_8380_machine
+from repro.scenario.registry import POLICIES
 from repro.sim.engine import simulate
 from repro.sim.export import (
     batches_to_csv,
@@ -42,7 +42,7 @@ def golden(benchmark, policy, seed):
         )
     core_levels = golden_gen.WATS_LEVELS_16 if policy == "wats" else None
     return simulate(
-        program, make_policy(policy, core_levels=core_levels),
+        program, POLICIES.get(policy).build(core_levels=core_levels),
         opteron_8380_machine(), seed=seed,
     )
 
@@ -51,7 +51,7 @@ def longhorizon(policy, seed):
     """A long-horizon cell's full result (fast-forward on)."""
     return simulate(
         longhorizon_gen.periodic_program(longhorizon_gen.BATCHES, 4, 8),
-        longhorizon_gen.make_policy(policy),
+        longhorizon_gen.build_policy(policy),
         longhorizon_gen.dyadic_test_machine(num_cores=8),
         seed=seed,
     )

@@ -148,11 +148,6 @@ class TestRunSpecScenario:
         assert main(["run-spec", path]) == 2
         assert "unsupported scenario schema" in capsys.readouterr().err
 
-    def test_bare_workload_spec_needs_policy(self, tmp_path, capsys):
-        path = self._write(tmp_path, {"name": "custom", "classes": []})
-        assert main(["run-spec", path]) == 2
-        assert "policy argument is required" in capsys.readouterr().err
-
     def test_missing_file_exits_2(self, capsys):
         assert main(["run-spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -18,7 +18,7 @@ import repro.workloads
 
 TOP_LEVEL = {
     "Batch", "CilkDScheduler", "CilkScheduler", "EEWAConfig", "EEWAScheduler",
-    "FrequencyScale", "MachineConfig", "SimResult", "Simulator", "TaskSpec",
+    "MachineConfig", "SimResult", "Simulator", "TaskSpec",
     "WATSScheduler", "flat_batch", "opteron_8380_machine", "simulate",
     "small_test_machine",
 }
@@ -52,7 +52,7 @@ WORKLOADS = {
 EXPERIMENTS = {
     "run_fig6", "run_fig7", "run_fig8", "run_fig9", "run_table3",
     "format_table", "bar_chart", "frequency_timeline",
-    "CellOutcome", "CellSpec", "ParallelRunner", "ResultCache",
+    "CellOutcome", "CellSpec", "ResultCache",
     "SweepEngine", "SweepStats", "SweepTicket",
 }
 
@@ -67,7 +67,7 @@ SCENARIO = {
     "MACHINES", "MachineSpec", "POLICIES", "PolicySpec",
     "SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "Session", "WORKLOADS",
     "baseline_policy_names", "register_machine", "register_policy",
-    "register_workload", "run_grid", "spread_levels", "workload_names",
+    "register_workload", "spread_levels", "workload_names",
 }
 
 SERVICE = {

@@ -1,5 +1,7 @@
 """Tests for workload spec serialisation."""
 
+import json
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -99,9 +101,23 @@ class TestCliRunSpec:
     def test_cli_runs_saved_spec(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "sha1.json"
-        save_spec(benchmark_spec("SHA-1"), path)
-        assert main(["run-spec", str(path), "eewa", "--batches", "2"]) == 0
+        saved = tmp_path / "sha1.json"
+        save_spec(benchmark_spec("SHA-1"), saved)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "workload": json.loads(saved.read_text()),
+            "policy": "eewa",
+            "seeds": [11],
+        }))
+        assert main(["run-spec", str(scenario), "--batches", "2"]) == 0
         out = capsys.readouterr().out
         assert "SHA-1 / eewa" in out
         assert "batch   1" in out
+
+    def test_bare_workload_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "sha1.json"
+        save_spec(benchmark_spec("SHA-1"), path)
+        assert main(["run-spec", str(path), "eewa", "--batches", "2"]) == 2
+        assert "unknown scenario fields" in capsys.readouterr().err
