@@ -10,12 +10,12 @@
   plus the heterogeneous extension ``fig_hetero``);
 * ``run-spec`` — run a scenario JSON file
   (:class:`repro.scenario.ScenarioSpec`; the workload may be inline);
-* ``bench`` — parallel cached sweep over (workload × policy × seed) cells
-  (see :mod:`repro.experiments.parallel`);
-* ``sweep`` — the same grid through the persistent
-  :class:`~repro.experiments.sweep.SweepEngine`, streaming per-cell
-  results as they complete (duplicate-heavy loads coalesce in flight);
-  ``--fidelity model|auto`` serves cells from the analytic model tier;
+* ``sweep`` — a (workload × policy × seed) grid through the persistent
+  :class:`~repro.experiments.sweep.SweepEngine`, or through a running
+  ``repro serve`` with ``--remote``: per-cell results stream as they
+  complete (duplicate-heavy loads coalesce in flight), then a table of
+  means and, with ``--faults``, a resilience report; ``--fidelity
+  model|auto`` serves cells from the analytic model tier;
 * ``predict`` — the analytic companion model (:mod:`repro.model`) for
   one cell: O(1) makespan/energy prediction, no simulation;
 * ``cache`` — result-cache maintenance: ``stats``, ``prune``
@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.errors import ScenarioError
 from repro.experiments import (
+    SweepStats,
     fig1_rows,
     format_table,
     run_fig6,
@@ -50,7 +52,6 @@ from repro.experiments import (
 from repro.scenario.registry import (
     MACHINES,
     POLICIES,
-    WORKLOADS,
     baseline_policy_names,
     workload_names,
 )
@@ -155,47 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--diagnose", action="store_true",
                       help="print the static workload diagnostics first")
 
-    bench = sub.add_parser(
-        "bench",
-        help="parallel cached sweep over (workload × policy × seed) cells",
-    )
-    bench.add_argument(
-        "--benchmarks", nargs="+", default=list(workload_names(table2_only=True)),
-        choices=workload_names(), metavar="NAME",
-    )
-    bench.add_argument(
-        "--policies", nargs="+", default=list(baseline_policy_names()),
-        choices=POLICIES.names(), metavar="POLICY",
-    )
-    bench.add_argument("--seeds", nargs="+", type=int, default=[11, 23, 37])
-    bench.add_argument("--batches", type=int, default=None)
-    bench.add_argument("--cores", type=int, default=None)
-    _add_machine_arg(bench)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="process count (default: cpu count; 0/1 runs in-process)",
-    )
-    bench.add_argument(
-        "--cache-dir", default=".repro-cache",
-        help="result cache root (default: .repro-cache)",
-    )
-    bench.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    bench.add_argument(
-        "--no-fast-forward", action="store_true",
-        help="disable steady-state fast-forward (full event-by-event simulation)",
-    )
-    bench.add_argument("--json", metavar="PATH", help="write sweep results as JSON")
-    bench.add_argument(
-        "--faults", metavar="PATH",
-        help="fault-injection spec JSON; runs each cell fault-free AND "
-        "faulted and prints a resilience (degradation) report",
-    )
-
     sweep = sub.add_parser(
         "sweep",
-        help="streaming sweep through the persistent work-queue engine",
+        help="streaming (workload × policy × seed) sweep, local or remote",
     )
     sweep.add_argument(
         "--benchmarks", nargs="+", default=list(workload_names(table2_only=True)),
@@ -218,16 +181,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker process count (default: cpu count; 0/1 runs in-process)",
     )
-    sweep.add_argument("--cache-dir", default=".repro-cache")
-    sweep.add_argument("--no-cache", action="store_true")
-    sweep.add_argument("--no-fast-forward", action="store_true")
     sweep.add_argument(
-        "--chunk-target", type=float, default=0.25, metavar="SECONDS",
-        help="per-IPC-round-trip budget for the adaptive chunk sizer",
+        "--cache-dir", default=".repro-cache",
+        help="result cache root (default: .repro-cache)",
     )
     sweep.add_argument(
-        "--max-pending", type=int, default=10_000,
-        help="backpressure bound on queued-but-undispatched cells",
+        "--no-cache", action="store_true", help="disable the result cache"
+    )
+    sweep.add_argument(
+        "--no-fast-forward", action="store_true",
+        help="disable steady-state fast-forward (full event-by-event simulation)",
+    )
+    sweep.add_argument(
+        "--faults", metavar="PATH",
+        help="fault-injection spec JSON; runs each cell fault-free AND "
+        "faulted and prints a resilience (degradation) report",
     )
     sweep.add_argument(
         "--fidelity", choices=("sim", "model", "auto"), default="sim",
@@ -243,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--remote", metavar="URL", default=None,
         help="stream the sweep through a running 'repro serve' instance "
-        "(http://host:port or unix:/path.sock) instead of a local engine",
+        "(http://host:port or unix:/path.sock) instead of a local engine; "
+        "the server's own workers, cache and fast-forward setting apply",
     )
 
     srv = sub.add_parser(
@@ -385,11 +354,15 @@ def _resolve_levels(
 ) -> ScenarioSpec:
     """Fill in fixed core levels for policies that require them.
 
-    Without ``--core-levels``, uses EEWA's modal configuration for the
-    scenario's workload (the Fig. 7 convention) and says so.
+    ``--core-levels`` wins. Without it, the service's rule
+    (:func:`repro.service.server.resolve_scenario`) runs the policy on
+    EEWA's modal configuration for the scenario's workload (the Fig. 7
+    convention), and the CLI says so.
     """
-    entry = POLICIES.get(scenario.policy.name)
+    from repro.service.server import resolve_scenario
+
     if explicit is not None:
+        entry = POLICIES.get(scenario.policy.name)
         if not (entry.needs_core_levels or entry.accepts_core_levels):
             raise ScenarioError(
                 f"{entry.name} does not take fixed core levels"
@@ -397,16 +370,13 @@ def _resolve_levels(
         return scenario.with_policy(
             PolicySpec(scenario.policy.name, core_levels=tuple(explicit))
         )
-    if not entry.needs_core_levels or scenario.policy.core_levels is not None:
-        return scenario
-    levels = tuple(session.modal_eewa_levels(scenario))
-    print(
-        f"  note: {entry.name} runs on EEWA's modal configuration "
-        f"{list(levels)} (pass --core-levels to override)"
-    )
-    return scenario.with_policy(
-        PolicySpec(scenario.policy.name, core_levels=levels)
-    )
+    resolved = resolve_scenario(session, scenario)
+    if resolved is not scenario:
+        print(
+            f"  note: {scenario.policy.name} runs on EEWA's modal configuration "
+            f"{list(resolved.policy.core_levels)} (pass --core-levels to override)"
+        )
+    return resolved
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -596,369 +566,260 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
+class _SweepReport:
+    """The one consumer of a sweep's frames, streamed locally or remotely.
 
-    session = Session(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        fast_forward=not args.no_fast_forward,
-    )
-    with session:
-        machine = _machine_spec(args.cores, preset=args.machine)
-        cores = machine.build().num_cores
-        faults = _load_faults(args.faults)
-        scenarios = [
-            _resolve_levels(
-                session,
-                ScenarioSpec(
-                    workload=name, policy=policy, machine=machine,
-                    seeds=tuple(args.seeds), batches=args.batches,
-                ),
-                None,
-            )
-            for name in args.benchmarks
-            for policy in args.policies
-        ]
-        # With --faults, the faulted twins ride in the SAME fan-out as the
-        # fault-free baselines, so the pool and cache see one sweep.
-        faulted_scenarios = (
-            [s.with_faults(faults) for s in scenarios] if faults is not None else []
+    ``grid`` is one copy of the request's scenarios: the fault-free ones
+    first, then (with ``--faults``) their faulted twins. Every scenario
+    carries the same seeds, so cell ``index`` belongs to scenario
+    ``index // len(seeds)``. :meth:`take` prints each cell as it arrives;
+    :meth:`finish` prints the tables and the closing stats and writes
+    ``--json``.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, grid: Sequence[ScenarioSpec], clean: int
+    ) -> None:
+        self.args = args
+        self.grid = grid
+        self.clean = clean
+        self.started = time.perf_counter()
+        self.wall = 0.0
+        #: JSON rows, one per streamed cell, in completion order.
+        self.rows: list[dict] = []
+        #: Result payloads of the grid's first copy, by cell index.
+        self.results: dict[int, dict] = {}
+        self.terminal: Optional[dict] = None
+
+    def take(self, frame: dict) -> None:
+        self.wall = time.perf_counter() - self.started
+        if frame["frame"] != "cell":
+            self.terminal = frame
+            return
+        result = frame["result"]
+        if frame["scenario"] < len(self.grid):
+            self.results[frame["index"]] = result
+        faulted = frame["scenario"] % len(self.grid) >= self.clean
+        row = {
+            "benchmark": frame["benchmark"],
+            "policy": frame["policy"],
+            "seed": frame["seed"],
+            "from_cache": frame["from_cache"],
+            "source": frame["source"],
+            "total_time": result["total_time_s"],
+            "total_joules": result["total_joules"],
+            "latency_s": self.wall,
+        }
+        if self.args.faults is not None:
+            row["faulted"] = faulted
+        self.rows.append(row)
+        if self.args.quiet:
+            return
+        if frame["source"] == "model":
+            source = "model cached" if frame["from_cache"] else "model"
+        else:
+            source = "cached" if frame["from_cache"] else "simulated"
+        print(
+            f"  done {frame['benchmark']}/{frame['policy']} seed {frame['seed']}"
+            f"{' faulted' if faulted else ''}: "
+            f"{result['total_time_s']*1e3:.1f} ms sim, "
+            f"{result['total_joules']:.2f} J [{source}]"
         )
-        started = time.perf_counter()
-        all_outcomes = session.run_grid(scenarios + faulted_scenarios)
-        outcomes = all_outcomes[: len(scenarios)]
-        faulted = all_outcomes[len(scenarios):]
-        wall = time.perf_counter() - started
-        rows = [
-            (
-                o.benchmark,
-                o.policy,
-                o.time_mean * 1e3,
-                o.energy_mean,
+
+    def _sum(self, scenario: int, field: str) -> float:
+        per = len(self.args.seeds)
+        return sum(self.results[scenario * per + i][field] for i in range(per))
+
+    def finish(self, stats: Optional[SweepStats]) -> int:
+        """Report the sweep; ``stats`` is the local engine's, ``None`` for a
+        remote sweep. Returns the exit code."""
+        args, terminal, per = self.args, self.terminal, len(self.args.seeds)
+        if terminal is None or terminal["frame"] == "error":
+            code = "disconnect" if terminal is None else terminal.get("code")
+            detail = "" if terminal is None else terminal.get("detail", "")
+            print(
+                f"error: stream ended after {len(self.rows)} cells "
+                f"({code}): {detail}",
+                file=sys.stderr,
             )
-            for o in outcomes
+            return 1
+        means = [
+            (self._sum(g, "total_time_s") / per, self._sum(g, "total_joules") / per)
+            for g in range(len(self.grid))
         ]
         print(
             format_table(
                 ["benchmark", "policy", "time (ms)", "energy (J)"],
-                rows,
+                [
+                    (s.workload_name, s.policy.name, t * 1e3, e)
+                    for s, (t, e) in zip(self.grid[: self.clean], means)
+                ],
                 title=(
-                    f"bench sweep — {len(args.benchmarks)} benchmarks x "
-                    f"{len(args.policies)} policies x {len(args.seeds)} seeds"
+                    f"sweep means — {len(args.benchmarks)} benchmarks x "
+                    f"{len(args.policies)} policies x {per} seeds"
                 ),
             )
         )
-        resilience_rows = []
-        if faulted:
-            for clean, dirty in zip(outcomes, faulted):
-                clean_tasks = sum(r.tasks_executed for r in clean.results)
-                dirty_tasks = sum(r.tasks_executed for r in dirty.results)
-                resilience_rows.append(
-                    (
-                        clean.benchmark,
-                        clean.policy,
-                        "ok" if dirty_tasks == clean_tasks else
-                        f"LOST {clean_tasks - dirty_tasks}",
-                        dirty.time_mean / clean.time_mean,
-                        dirty.energy_mean / clean.energy_mean,
-                    )
+        payload: dict = {
+            "machine_cores": self.grid[0].build_machine().num_cores,
+            "seeds": list(args.seeds),
+            "repeat": args.repeat,
+            "wall_seconds": self.wall,
+            "fidelity": args.fidelity,
+        }
+        if args.remote is None:
+            payload["fast_forward"] = not args.no_fast_forward
+        else:
+            payload["remote"] = args.remote
+        if len(self.grid) > self.clean:
+            resilience = []
+            for g in range(self.clean):
+                lost = self._sum(g, "tasks_executed") - self._sum(
+                    g + self.clean, "tasks_executed"
                 )
+                (t, e), (faulted_t, faulted_e) = means[g], means[g + self.clean]
+                resilience.append((
+                    self.grid[g].workload_name,
+                    self.grid[g].policy.name,
+                    "ok" if lost == 0 else f"LOST {lost}",
+                    faulted_t / t,
+                    faulted_e / e,
+                ))
             print()
             print(
                 format_table(
                     ["benchmark", "policy", "tasks", "time x", "energy x"],
-                    resilience_rows,
+                    resilience,
                     title=f"resilience report — degradation under {args.faults}",
                     float_fmt="{:.3f}",
                 )
             )
-        stats = session.stats
-        simulated = sum(r.batches_simulated for o in outcomes for r in o.results)
-        fast_forwarded = sum(
-            r.batches_fast_forwarded for o in outcomes for r in o.results
-        )
-        print(
-            f"  {stats.cells} cells in {wall:.2f} s: {stats.executed} simulated, "
-            f"{stats.cache_hits} from cache, {stats.deduplicated} deduplicated"
-        )
-        print(
-            f"  batches: {simulated} simulated, {fast_forwarded} fast-forwarded"
-        )
+            payload["faults"] = self.grid[self.clean].faults.to_dict()
+            payload["resilience"] = [
+                {
+                    "benchmark": benchmark,
+                    "policy": policy,
+                    "completed": status == "ok",
+                    "time_ratio": time_ratio,
+                    "energy_ratio": energy_ratio,
+                }
+                for benchmark, policy, status, time_ratio, energy_ratio
+                in resilience
+            ]
+        payload["stats"] = self._closing_stats(stats)
         if args.json:
             import json
-            import os as _os
-            import platform
 
-            payload = {
-                "machine_cores": cores,
-                "seeds": list(args.seeds),
-                "wall_seconds": wall,
-                "fast_forward": not args.no_fast_forward,
-                "machine_info": {
-                    "cpu_count": _os.cpu_count(),
-                    "python": platform.python_version(),
-                },
-                "stats": {
-                    "cells": stats.cells,
-                    "executed": stats.executed,
-                    "cache_hits": stats.cache_hits,
-                    "deduplicated": stats.deduplicated,
-                    "batches_simulated": simulated,
-                    "batches_fast_forwarded": fast_forwarded,
-                },
-                "cells": [
-                    {
-                        "benchmark": o.benchmark,
-                        "policy": o.policy,
-                        "time_mean_s": o.time_mean,
-                        "energy_mean_j": o.energy_mean,
-                        "per_seed": [
-                            {
-                                "total_time": r.total_time,
-                                "total_joules": r.total_joules,
-                                "tasks_executed": r.tasks_executed,
-                                "batches_simulated": r.batches_simulated,
-                                "batches_fast_forwarded": r.batches_fast_forwarded,
-                            }
-                            for r in o.results
-                        ],
-                    }
-                    for o in outcomes
-                ],
-            }
-            if faulted:
-                payload["faults"] = faults.to_dict()
-                payload["resilience"] = [
-                    {
-                        "benchmark": benchmark,
-                        "policy": policy,
-                        "completed": status == "ok",
-                        "time_ratio": time_ratio,
-                        "energy_ratio": energy_ratio,
-                    }
-                    for benchmark, policy, status, time_ratio, energy_ratio
-                    in resilience_rows
-                ]
+            payload["summary"] = {k: v for k, v in terminal.items() if k != "frame"}
+            payload["cells"] = self.rows
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
             print(f"  wrote {args.json}")
         return 0
+
+    def _closing_stats(self, stats: Optional[SweepStats]) -> dict:
+        """Print the closing stats lines; returns them for ``--json``."""
+        wall, terminal = self.wall, self.terminal
+        rate = len(self.rows) / wall if wall > 0 else 0.0
+        latencies = sorted(row["latency_s"] for row in self.rows)
+
+        def _pct(p: float) -> float:
+            if not latencies:
+                return 0.0
+            return latencies[min(len(latencies) - 1, int(p * (len(latencies) - 1)))]
+
+        out: dict = {
+            "throughput_per_sec": rate,
+            "latency_p50_s": _pct(0.50),
+            "latency_p99_s": _pct(0.99),
+        }
+        if stats is None:
+            sources = ", ".join(
+                f"{count} {name}" for name, count in sorted(terminal["sources"].items())
+            )
+            print(
+                f"  {terminal['cells']} cells streamed from {self.args.remote} in "
+                f"{wall:.2f} s ({rate:.0f}/s): {terminal['from_cache']} from "
+                f"cache ({sources})"
+            )
+        else:
+            dedup_rate = stats.deduplicated / stats.cells if stats.cells else 0.0
+            print(
+                f"  {stats.cells} submissions in {wall:.2f} s "
+                f"({stats.cells / wall if wall > 0 else 0.0:.0f}/s): "
+                f"{stats.executed} simulated in {stats.chunks} chunks, "
+                f"{stats.model_cells} model-predicted, {stats.cache_hits} from "
+                f"cache ({stats.memo_hits} memo), {stats.deduplicated} coalesced "
+                f"in flight (dedup rate {dedup_rate:.1%}), {stats.cancelled} cancelled"
+            )
+            out.update(
+                submissions=stats.cells, executed=stats.executed,
+                model_cells=stats.model_cells, cache_hits=stats.cache_hits,
+                memo_hits=stats.memo_hits, deduplicated=stats.deduplicated,
+                cancelled=stats.cancelled, chunks=stats.chunks,
+                dedup_hit_rate=dedup_rate,
+            )
+        for field in ("batches_simulated", "batches_fast_forwarded"):
+            out[field] = sum(c[field] for c in self.results.values())
+        print(
+            f"  batches: {out['batches_simulated']} simulated, "
+            f"{out['batches_fast_forwarded']} fast-forwarded"
+        )
+        return out
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import time
+    """``repro sweep``: one request, streamed from a local session (through
+    the service's own stream core) or from ``repro serve`` (``--remote``).
 
-    if args.remote is not None:
-        return _cmd_sweep_remote(args)
-    session = Session(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        fast_forward=not args.no_fast_forward,
-        fidelity=args.fidelity,
-    )
-    with session:
-        engine = session.engine.configure(
-            chunk_target_seconds=args.chunk_target, max_pending=args.max_pending
-        )
-        machine = _machine_spec(args.cores, preset=args.machine)
-        cores = machine.build().num_cores
-        scenarios = [
-            _resolve_levels(
-                session,
-                ScenarioSpec(
-                    workload=name, policy=policy, machine=machine,
-                    seeds=tuple(args.seeds), batches=args.batches,
-                ),
-                None,
-            )
-            for name in args.benchmarks
-            for policy in args.policies
-        ]
-        from repro.experiments.parallel import CellSpec
-
-        cells = [
-            CellSpec.from_scenario(scenario, seed)
-            for _ in range(args.repeat)
-            for scenario in scenarios
-            for seed in scenario.seeds
-        ]
-        started = time.perf_counter()
-        tickets = engine.submit_many(cells)
-        submitted = time.perf_counter() - started
-        streamed = []
-        for ticket in engine.as_completed(tickets):
-            outcome = ticket.result()
-            latency = time.perf_counter() - started
-            streamed.append((ticket, outcome, latency))
-            if not args.quiet:
-                spec = ticket.spec
-                if outcome.source == "model":
-                    source = "model cached" if outcome.from_cache else "model"
-                else:
-                    source = "cached" if outcome.from_cache else "simulated"
-                print(
-                    f"  done {spec.benchmark}/{spec.policy} seed {spec.seed}: "
-                    f"{outcome.result.total_time*1e3:.1f} ms sim, "
-                    f"{outcome.result.total_joules:.2f} J [{source}]"
-                )
-        wall = time.perf_counter() - started
-        stats = engine.stats
-        dedup_rate = stats.deduplicated / stats.cells if stats.cells else 0.0
-        print(
-            f"  {stats.cells} submissions in {wall:.2f} s "
-            f"({stats.cells / wall:.0f}/s): {stats.executed} simulated in "
-            f"{stats.chunks} chunks, {stats.model_cells} model-predicted, "
-            f"{stats.cache_hits} from cache "
-            f"({stats.memo_hits} memo), {stats.deduplicated} coalesced in flight "
-            f"(dedup rate {dedup_rate:.1%}), {stats.cancelled} cancelled"
-        )
-        if args.json:
-            import json
-
-            latencies = sorted(lat for _, _, lat in streamed)
-
-            def _pct(p: float) -> float:
-                if not latencies:
-                    return 0.0
-                idx = min(len(latencies) - 1, int(p * (len(latencies) - 1)))
-                return latencies[idx]
-
-            payload = {
-                "machine_cores": cores,
-                "seeds": list(args.seeds),
-                "repeat": args.repeat,
-                "wall_seconds": wall,
-                "submit_seconds": submitted,
-                "fast_forward": not args.no_fast_forward,
-                "fidelity": args.fidelity,
-                "stats": {
-                    "submissions": stats.cells,
-                    "executed": stats.executed,
-                    "model_cells": stats.model_cells,
-                    "cache_hits": stats.cache_hits,
-                    "memo_hits": stats.memo_hits,
-                    "deduplicated": stats.deduplicated,
-                    "cancelled": stats.cancelled,
-                    "chunks": stats.chunks,
-                    "dedup_hit_rate": dedup_rate,
-                    "throughput_per_sec": stats.cells / wall if wall > 0 else 0.0,
-                    "latency_p50_s": _pct(0.50),
-                    "latency_p99_s": _pct(0.99),
-                },
-                "cells": [
-                    {
-                        "benchmark": t.spec.benchmark,
-                        "policy": t.spec.policy,
-                        "seed": t.spec.seed,
-                        "from_cache": o.from_cache,
-                        "source": o.source,
-                        "total_time": o.result.total_time,
-                        "total_joules": o.result.total_joules,
-                        "latency_s": lat,
-                    }
-                    for t, o, lat in streamed
-                ],
-            }
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-            print(f"  wrote {args.json}")
-        return 0
-
-
-def _cmd_sweep_remote(args: argparse.Namespace) -> int:
-    """``repro sweep --remote URL``: same grid, streamed through a server.
-
-    Core-level resolution for policies that need it happens server-side
-    (the server owns the shared engine and its cache), so the scenarios
-    ship as written.
+    Core levels for policies that need them are filled in where the cells
+    run, by :func:`repro.service.server.resolve_scenario`.
     """
-    import time
+    from repro.service.protocol import SweepRequest
 
-    from repro.service.client import ServiceError, SweepServiceClient
-
+    if args.repeat < 1:
+        raise ScenarioError(f"--repeat must be >= 1, got {args.repeat}")
     machine = _machine_spec(args.cores, preset=args.machine)
-    scenarios = [
+    faults = _load_faults(args.faults)
+    grid = [
         ScenarioSpec(
             workload=name, policy=policy, machine=machine,
             seeds=tuple(args.seeds), batches=args.batches,
         )
-        for _ in range(args.repeat)
         for name in args.benchmarks
         for policy in args.policies
     ]
-    client = SweepServiceClient(args.remote)
-    started = time.perf_counter()
-    frames: list[tuple[dict, float]] = []
-    terminal: Optional[dict] = None
-    try:
-        for frame in client.stream(scenarios, fidelity=args.fidelity):
-            if frame["frame"] != "cell":
-                terminal = frame
-                break
-            latency = time.perf_counter() - started
-            frames.append((frame, latency))
-            if not args.quiet:
-                if frame["source"] == "model":
-                    source = "model cached" if frame["from_cache"] else "model"
-                else:
-                    source = "cached" if frame["from_cache"] else "simulated"
-                print(
-                    f"  done {frame['benchmark']}/{frame['policy']} "
-                    f"seed {frame['seed']}: "
-                    f"{frame['result']['total_time_s']*1e3:.1f} ms sim, "
-                    f"{frame['result']['total_joules']:.2f} J [{source}]"
-                )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - started
-    if terminal is None or terminal["frame"] == "error":
-        detail = "" if terminal is None else terminal.get("detail", "")
-        code = "disconnect" if terminal is None else terminal.get("code")
-        print(
-            f"error: stream ended after {len(frames)} cells "
-            f"({code}): {detail}",
-            file=sys.stderr,
-        )
-        return 1
-    rate = terminal["streamed"] / wall if wall > 0 else 0.0
-    sources = ", ".join(
-        f"{count} {name}" for name, count in sorted(terminal["sources"].items())
+    clean = len(grid)
+    if faults is not None:
+        # The faulted twins ride in the SAME request as the fault-free
+        # baselines, so the engine and its cache see one sweep.
+        grid += [s.with_faults(faults) for s in grid]
+    request = SweepRequest(
+        scenarios=tuple(grid) * args.repeat, fidelity=args.fidelity
     )
-    print(
-        f"  {terminal['cells']} cells streamed from {args.remote} in "
-        f"{wall:.2f} s ({rate:.0f}/s): {terminal['from_cache']} from cache "
-        f"({sources})"
-    )
-    if args.json:
-        import json
+    report = _SweepReport(args, grid, clean)
+    if args.remote is not None:
+        from repro.service.client import ServiceError, SweepServiceClient
 
-        payload = {
-            "remote": args.remote,
-            "seeds": list(args.seeds),
-            "repeat": args.repeat,
-            "wall_seconds": wall,
-            "fidelity": args.fidelity,
-            "summary": {k: v for k, v in terminal.items() if k != "frame"},
-            "cells": [
-                {
-                    "benchmark": f["benchmark"],
-                    "policy": f["policy"],
-                    "seed": f["seed"],
-                    "from_cache": f["from_cache"],
-                    "source": f["source"],
-                    "total_time": f["result"]["total_time_s"],
-                    "total_joules": f["result"]["total_joules"],
-                    "latency_s": lat,
-                }
-                for f, lat in frames
-            ],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"  wrote {args.json}")
-    return 0
+        try:
+            for frame in SweepServiceClient(args.remote).stream(
+                request.scenarios, fidelity=request.fidelity
+            ):
+                report.take(frame)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return report.finish(None)
+    from repro.service.protocol import decode_frame
+    from repro.service.server import stream_request
+
+    with Session(
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        fast_forward=not args.no_fast_forward,
+    ) as session:
+        stream_request(session, request, lambda line: report.take(decode_frame(line)))
+    return report.finish(session.stats)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1120,8 +981,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_figure(args)
         if args.command == "run-spec":
             return _cmd_run_spec(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "serve":

@@ -22,8 +22,8 @@ Four mechanisms carry the load:
 * **chunked dispatch** — cells are batched per IPC round-trip. The chunk
   size adapts to the observed per-cell simulation cost (an exponential
   moving average fed back from the workers): expensive cells ship one at
-  a time for latency, cheap cells ship ``chunk_target_seconds`` worth at
-  once so the pickling round-trip is amortized.
+  a time for latency, cheap cells ship :data:`CHUNK_TARGET_SECONDS` worth
+  at once so the pickling round-trip is amortized.
 * **in-flight dedup + memo** — a submission whose ``cell_key`` matches a
   queued or running cell coalesces onto the same job (one simulation,
   many tickets); a submission matching an already-finished cell is served
@@ -98,6 +98,15 @@ _QUEUED, _DISPATCHED, _DONE, _CANCELLED = range(4)
 
 #: Valid values of the engine's ``fidelity`` axis.
 FIDELITIES = ("sim", "model", "auto")
+
+#: Per-IPC-round-trip budget, in seconds, the adaptive chunk sizer aims for.
+CHUNK_TARGET_SECONDS = 0.25
+
+#: Hard cap on cells per dispatch chunk.
+MAX_CHUNK = 32
+
+#: Size of the in-memory LRU of decoded cache payloads.
+MEMO_ENTRIES = 1024
 
 
 def _warm_worker() -> None:
@@ -206,12 +215,6 @@ class SweepEngine:
         Engine steady-state fast-forward (part of every cell key).
     max_pending:
         Backpressure bound on queued-but-undispatched cells.
-    chunk_target_seconds:
-        Per-IPC-round-trip budget the adaptive chunk sizer aims for.
-    max_chunk:
-        Hard cap on cells per dispatch chunk.
-    memo_entries:
-        Size of the in-memory LRU of decoded cache payloads.
     fidelity:
         ``"sim"`` (default) simulates every cell; ``"auto"`` serves
         model-eligible cells from the analytic predictor and falls back
@@ -228,9 +231,6 @@ class SweepEngine:
         cache_dir: str | os.PathLike[str] | None = DEFAULT_CACHE_DIR,
         fast_forward: bool = True,
         max_pending: int = 10_000,
-        chunk_target_seconds: float = 0.25,
-        max_chunk: int = 32,
-        memo_entries: int = 1024,
         fidelity: str = "sim",
     ) -> None:
         if workers is not None and workers < 0:
@@ -241,17 +241,13 @@ class SweepEngine:
             )
         if max_pending < 1:
             raise ConfigurationError("max_pending must be positive")
-        if max_chunk < 1:
-            raise ConfigurationError("max_chunk must be positive")
         self.machine = machine if machine is not None else opteron_8380_machine()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.fidelity = fidelity
         self._fast_forward = fast_forward
-        self._max_pending = max_pending
-        self._chunk_target = chunk_target_seconds
-        self._max_chunk = max_chunk
-        self._memo_entries = memo_entries
+        #: Backpressure bound on queued-but-undispatched cells.
+        self.max_pending = max_pending
         self._pool_workers = workers if workers is not None else (os.cpu_count() or 1)
         self._pooled = self._pool_workers > 1
 
@@ -269,27 +265,6 @@ class SweepEngine:
         self._pool_inflight = 0  # chunks currently at the pool
         self._dispatcher: Optional[threading.Thread] = None
         self._closed = False
-
-    def configure(
-        self,
-        *,
-        chunk_target_seconds: Optional[float] = None,
-        max_pending: Optional[int] = None,
-        max_chunk: Optional[int] = None,
-    ) -> "SweepEngine":
-        """Adjust queue/chunk tunables on a live engine; returns ``self``."""
-        with self._lock:
-            if chunk_target_seconds is not None:
-                self._chunk_target = chunk_target_seconds
-            if max_pending is not None:
-                if max_pending < 1:
-                    raise ConfigurationError("max_pending must be positive")
-                self._max_pending = max_pending
-            if max_chunk is not None:
-                if max_chunk < 1:
-                    raise ConfigurationError("max_chunk must be positive")
-                self._max_chunk = max_chunk
-        return self
 
     # -- submission ------------------------------------------------------
 
@@ -559,12 +534,6 @@ class SweepEngine:
             return self._chunk_size_locked()
 
     @property
-    def max_pending(self) -> int:
-        """Backpressure bound on queued-but-undispatched cells."""
-        with self._lock:
-            return self._max_pending
-
-    @property
     def ema_cell_seconds(self) -> Optional[float]:
         """Smoothed observed per-cell simulation cost (``None`` until fed)."""
         with self._lock:
@@ -655,7 +624,7 @@ class SweepEngine:
     def _memo_put(self, key: str, payload: dict[str, Any]) -> None:
         self._memo[key] = payload
         self._memo.move_to_end(key)
-        while len(self._memo) > self._memo_entries:
+        while len(self._memo) > MEMO_ENTRIES:
             self._memo.popitem(last=False)
 
     @staticmethod
@@ -676,7 +645,7 @@ class SweepEngine:
 
     def _apply_backpressure(self) -> None:
         # Called with the lock held, before enqueueing a new job.
-        while not self._closed and self._queued >= self._max_pending:
+        while not self._closed and self._queued >= self.max_pending:
             if self._pooled:
                 # Wake the dispatcher: once the queue is at the bound it
                 # dispatches even while a batch submit holds the gate
@@ -698,7 +667,7 @@ class SweepEngine:
         ema = self._ema_cell_seconds
         if ema is None or ema <= 0:
             return 1  # no cost estimate yet: smallest chunk, fast feedback
-        return max(1, min(self._max_chunk, int(self._chunk_target / ema)))
+        return max(1, min(MAX_CHUNK, int(CHUNK_TARGET_SECONDS / ema)))
 
     def _pop_chunk_locked(self) -> list[_Job]:
         size = self._chunk_size_locked()
@@ -822,7 +791,7 @@ class SweepEngine:
                     self._queued == 0
                     or (
                         self._submit_gate > 0
-                        and self._queued < self._max_pending
+                        and self._queued < self.max_pending
                     )
                     or self._pool_inflight >= max_inflight
                 ):

@@ -6,7 +6,8 @@ modules, and ad-hoc API use — runs simulations the same way::
     from repro.scenario import ScenarioSpec, PolicySpec, Session
 
     spec = ScenarioSpec(workload="SHA-1", policy=PolicySpec("eewa"))
-    outcome = Session.from_spec(spec).run()          # RunOutcome over seeds
+    with Session(spec) as session:
+        outcome = session.run()                      # RunOutcome over seeds
 
 Sweeps go through :meth:`Session.run_grid`, which submits every
 (scenario × seed) cell to the session's
@@ -14,9 +15,14 @@ Sweeps go through :meth:`Session.run_grid`, which submits every
 in-flight, optionally cached on disk (one file per cell, sharded by key
 prefix) and spread over a long-lived warm worker pool. Results are
 bit-identical whether a session runs in-process, pooled, or from cache.
-The engine is :attr:`Session.engine`, for streaming, priority and
-cancellation use. A pooled session holds worker processes and a
-dispatcher thread until it is closed, so use it as a context manager::
+:meth:`Session.run_grid_detailed` returns the per-seed
+:class:`~repro.experiments.parallel.CellOutcome` records instead (cache
+provenance, adjuster wall-clock bookkeeping). The engine is
+:attr:`Session.engine`, for streaming, priority and cancellation use;
+``repro sweep`` and ``repro serve`` stream from it through
+:func:`repro.service.server.stream_request`. A pooled session holds
+worker processes and a dispatcher thread until it is closed, so use it
+as a context manager::
 
     with Session(workers=2, cache_dir=".repro-cache") as session:
         outcomes = session.run_grid(specs)
@@ -56,8 +62,9 @@ class Session:
     Parameters
     ----------
     spec:
-        Optional bound scenario (see :meth:`from_spec`); grid methods
-        accept explicit specs regardless.
+        Optional bound scenario, the default of :meth:`run`,
+        :meth:`run_single` and :meth:`modal_eewa_levels`; grid methods
+        take explicit specs.
     workers:
         Worker process count: ``0``/``1`` runs in-process (the default —
         deterministic and dependency-free), ``None`` uses the CPU count.
@@ -90,22 +97,6 @@ class Session:
         self.engine = SweepEngine(
             workers=workers, cache_dir=cache_dir, fast_forward=fast_forward,
             fidelity=fidelity,
-        )
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: ScenarioSpec,
-        *,
-        workers: Optional[int] = 0,
-        cache_dir: str | os.PathLike[str] | None = None,
-        fast_forward: bool = True,
-        fidelity: str = "sim",
-    ) -> "Session":
-        """Bind ``spec``: ``Session.from_spec(spec).run()`` → RunOutcome."""
-        return cls(
-            spec, workers=workers, cache_dir=cache_dir,
-            fast_forward=fast_forward, fidelity=fidelity,
         )
 
     @classmethod
@@ -151,8 +142,8 @@ class Session:
         resolved = spec if spec is not None else self.spec
         if resolved is None:
             raise ScenarioError(
-                "no scenario bound to this session; pass one or use "
-                "Session.from_spec"
+                "no scenario bound to this session; pass one or bind one "
+                "with Session(spec)"
             )
         return resolved
 
@@ -160,14 +151,6 @@ class Session:
         """Run one scenario over its seeds → a multi-seed RunOutcome."""
         (outcome,) = self.run_grid([self._bound(spec)])
         return outcome
-
-    def run_detailed(
-        self, spec: Optional[ScenarioSpec] = None
-    ) -> list[CellOutcome]:
-        """Like :meth:`run`, but per-seed CellOutcomes (cache provenance,
-        adjuster wall-clock bookkeeping for Table III)."""
-        (cells,) = self.run_grid_detailed([self._bound(spec)])
-        return cells
 
     def run_grid(self, specs: Sequence[ScenarioSpec]) -> list[RunOutcome]:
         """Run many scenarios in one fan-out, one RunOutcome per spec."""

@@ -37,9 +37,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from repro.errors import ScenarioError
+from repro.errors import ReproError, ScenarioError
 from repro.faults.spec import FaultSpec
 from repro.machine.topology import MachineConfig
 from repro.runtime.policy import SchedulerPolicy
@@ -243,6 +243,21 @@ class PolicySpec:
 WorkloadRef = Union[str, WorkloadSpec]
 
 
+def _parse_field(name: str, parse: Callable[[Any], Any], raw: Any) -> Any:
+    """``parse(raw)``; any failure becomes a :class:`ScenarioError`.
+
+    A scenario JSON is user input, so every malformed field must surface
+    as the one error type ``repro run-spec`` and the sweep service answer
+    with exit code 2 and HTTP 400. The original error is chained.
+    """
+    try:
+        return parse(raw)
+    except ScenarioError:
+        raise
+    except (ReproError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario {name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One evaluated point: machine × workload × policy × seeds.
@@ -320,10 +335,6 @@ class ScenarioSpec:
     def with_faults(self, faults: Optional[FaultSpec]) -> "ScenarioSpec":
         return replace(self, faults=faults)
 
-    def cells(self) -> Iterator[tuple["ScenarioSpec", int]]:
-        for seed in self.seeds:
-            yield self, seed
-
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -367,7 +378,9 @@ class ScenarioSpec:
         if isinstance(raw_workload, str):
             workload = raw_workload
         elif isinstance(raw_workload, Mapping):
-            workload = spec_from_dict(dict(raw_workload))
+            workload = _parse_field(
+                "workload", spec_from_dict, dict(raw_workload)
+            )
         else:
             raise ScenarioError(
                 "workload must be a registered name or an inline workload object"
@@ -380,11 +393,17 @@ class ScenarioSpec:
         faults = data.get("faults")
         return cls(
             workload=workload,
-            policy=PolicySpec.from_dict(data["policy"]),
-            machine=MachineSpec() if machine is None else MachineSpec.from_dict(machine),
-            seeds=tuple(int(s) for s in seeds),
-            batches=None if batches is None else int(batches),
-            faults=None if faults is None else FaultSpec.from_dict(faults),
+            policy=_parse_field("policy", PolicySpec.from_dict, data["policy"]),
+            machine=(
+                MachineSpec() if machine is None
+                else _parse_field("machine", MachineSpec.from_dict, machine)
+            ),
+            seeds=_parse_field("seeds", lambda raw: tuple(int(s) for s in raw), seeds),
+            batches=None if batches is None else _parse_field("batches", int, batches),
+            faults=(
+                None if faults is None
+                else _parse_field("faults", FaultSpec.from_dict, faults)
+            ),
         )
 
     def to_json(self, *, indent: int = 2) -> str:

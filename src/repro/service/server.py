@@ -42,7 +42,7 @@ from concurrent.futures import CancelledError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ScenarioError
+from repro.errors import ReproError
 from repro.scenario.registry import POLICIES
 from repro.scenario.session import Session
 from repro.scenario.spec import PolicySpec, ScenarioSpec
@@ -58,14 +58,21 @@ from repro.service.protocol import (
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 8377
 
+#: Largest ``POST /sweep`` body the server reads, in bytes; a longer
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 def resolve_scenario(session: Session, scenario: ScenarioSpec) -> ScenarioSpec:
-    """Fill fixed core levels server-side (the ``repro run-spec`` rule).
+    """Fill fixed core levels for a policy that needs them.
 
     A policy that *needs* core levels but carries none runs on EEWA's
     modal configuration for the scenario's workload — derived through the
-    shared engine, so the derivation cell is deduplicated and cached
-    across clients like any other cell.
+    session's engine, so the derivation cell is deduplicated and cached
+    across clients like any other cell. This is the one implementation of
+    the rule: :func:`stream_request` applies it to every request, and the
+    CLI to every scenario run without ``--core-levels``. A scenario with
+    nothing to fill is returned as is (the same object).
     """
     entry = POLICIES.get(scenario.policy.name)
     if not entry.needs_core_levels or scenario.policy.core_levels is not None:
@@ -91,9 +98,14 @@ def stream_request(
     ``"deadline"``, ``"engine"``, ``"disconnect"``).
     """
     engine = session.engine
-    scenarios = [resolve_scenario(session, s) for s in request.scenarios]
+    # A request may carry one scenario object several times (``repro
+    # sweep --repeat``); resolve each object once.
+    by_id: dict[int, ScenarioSpec] = {}
+    for scenario in request.scenarios:
+        if id(scenario) not in by_id:
+            by_id[id(scenario)] = resolve_scenario(session, scenario)
     resolved = SweepRequest(
-        scenarios=tuple(scenarios),
+        scenarios=tuple(by_id[id(s)] for s in request.scenarios),
         fidelity=request.fidelity,
         priority=request.priority,
         deadline_s=request.deadline_s,
@@ -181,14 +193,25 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict[str, Any], *, headers: Sequence[tuple[str, str]] = ()
     ) -> None:
+        """Send one JSON reply and close the connection.
+
+        Closing keeps a request body the handler never read from being
+        parsed as the next request. A client that already left gets no
+        reply, as in the stream path.
+        """
         body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.close_connection = True
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            self.server.log(f"{self.address_string()} left before its {status} reply")
 
     # -- GET -------------------------------------------------------------
 
@@ -210,11 +233,27 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.draining:
             self._send_json(503, error_frame("shutdown", "server is draining"))
             return
+        raw_length = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, error_frame(
+                "bad-request", f"invalid Content-Length {raw_length!r}"
+            ))
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, error_frame(
+                "bad-request",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            ))
+            return
+        try:
             raw = self.rfile.read(length)
             request = parse_sweep_request(json.loads(raw.decode("utf-8")))
-        except ScenarioError as exc:
+        except ReproError as exc:
             self._send_json(400, error_frame("bad-request", str(exc)))
             return
         except (ValueError, UnicodeDecodeError) as exc:
@@ -235,11 +274,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
 
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
-        self.end_headers()
         self.close_connection = True
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Connection", "close")
+            self.end_headers()
+        except OSError:
+            return  # the client left before the stream began
 
         def _write(frame: bytes) -> None:
             self.wfile.write(frame)
@@ -464,6 +506,7 @@ def serve(
 
 __all__ = [
     "DEFAULT_PORT",
+    "MAX_BODY_BYTES",
     "SweepServer",
     "UnixSweepServer",
     "resolve_scenario",

@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import cachectl
 from repro.experiments.fig1 import fig1_machine
 from repro.experiments.parallel import CellSpec, ResultCache
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
 from repro.scenario.registry import MACHINES, POLICIES, spread_levels_for
@@ -147,16 +148,17 @@ class TestBackpressureAndChunking:
             assert all(t.result().result.tasks_executed > 0 for t in tickets)
             assert eng.stats.executed == 10
 
-    def test_chunk_size_adapts_to_observed_cost(self, engine):
+    def test_chunk_size_adapts_to_observed_cost(self, engine, monkeypatch):
         assert engine.chunk_size == 1  # no cost estimate yet
         engine.submit(spec()).result()
         assert engine.ema_cell_seconds > 0
-        # A huge per-trip budget lifts the chunk to its configured cap.
-        engine.configure(chunk_target_seconds=1e9, max_chunk=4)
+        # A huge per-trip budget lifts the chunk to its cap.
+        monkeypatch.setattr(sweep_mod, "CHUNK_TARGET_SECONDS", 1e9)
+        monkeypatch.setattr(sweep_mod, "MAX_CHUNK", 4)
         assert engine.chunk_size == 4
 
-    def test_chunked_dispatch_batches_cells(self, engine):
-        engine.configure(chunk_target_seconds=1e9)
+    def test_chunked_dispatch_batches_cells(self, engine, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "CHUNK_TARGET_SECONDS", 1e9)
         engine.submit(spec(seed=1)).result()  # feed the cost estimator
         engine.run_cells([spec(seed=s) for s in range(2, 8)])
         # 6 queued cells, chunk cap 32: one more dispatch round-trip.
@@ -199,13 +201,6 @@ class TestBackpressureAndChunking:
             SweepEngine(workers=-1)
         with pytest.raises(ConfigurationError):
             SweepEngine(max_pending=0)
-        with pytest.raises(ConfigurationError):
-            SweepEngine(max_chunk=0)
-        with SweepEngine(workers=0, cache_dir=None) as eng:
-            with pytest.raises(ConfigurationError):
-                eng.configure(max_pending=0)
-            with pytest.raises(ConfigurationError):
-                eng.configure(max_chunk=-3)
 
 
 class _StalledPool:

@@ -50,9 +50,9 @@ def test_default_cache_dir_mirrors_parallel():
 
 
 class TestSingleScenario:
-    def test_from_spec_run_matches_run_benchmark(self):
+    def test_bound_spec_run_matches_direct_simulation(self):
         spec = _spec()
-        with Session.from_spec(spec) as session:
+        with Session(spec) as session:
             outcome = session.run()
         machine = small_test_machine(num_cores=4, levels=(2.0e9, 1.5e9, 1.0e9))
         direct = [
@@ -77,13 +77,13 @@ class TestSingleScenario:
             Session().run()
 
     def test_run_single_defaults_to_first_seed(self):
-        session = Session.from_spec(_spec(seeds=(3, 5)))
+        session = Session(_spec(seeds=(3, 5)))
         assert _fingerprint(session.run_single()) == _fingerprint(
             session.run_single(seed=3)
         )
 
-    def test_run_detailed_carries_provenance(self):
-        cells = Session.from_spec(_spec(seeds=(3, 5))).run_detailed()
+    def test_run_grid_detailed_carries_provenance(self):
+        (cells,) = Session().run_grid_detailed([_spec(seeds=(3, 5))])
         assert [c.spec.seed for c in cells] == [3, 5]
         assert all(not c.from_cache for c in cells)
 
@@ -107,10 +107,10 @@ class TestGrid:
 class TestCaching:
     def test_second_session_hits_the_cache(self, tmp_path):
         spec = _spec(seeds=(3,))
-        first = Session.from_spec(spec, cache_dir=tmp_path)
+        first = Session(spec, cache_dir=tmp_path)
         a = first.run()
         assert first.stats.executed == 1 and first.stats.cache_hits == 0
-        second = Session.from_spec(spec, cache_dir=tmp_path)
+        second = Session(spec, cache_dir=tmp_path)
         b = second.run()
         assert second.stats.executed == 0 and second.stats.cache_hits == 1
         assert _same_outcome(a, b)

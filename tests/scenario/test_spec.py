@@ -191,6 +191,22 @@ class TestValidation:
                 {"preset": "big-little-test", "core_types": "big"}
             )
 
+    @pytest.mark.parametrize("field, value, cause", [
+        ("workload", {"name": "w", "classes": [{"name": "a", "count": 2}]},
+         "WorkloadError"),
+        ("seeds", ["a"], "ValueError"),
+        ("seeds", [None], "TypeError"),
+        ("batches", "many", "ValueError"),
+        ("policy", {"name": "wats", "core_levels": ["x"]}, "ValueError"),
+        ("machine", {"num_cores": "z"}, "ValueError"),
+        ("faults", {"dvfs_deny_rate": "often"}, "ValueError"),
+    ])
+    def test_malformed_field_is_a_chained_scenario_error(self, field, value, cause):
+        data = {"workload": "SHA-1", "policy": "cilk", field: value}
+        with pytest.raises(ScenarioError, match=f"invalid scenario {field}") as exc:
+            ScenarioSpec.from_dict(data)
+        assert type(exc.value.__cause__).__name__ == cause
+
 
 class TestDerivation:
     def test_with_policy_keeps_everything_else(self):
@@ -204,10 +220,6 @@ class TestDerivation:
     def test_with_seeds(self):
         spec = ScenarioSpec(workload="SHA-1", policy="cilk")
         assert spec.with_seeds([5, 7]).seeds == (5, 7)
-
-    def test_cells_enumerates_seeds(self):
-        spec = ScenarioSpec(workload="SHA-1", policy="cilk", seeds=(3, 5))
-        assert list(spec.cells()) == [(spec, 3), (spec, 5)]
 
     def test_default_seeds(self):
         assert ScenarioSpec(workload="SHA-1", policy="cilk").seeds == DEFAULT_SEEDS

@@ -25,7 +25,7 @@ from repro.service.protocol import (
     end_frame,
     parse_sweep_request,
 )
-from repro.service.server import serve, stream_request
+from repro.service.server import MAX_BODY_BYTES, serve, stream_request
 from repro.sim.export import result_to_dict
 
 BATCHES = 2
@@ -339,6 +339,69 @@ class TestHttpSurface:
         assert stats["engine"]["fidelity"] == "sim"
         assert stats["server"]["draining"] is False
         assert stats["cache"]["entries"] >= 1
+
+
+def _raw_post(port, headers):
+    """POST /sweep with raw header lines and no body; the whole reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /sweep HTTP/1.1\r\nHost: localhost\r\n" + headers + b"\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize("length, status", [
+        (b"-1", 400),
+        (b"ten", 400),
+        (str(MAX_BODY_BYTES + 1).encode(), 413),
+    ])
+    def test_bad_content_length_is_refused_before_the_body(
+        self, server, client, length, status
+    ):
+        # A negative length used to read until EOF (no reply at all), and
+        # any size was read into memory whole.
+        reply = _raw_post(server.server_port, b"Content-Length: " + length + b"\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert json.loads(body)["code"] == "bad-request"
+        cells, _ = client.run([scenario()])  # the server serves on
+        assert len(cells) == 1
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("workload", {"name": "w", "classes": [{"name": "a", "count": 2}]},
+         "exactly one of mean_ms / mean_s"),
+        ("seeds", ["a"], "invalid scenario seeds"),
+    ])
+    def test_malformed_scenario_field_answers_400(
+        self, server, field, value, detail
+    ):
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+        try:
+            conn.request("POST", "/sweep", body=json.dumps(
+                {"scenarios": [dict(scenario(), **{field: value})]}
+            ))
+            resp = conn.getresponse()
+            assert resp.status == 400
+            frame = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert frame["frame"] == "error" and frame["code"] == "bad-request"
+        assert detail in frame["detail"]
+
+    def test_reply_to_a_departed_client_is_dropped(self, server):
+        # The peer of a unix socket pair is gone before the 404 is written,
+        # so the write fails with EPIPE; the handler must swallow it.
+        ours, theirs = socket.socketpair()
+        theirs.sendall(b"GET /nope HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        theirs.close()
+        try:
+            server.RequestHandlerClass(ours, ("unix", 0), server)
+        finally:
+            ours.close()
 
 
 class TestUnixSocket:

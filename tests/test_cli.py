@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import cachectl
+from repro.scenario import ScenarioSpec, Session
+from repro.service.server import resolve_scenario, serve
 
 
 class TestCli:
@@ -66,6 +70,13 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_bench_is_gone(self, capsys):
+        # ``repro sweep`` is the one grid command.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestWatsCli:
@@ -152,6 +163,21 @@ class TestRunSpecScenario:
         assert main(["run-spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_inline_class_without_a_mean_exits_2(self, tmp_path, capsys):
+        path = self._write(tmp_path, {
+            "workload": {"name": "w", "classes": [{"name": "a", "count": 2}]},
+            "policy": "cilk",
+        })
+        assert main(["run-spec", path]) == 2
+        assert "exactly one of mean_ms / mean_s" in capsys.readouterr().err
+
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys):
+        path = self._write(tmp_path, {
+            "workload": "SHA-1", "policy": "cilk", "seeds": ["a"],
+        })
+        assert main(["run-spec", path]) == 2
+        assert "invalid scenario seeds" in capsys.readouterr().err
+
 
 def _sweep_args(cache_dir, *extra):
     return [
@@ -218,6 +244,115 @@ class TestRemoteSweepCli:
         finally:
             srv.drain_and_close()
             thread.join(timeout=10)
+
+
+@pytest.fixture()
+def remote_url(tmp_path):
+    srv = serve(port=0, cache_dir=tmp_path / "server-cache")
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    assert srv.wait_until_serving()
+    yield f"http://127.0.0.1:{srv.server_port}"
+    srv.drain_and_close()
+    thread.join(timeout=10)
+
+
+GRID_BENCHMARKS = ("SHA-1", "MD5")
+GRID_POLICIES = ("cilk", "wats")
+
+
+def _grid_args(*extra):
+    return [
+        "sweep", "--benchmarks", *GRID_BENCHMARKS, "--policies", *GRID_POLICIES,
+        "--seeds", "11", "23", "--batches", "2", *extra,
+    ]
+
+
+LOCAL = ("--workers", "0", "--no-cache")
+
+
+class TestSweepReport:
+    def test_prints_the_table_of_means(self, capsys):
+        assert main(_grid_args(*LOCAL, "--quiet")) == 0
+        out = capsys.readouterr().out
+        assert "sweep means — 2 benchmarks x 2 policies x 2 seeds" in out
+        with Session() as session:
+            for benchmark in GRID_BENCHMARKS:
+                for policy in GRID_POLICIES:
+                    spec = resolve_scenario(session, ScenarioSpec(
+                        workload=benchmark, policy=policy, seeds=(11, 23),
+                        batches=2,
+                    ))
+                    (outcome,) = session.run_grid([spec])
+                    row = (
+                        rf"\n{re.escape(benchmark)}\s+{policy}\s+"
+                        rf"{outcome.time_mean * 1e3:.3f}\s+"
+                        rf"{outcome.energy_mean:.3f}\s*\n"
+                    )
+                    assert re.search(row, out), row
+
+    def test_repeat_below_one_exits_2(self, capsys):
+        assert main(_grid_args(*LOCAL, "--repeat", "0")) == 2
+        assert "--repeat must be >= 1" in capsys.readouterr().err
+
+    def test_repeated_grid_resolves_core_levels_once(self, capsys):
+        # One EEWA cell derives wats's levels; the repeats coalesce.
+        assert main([
+            "sweep", "--benchmarks", "SHA-1", "--policies", "wats",
+            "--seeds", "11", "--batches", "2", "--repeat", "3", *LOCAL,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.count("done SHA-1/wats seed 11") == 3
+        assert "2 simulated" in out
+
+    def test_faults_report_locally_and_remote(self, tmp_path, capsys, remote_url):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"schema": 1, "dvfs_deny_rate": 0.3}))
+        payloads = []
+        for where in (LOCAL, ("--remote", remote_url)):
+            path = tmp_path / f"sweep{len(payloads)}.json"
+            assert main(_grid_args(
+                "--faults", str(faults), "--json", str(path), *where
+            )) == 0
+            out = capsys.readouterr().out
+            assert "resilience report — degradation under" in out
+            assert out.count(" faulted: ") == 8
+            payloads.append(json.loads(path.read_text()))
+        local, remote = payloads
+        assert [
+            (row["benchmark"], row["policy"], row["completed"])
+            for row in local["resilience"]
+        ] == [(b, p, True) for b in GRID_BENCHMARKS for p in GRID_POLICIES]
+        assert remote["resilience"] == local["resilience"]
+        assert local["faults"]["dvfs_deny_rate"] == 0.3
+        assert sum(row["faulted"] for row in local["cells"]) == 8
+
+    def test_local_and_remote_cold_grids_report_alike(
+        self, tmp_path, capsys, remote_url
+    ):
+        reports = []
+        for where in (
+            ("--workers", "0", "--cache-dir", str(tmp_path / "local-cache")),
+            ("--remote", remote_url),
+        ):
+            path = tmp_path / f"sweep{len(reports)}.json"
+            assert main(_grid_args("--json", str(path), *where)) == 0
+            lines = capsys.readouterr().out.splitlines()
+            cells = sorted(line for line in lines if line.startswith("  done "))
+            tables = [line for line in lines if not line.startswith("  ")]
+            rows = sorted(
+                json.dumps(
+                    {k: v for k, v in row.items() if k != "latency_s"},
+                    sort_keys=True,
+                )
+                for row in json.loads(path.read_text())["cells"]
+            )
+            reports.append((cells, tables, rows))
+        assert reports[0] == reports[1]
+        cells, tables, rows = reports[0]
+        assert tables[0].startswith("sweep means")
+        assert len(cells) == len(rows) == 8
+        assert all(line.endswith("[simulated]") for line in cells)
 
 
 class TestInterruptExitCode:
