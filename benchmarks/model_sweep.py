@@ -1,7 +1,7 @@
 """Analytic-model sweep benchmark — writes ``BENCH_model.json``.
 
 Drives a large grid (default 1,000,000 cells) through the sweep engine's
-``fidelity="model"`` tier and records the per-cell cost of serving a cell
+``fidelity="auto"`` tier and records the per-cell cost of serving a cell
 from the analytic predictor versus cold simulation. The grid is the
 long-horizon periodic family the model was calibrated on
 (``tests/sim/golden_longhorizon_gen.py`` shape): periodic programs of
@@ -9,14 +9,16 @@ long-horizon periodic family the model was calibrated on
 under 9 policy configurations (pinned-cilk level vectors, cilk-d idle
 grace values, eewa headroom variants) — 54 distinct (program × policy)
 combinations, multiplied out over seeds to the requested cell count.
+Every combination lies inside the model's calibrated envelope (12-task
+batches on 8 homogeneous cores, uniform levels only), so ``auto`` serves
+the whole grid from the predictor.
 
 Three measurements, all recorded honestly:
 
-* **model phase** — every cell submitted through a ``fidelity="model"``
+* **model phase** — every cell submitted through a ``fidelity="auto"``
   :class:`~repro.experiments.sweep.SweepEngine` with the cache disabled,
-  so each submission pays the full prediction cost (the model is
-  seed-independent, so a cache would trivialise the seed axis; per-cell
-  numbers here are genuine compute, not lookups).
+  so each submission pays the envelope check and the full prediction
+  cost (per-cell numbers here are genuine compute, not lookups).
 * **cold-sim sample** — one cold simulation per distinct (program ×
   policy) combination, timed through the engine's real worker entry
   point (``_simulate_cell``, ``fast_forward=True``). Sampled, not
@@ -129,9 +131,9 @@ def _percentiles_us(latencies: list[float]) -> dict[str, float]:
 
 
 def run_model_phase(specs: list[CellSpec], machine) -> dict[str, object]:
-    """Every cell through ``fidelity="model"``, cache off: pure compute."""
+    """Every cell through ``fidelity="auto"``, cache off: pure compute."""
     engine = SweepEngine(
-        machine=machine, workers=0, cache_dir=None, fidelity="model"
+        machine=machine, workers=0, cache_dir=None, fidelity="auto"
     )
     latencies: list[float] = []
     sources: dict[str, int] = {}

@@ -15,7 +15,8 @@
   ``repro serve`` with ``--remote``: per-cell results stream as they
   complete (duplicate-heavy loads coalesce in flight), then a table of
   means and, with ``--faults``, a resilience report; ``--fidelity
-  model|auto`` serves cells from the analytic model tier;
+  auto`` serves cells inside the calibrated envelope from the analytic
+  model tier;
 * ``predict`` — the analytic companion model (:mod:`repro.model`) for
   one cell: O(1) makespan/energy prediction, no simulation;
 * ``cache`` — result-cache maintenance: ``stats``, ``prune``
@@ -37,7 +38,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.errors import ScenarioError
+from repro.errors import ConfigurationError, ScenarioError
 from repro.experiments import (
     SweepStats,
     fig1_rows,
@@ -49,6 +50,7 @@ from repro.experiments import (
     run_fig_hetero,
     run_table3,
 )
+from repro.experiments.sweep import FIDELITIES
 from repro.scenario.registry import (
     MACHINES,
     POLICIES,
@@ -198,10 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "faulted and prints a resilience (degradation) report",
     )
     sweep.add_argument(
-        "--fidelity", choices=("sim", "model", "auto"), default="sim",
-        help="cell fidelity: sim simulates everything (default); model "
-        "forces the analytic predictor wherever expressible; auto serves "
-        "model-eligible cells from the predictor and simulates the rest",
+        "--fidelity", choices=FIDELITIES, default="sim",
+        help="cell fidelity: sim simulates everything (default); auto "
+        "serves cells inside the calibrated envelope from the analytic "
+        "predictor and simulates the rest",
     )
     sweep.add_argument(
         "--quiet", action="store_true",
@@ -236,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--no-cache", action="store_true")
     srv.add_argument("--no-fast-forward", action="store_true")
     srv.add_argument(
-        "--fidelity", choices=("sim", "model", "auto"), default="sim",
+        "--fidelity", choices=FIDELITIES, default="sim",
         help="default cell fidelity for requests that don't pick their own",
     )
     srv.add_argument(
@@ -616,7 +618,7 @@ class _SweepReport:
         if self.args.quiet:
             return
         if frame["source"] == "model":
-            source = "model cached" if frame["from_cache"] else "model"
+            source = "model"
         else:
             source = "cached" if frame["from_cache"] else "simulated"
         print(
@@ -991,7 +993,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_cache(args)
         if args.command == "calibrate":
             return _cmd_calibrate(args)
-    except ScenarioError as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

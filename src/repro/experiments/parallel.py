@@ -228,8 +228,8 @@ class CellOutcome:
     adjuster_decisions: int = 0
     #: Provenance: ``"sim"`` for simulator results (fresh or cached),
     #: ``"model"`` for analytic predictions served by the sweep engine's
-    #: ``fidelity="model"|"auto"`` tier. Model outcomes carry the
-    #: model-versioned key, never the simulation key.
+    #: ``fidelity="auto"`` tier. A model outcome carries its cell's key
+    #: and is never ``from_cache``: predictions are not stored.
     source: str = "sim"
 
 
@@ -459,14 +459,17 @@ def _simulate_cell(
 class SweepStats:
     """Cumulative accounting of one sweep engine's work.
 
-    ``cells`` counts submissions; every submission is exactly one of
-    ``executed`` (simulated), ``cache_hits`` (served from the on-disk
-    cache or its in-memory memo), ``deduplicated`` (coalesced onto an
-    in-flight identical cell), ``model_cells`` (served by a fresh
-    analytic-model prediction under ``fidelity="model"|"auto"``), or
-    ``cancelled``. ``memo_hits`` is the subset of ``cache_hits`` served
-    without touching disk; ``chunks`` is the number of dispatch
-    round-trips the executed cells were batched into.
+    ``cells`` counts submissions. Each one is served as one of
+    ``cache_hits`` (from the on-disk cache or its in-memory memo),
+    ``deduplicated`` (coalesced onto an in-flight identical cell),
+    ``model_cells`` (an analytic-model prediction under
+    ``fidelity="auto"``), or a queued job; ``executed`` counts the jobs
+    that ran. ``cancelled`` counts tickets withdrawn before dispatch,
+    coalesced ones included, so it can overlap the other counters.
+    ``memo_hits`` is the subset of ``cache_hits`` served without
+    touching disk: entries this engine had already read back once.
+    ``chunks`` is the number of dispatch round-trips the executed cells
+    were batched into.
     """
 
     cells: int = 0

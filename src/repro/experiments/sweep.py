@@ -5,7 +5,7 @@ the exhibits used through PR 5 with the scheduling shape the ROADMAP's
 sweep service needs — and that Berg/Dorsman/Harchol-Balter frame in
 "Towards Optimality in Parallel Scheduling": many parallelizable jobs
 arriving over time, one fixed worker pool, response time as the metric.
-Four mechanisms carry the load:
+Five mechanisms carry the load:
 
 * **priority work-queue** — submissions enter a heap keyed by
   ``(priority, arrival)``; lower priority values dispatch first, ties are
@@ -24,25 +24,23 @@ Four mechanisms carry the load:
   moving average fed back from the workers): expensive cells ship one at
   a time for latency, cheap cells ship :data:`CHUNK_TARGET_SECONDS` worth
   at once so the pickling round-trip is amortized.
-* **in-flight dedup + memo** — a submission whose ``cell_key`` matches a
-  queued or running cell coalesces onto the same job (one simulation,
-  many tickets); a submission matching an already-finished cell is served
-  from a bounded in-memory memo of decoded cache payloads before the
-  sharded on-disk :class:`~repro.experiments.parallel.ResultCache` is
-  consulted at all.
+* **in-flight dedup + read-through memo** — a submission whose
+  ``cell_key`` matches a queued or running cell coalesces onto the same
+  job (one simulation, many tickets); a submission matching an
+  already-finished cell is served from the sharded on-disk
+  :class:`~repro.experiments.parallel.ResultCache`. A bounded in-memory
+  memo keeps the payloads read back from disk, so a cell asked for again
+  and again is loaded once; a freshly simulated payload is written to
+  disk only.
 * **analytic model tier** — with ``fidelity="auto"`` a cell inside the
   calibrated envelope (:func:`repro.model.bounds.classify_cell`) is
   served in O(1) by the analytic predictor instead of being queued at
-  all; ``fidelity="model"`` forces the predictor wherever it is
-  structurally expressible. Predictions carry
-  ``CellOutcome.source == "model"`` and are cached under a
-  model-versioned key (:func:`repro.model.predict.model_key`), so a
-  simulation result is never shadowed — and a cached *sim* result for
-  the same cell always wins over a fresh prediction.
+  all. Predictions carry ``CellOutcome.source == "model"`` and the cell's
+  own key, and are never stored: a cached *sim* result for the same cell
+  always wins, because the cache is consulted first.
 
 Results stream: :meth:`SweepEngine.submit` returns a :class:`SweepTicket`
-immediately, :meth:`SweepEngine.iter_cells` yields outcomes in submission
-order as they resolve, and :meth:`SweepEngine.as_completed` yields them in
+immediately and :meth:`SweepEngine.as_completed` yields tickets in
 completion order. :meth:`SweepEngine.run_cells` returns the whole list
 in submission order.
 
@@ -85,19 +83,13 @@ from repro.experiments.parallel import (
 )
 from repro.machine.topology import MachineConfig, opteron_8380_machine
 from repro.model.bounds import classify_cell
-from repro.model.predict import (
-    MODEL_VERSION,
-    decline_reason,
-    model_key,
-    predict_cell,
-)
-from repro.sim.engine import ENGINE_VERSION
+from repro.model.predict import predict_cell
 
 #: Job lifecycle states.
 _QUEUED, _DISPATCHED, _DONE, _CANCELLED = range(4)
 
 #: Valid values of the engine's ``fidelity`` axis.
-FIDELITIES = ("sim", "model", "auto")
+FIDELITIES = ("sim", "auto")
 
 #: Per-IPC-round-trip budget, in seconds, the adaptive chunk sizer aims for.
 CHUNK_TARGET_SECONDS = 0.25
@@ -105,7 +97,7 @@ CHUNK_TARGET_SECONDS = 0.25
 #: Hard cap on cells per dispatch chunk.
 MAX_CHUNK = 32
 
-#: Size of the in-memory LRU of decoded cache payloads.
+#: Size of the in-memory LRU of payloads read back from disk.
 MEMO_ENTRIES = 1024
 
 
@@ -217,10 +209,8 @@ class SweepEngine:
         Backpressure bound on queued-but-undispatched cells.
     fidelity:
         ``"sim"`` (default) simulates every cell; ``"auto"`` serves
-        model-eligible cells from the analytic predictor and falls back
-        to simulation outside the calibrated envelope; ``"model"``
-        forces the predictor wherever it is structurally expressible
-        (including cells the envelope does not vouch for).
+        cells inside the calibrated envelope from the analytic predictor
+        and simulates the rest.
     """
 
     def __init__(
@@ -278,7 +268,8 @@ class SweepEngine:
         """Enqueue one cell; returns immediately with a ticket.
 
         A submission coalesces onto an identical in-flight cell, resolves
-        instantly from the memo/disk cache, or joins the priority queue.
+        instantly from the cache (or, under ``"auto"``, the model), or
+        joins the priority queue.
         However it is served, the outcome's ``result`` is a
         :class:`~repro.sim.record.CellResult`: scalars, per-batch trace and
         task rows, without the energy meter or ``Task`` objects (a full
@@ -287,8 +278,7 @@ class SweepEngine:
         ``Session.run_single(record_power_series=True)``).
         ``fidelity`` overrides the engine default for this one cell —
         consumers that need the per-batch trace or task rows pass
-        ``"sim"`` to bypass the model tier, whose records carry neither,
-        regardless of the engine's setting.
+        ``"sim"`` to bypass the model tier, whose records carry neither.
         """
         if fidelity is not None and fidelity not in FIDELITIES:
             raise ConfigurationError(
@@ -325,10 +315,8 @@ class SweepEngine:
                 )
                 return ticket
 
-            if cell_fidelity != "sim":
-                ticket = self._model_ticket(
-                    spec, key, program, machine, cell_fidelity
-                )
+            if cell_fidelity == "auto":
+                ticket = self._model_ticket(spec, key, program, machine)
                 if ticket is not None:
                     return ticket
 
@@ -364,7 +352,7 @@ class SweepEngine:
         bigger than ``max_pending`` from deadlocking against their own
         backpressure: at the bound the dispatcher drains even mid-batch.
         Duplicates still resolve to one simulation (a dispatched job
-        coalesces until it completes, after which the memo serves it).
+        coalesces until it completes, after which the cache serves it).
         ``fidelity`` overrides the engine default for the whole batch
         (the per-request axis the sweep service forwards).
         """
@@ -408,18 +396,6 @@ class SweepEngine:
         """All cells, results in submission order (the classic contract)."""
         tickets = self.submit_many(specs)
         return [ticket.result() for ticket in tickets]
-
-    def iter_cells(
-        self, specs: Sequence[CellSpec], *, priority: int = 0
-    ) -> Iterator[CellOutcome]:
-        """Generator over outcomes in *submission* order.
-
-        Streaming: each outcome is yielded as soon as that cell (and every
-        earlier one) has resolved, without barriering on the full grid.
-        """
-        tickets = self.submit_many(specs, priority=priority)
-        for ticket in tickets:
-            yield ticket.result()
 
     def as_completed(
         self, tickets: Sequence[SweepTicket], *, timeout: Optional[float] = None
@@ -547,39 +523,21 @@ class SweepEngine:
         key: str,
         program: tuple,
         machine: MachineConfig,
-        fidelity: str,
     ) -> Optional[SweepTicket]:
         """Serve one cell from the analytic model, or ``None`` to simulate.
 
-        Called with the lock held, after the in-flight and sim-cache
-        checks — a cell that was ever *simulated* is therefore always
-        served from its simulation result, never re-predicted. The model
-        payload lives under :func:`~repro.model.predict.model_key` (the
-        sim key never aliases it), versioned by ``MODEL_VERSION`` in both
-        the key and the payload.
+        Called with the lock held, after the in-flight and cache checks —
+        a cell whose *simulation* is cached is therefore served that
+        result, never re-predicted. A prediction is never stored: its
+        outcome carries the cell's own key with ``from_cache=False``, and
+        the same cell submitted again is predicted again.
         """
-        if fidelity == "auto":
-            if not classify_cell(
-                program, spec.policy, machine,
-                core_levels=spec.core_levels, eewa_config=spec.eewa_config,
-                policy_params=spec.policy_params, faults=spec.faults,
-            ):
-                return None
-        elif decline_reason(
+        if not classify_cell(
             program, spec.policy, machine,
             core_levels=spec.core_levels, eewa_config=spec.eewa_config,
             policy_params=spec.policy_params, faults=spec.faults,
-        ) is not None:
+        ):
             return None
-        mkey = model_key(key)
-        payload = self._lookup_cached(mkey)
-        if payload is not None and payload.get("model_version") == MODEL_VERSION:
-            self.stats.cache_hits += 1
-            ticket = SweepTicket(self, spec, mkey)
-            ticket.future.set_result(
-                self._outcome(spec, mkey, payload, from_cache=True)
-            )
-            return ticket
         result = predict_cell(
             program, spec.policy, machine, spec.seed,
             core_levels=spec.core_levels, eewa_config=spec.eewa_config,
@@ -587,28 +545,24 @@ class SweepEngine:
         )
         if result is None:
             return None
-        payload = {
-            "engine_version": ENGINE_VERSION,
-            "model_version": MODEL_VERSION,
-            "result": result,
-            # No adjuster runs against a wall clock for a prediction.
-            "adjuster_wallclock_s": 0.0,
-            "adjuster_decisions": 0,
-            "source": "model",
-        }
-        if self.cache is not None:
-            self.cache.put(mkey, payload)
-            self._memo_put(mkey, payload)
         self.stats.model_cells += 1
-        ticket = SweepTicket(self, spec, mkey)
-        ticket.future.set_result(
-            self._outcome(spec, mkey, payload, from_cache=False)
-        )
+        ticket = SweepTicket(self, spec, key)
+        # No adjuster runs against a wall clock for a prediction, so its
+        # adjuster fields keep their zero defaults.
+        ticket.future.set_result(CellOutcome(
+            spec=spec, key=key, result=result, from_cache=False,
+            source="model",
+        ))
         return ticket
 
     # -- internals: cache/memo ------------------------------------------
 
     def _lookup_cached(self, key: str) -> Optional[dict[str, Any]]:
+        """The cached payload for ``key``, or ``None``.
+
+        The memo is read-through: it holds only payloads read back from
+        disk, so it costs memory only for cells a sweep asks for again.
+        """
         if self.cache is None:
             return None
         payload = self._memo.get(key)
@@ -618,14 +572,10 @@ class SweepEngine:
             return payload
         payload = self.cache.get(key)
         if payload is not None:
-            self._memo_put(key, payload)
+            self._memo[key] = payload
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
         return payload
-
-    def _memo_put(self, key: str, payload: dict[str, Any]) -> None:
-        self._memo[key] = payload
-        self._memo.move_to_end(key)
-        while len(self._memo) > MEMO_ENTRIES:
-            self._memo.popitem(last=False)
 
     @staticmethod
     def _outcome(
@@ -638,7 +588,6 @@ class SweepEngine:
             from_cache=from_cache,
             adjuster_wallclock_s=payload["adjuster_wallclock_s"],
             adjuster_decisions=payload["adjuster_decisions"],
-            source=payload.get("source", "sim"),
         )
 
     # -- internals: queue/backpressure ----------------------------------
@@ -702,7 +651,6 @@ class SweepEngine:
             self.stats.executed += 1
             if self.cache is not None:
                 self.cache.put(job.key, payload)
-                self._memo_put(job.key, payload)
             job.state = _DONE
             self._inflight.pop(job.key, None)
             for ticket in job.tickets:

@@ -16,29 +16,27 @@ model's per-operating-point busy/idle watts. Three modules:
   simulator over the full golden grid (30 jittered cells + 8 long-horizon
   cells), the source of the calibrated envelope and the CI gate.
 
-The model never shadows simulation results: predictions are cached under
-a distinct model-versioned key (:func:`~repro.model.predict.model_key`)
-and carried in a :class:`~repro.sim.record.CellResult` (the cell's
-machine, an empty trace, no task rows) whose provenance is visible as
-``CellOutcome.source == "model"``.
+The model never shadows simulation results: the sweep engine serves a
+cell from its cached simulation when there is one, and stores no
+prediction. A prediction is a :class:`~repro.sim.record.CellResult` (the
+cell's machine, an empty trace, no task rows) whose provenance is
+visible as ``CellOutcome.source == "model"``. ``repro predict`` shows the
+prediction for any cell the closed form covers, inside the calibrated
+envelope or not.
 """
 
 from repro.model.bounds import MAX_RELATIVE_ERROR, Eligibility, classify_cell
 from repro.model.predict import (
     MODEL_POLICIES,
-    MODEL_VERSION,
     decline_reason,
-    model_key,
     predict_cell,
 )
 
 __all__ = [
     "MAX_RELATIVE_ERROR",
     "MODEL_POLICIES",
-    "MODEL_VERSION",
     "Eligibility",
     "classify_cell",
     "decline_reason",
-    "model_key",
     "predict_cell",
 ]

@@ -52,26 +52,10 @@ from typing import Any, Optional, Sequence
 
 from repro.machine.topology import MachineConfig
 from repro.runtime.task import Batch, TaskSpec
-from repro.sim.fingerprint import digest
 from repro.sim.record import CellResult
-
-#: Version tag of the model's *mathematics*. Part of every model cache
-#: key: bump it whenever a predictor changes behaviour, and stale model
-#: entries are orphaned without touching any simulation entry.
-MODEL_VERSION = "eewa-model-1"
 
 #: Policies with an analytically expressible steady state.
 MODEL_POLICIES = frozenset({"cilk", "cilk-d", "eewa"})
-
-
-def model_key(sim_key: str) -> str:
-    """Cache key for the *model's* answer to the cell behind ``sim_key``.
-
-    Namespaced and model-versioned: a model entry can never collide with
-    (or shadow) the simulator's entry for the same cell, and bumping
-    :data:`MODEL_VERSION` orphans only model entries.
-    """
-    return digest(["model", MODEL_VERSION, sim_key])
 
 
 # ----------------------------------------------------------------------
@@ -742,8 +726,6 @@ def predict_cell(
 
 __all__ = [
     "MODEL_POLICIES",
-    "MODEL_VERSION",
     "decline_reason",
-    "model_key",
     "predict_cell",
 ]

@@ -75,9 +75,8 @@ class Session:
         full event-by-event simulation of every cell.
     fidelity:
         ``"sim"`` (default) simulates every cell; ``"auto"`` serves
-        model-eligible cells from the analytic predictor
-        (:mod:`repro.model`) and simulates the rest; ``"model"`` forces
-        the predictor wherever it is structurally expressible.
+        cells inside the calibrated envelope from the analytic predictor
+        (:mod:`repro.model`) and simulates the rest.
     """
 
     def __init__(

@@ -5,9 +5,9 @@ One request, many frames back. The request body is a single JSON object::
     {
       "protocol": 1,
       "scenarios": [ <scenario-spec JSON, schema v3>, ... ],
-      "fidelity": "sim" | "model" | "auto" | null,   // null: server default
-      "priority": 0,                                 // lower runs first
-      "deadline_s": 5.0 | null                       // per-request budget
+      "fidelity": "sim" | "auto" | null,   // null: server default
+      "priority": 0,                       // lower runs first
+      "deadline_s": 5.0 | null             // per-request budget
     }
 
 Scenario objects go through :meth:`~repro.scenario.spec.ScenarioSpec.from_dict`
@@ -35,8 +35,9 @@ one frame per line, in completion order:
     ``error`` frame terminates every stream.
 
 Transport-level failures *before* streaming starts are plain HTTP status
-codes: 400 for validation errors, 429 + ``Retry-After`` for queue-full
-backpressure, 404/405 for unknown routes.
+codes: 400 for validation errors, 413 for a body or a cell count over the
+server's limits, 429 + ``Retry-After`` for queue-full backpressure,
+404/405 for unknown routes.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ FRAME_KINDS = ("cell", "error", "end")
 #: Error codes carried by ``error`` frames and pre-stream HTTP error
 #: bodies. ``deadline``: the request's ``deadline_s`` expired mid-stream;
 #: ``backpressure``: the engine queue was full at admission (HTTP 429);
-#: ``bad-request``: validation failed (HTTP 400); ``engine``: a cell
-#: failed inside the engine; ``shutdown``: the server is draining.
+#: ``bad-request``: validation failed or a limit was exceeded (HTTP 400
+#: or 413); ``engine``: a cell failed inside the engine; ``shutdown``: the
+#: server is draining.
 ERROR_CODES = ("deadline", "backpressure", "bad-request", "engine", "shutdown")
 
 

@@ -10,7 +10,8 @@ from inside:
 * **admission control** — a request whose cells would push the queue past
   the backpressure bound is refused up front with HTTP 429 and a
   ``Retry-After`` estimate derived from the engine's observed per-cell
-  cost, instead of blocking the client inside ``submit``;
+  cost, instead of blocking the client inside ``submit``; a request with
+  more cells than the bound could ever admit gets a final 413;
 * **per-request deadlines** — ``deadline_s`` bounds the whole stream;
   expiry cancels the request's still-queued tickets (coalesced tickets
   cancel independently, so other clients' cells are untouched) and
@@ -42,7 +43,7 @@ from concurrent.futures import CancelledError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.scenario.registry import POLICIES
 from repro.scenario.session import Session
 from repro.scenario.spec import PolicySpec, ScenarioSpec
@@ -261,6 +262,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         n_cells = sum(len(s.seeds) for s in request.scenarios)
+        if n_cells > self.server.max_pending:
+            self._send_json(413, error_frame(
+                "bad-request",
+                f"request of {n_cells} cells exceeds the server's "
+                f"{self.server.max_pending}-cell admission limit",
+            ))
+            return
         retry_after = self.server.admission_delay(n_cells)
         if retry_after is not None:
             self._send_json(
@@ -325,6 +333,10 @@ class SweepServer(ThreadingHTTPServer):
             max_pending if max_pending is not None
             else session.engine.max_pending
         )
+        if self.max_pending < 1:
+            raise ConfigurationError(
+                f"max_pending must be positive, got {self.max_pending}"
+            )
         self.verbose = verbose
         self.log_file = log_file if log_file is not None else sys.stderr
         self.draining = False

@@ -52,13 +52,24 @@ class TestInflightDedup:
         assert outcomes[0].result is outcomes[1].result is outcomes[2].result
         assert not any(o.from_cache for o in outcomes)
 
-    def test_duplicate_after_completion_served_from_memo(self, engine):
-        engine.submit(spec()).result()
-        outcome = engine.submit(spec()).result()
-        assert outcome.from_cache
+    def test_cold_sweep_leaves_the_memo_empty(self, engine):
+        engine.run_cells([spec(seed=11), spec(seed=23), spec(seed=11)])
+        assert engine.stats.executed == 2
+        assert not engine._memo  # simulated payloads go to disk only
+
+    def test_cell_read_back_from_disk_is_memoised(self, engine):
+        first = engine.submit(spec()).result()
+        repeat = engine.submit(spec()).result()
+        assert repeat.from_cache
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 1
-        assert engine.stats.memo_hits == 1  # no disk read for the repeat
+        assert engine.stats.memo_hits == 0  # the first repeat reads disk
+        again = engine.submit(spec()).result()
+        assert again.from_cache
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.memo_hits == 1  # the second does not
+        assert again.result is repeat.result
+        assert trace_fingerprint(again.result) == trace_fingerprint(first.result)
 
     def test_dedup_works_without_cache(self, tmp_path):
         with SweepEngine(workers=0, cache_dir=None) as eng:
@@ -121,10 +132,12 @@ class TestOrdering:
         first = next(iter(engine.as_completed(tickets)))
         assert first.spec.seed == 11  # already cached: resolved instantly
 
-    def test_iter_cells_streams_in_submission_order(self, engine):
+    def test_run_cells_returns_submission_order(self, engine):
+        engine.submit(spec(seed=23, policy="eewa")).result()  # cached: resolves first
         cells = [spec(seed=s, policy=p) for s in (11, 23) for p in ("cilk", "eewa")]
-        streamed = list(engine.iter_cells(cells, priority=1))
-        assert [o.spec for o in streamed] == cells
+        outcomes = engine.run_cells(cells)
+        assert [o.spec for o in outcomes] == cells
+        assert [o.from_cache for o in outcomes] == [False, False, False, True]
 
     def test_streaming_order_is_deterministic(self, tmp_path):
         cells = [spec(seed=s, policy=p) for s in (37, 11) for p in ("eewa", "cilk")]
@@ -132,7 +145,7 @@ class TestOrdering:
         for attempt in range(2):
             with SweepEngine(workers=0, cache_dir=tmp_path / f"c{attempt}") as eng:
                 runs.append(
-                    [trace_fingerprint(o.result) for o in eng.iter_cells(cells)]
+                    [trace_fingerprint(o.result) for o in eng.run_cells(cells)]
                 )
         assert runs[0] == runs[1]
 
@@ -274,7 +287,7 @@ class TestAsCompletedTickets:
             list(engine.as_completed(tickets, timeout=0))
 
     def test_timeout_yields_resolved_cells_before_raising(self, engine):
-        engine.submit(spec()).result()  # warm the memo
+        engine.submit(spec()).result()  # warm the cache
         warm = engine.submit(spec())  # resolves at submit time
         cold = engine.submit(spec(seed=23))
         got = []
@@ -380,12 +393,14 @@ class TestEntryLayout:
                     )).result())
             # A cell not simulated above: a cached sim result would win.
             model = eng.submit(
-                spec(policy="eewa", seed=23), fidelity="model"
+                spec(policy="eewa", seed=23), fidelity="auto"
             ).result()
             assert eng.stats.executed == len(outcomes)
         assert model.source == "model"
+        assert isinstance(model.result, CellResult)
         fresh = ResultCache(cache_dir)
-        for outcome in (*outcomes, model):
+        assert fresh.get(model.key) is None  # predictions are not stored
+        for outcome in outcomes:
             assert isinstance(outcome.result, CellResult)
             payload = fresh.get(outcome.key)
             assert payload is not None, outcome.spec

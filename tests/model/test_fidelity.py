@@ -6,11 +6,13 @@ The contracts the conformance/acceptance gates rely on:
   ``CellOutcome.source == "model"`` and falls back to full simulation
   everywhere else — bit-identical to ``fidelity="sim"`` for every
   ineligible cell;
-* model payloads are cached under a model-versioned key, so a model run
-  never shadows (or is shadowed by) the simulation cache entry for the
-  same cell;
+* predictions are never stored: a model outcome carries its cell's own
+  key, an ``auto`` sweep writes cache entries only for the cells it
+  simulates, and a cached simulation always wins over a prediction;
 * per-submit ``fidelity`` overrides let trace consumers force a full
-  simulation through a model-tier engine.
+  simulation through a model-tier engine;
+* ``sim`` and ``auto`` are the only fidelities: nothing forces the model
+  onto cells its calibrated envelope does not vouch for.
 """
 
 import pytest
@@ -18,7 +20,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import CellSpec, ResultCache
 from repro.experiments.sweep import FIDELITIES, SweepEngine
-from repro.model.predict import model_key
 from repro.sim.fingerprint import trace_fingerprint
 
 BATCHES = 3
@@ -33,7 +34,14 @@ def spec(policy="cilk", seed=11, benchmark="SHA-1", **kwargs):
 
 class TestFidelityValidation:
     def test_axis_values(self):
-        assert FIDELITIES == ("sim", "model", "auto")
+        assert FIDELITIES == ("sim", "auto")
+
+    def test_forced_model_fidelity_is_refused(self):
+        with pytest.raises(ConfigurationError, match="fidelity"):
+            SweepEngine(workers=0, cache_dir=None, fidelity="model")
+        with SweepEngine(workers=0, cache_dir=None) as eng:
+            with pytest.raises(ConfigurationError, match="fidelity"):
+                eng.submit(spec(), fidelity="model")
 
     def test_engine_rejects_unknown_fidelity(self):
         with pytest.raises(ConfigurationError):
@@ -87,7 +95,7 @@ class TestAutoTier:
 
 
 class TestModelCacheKeying:
-    def test_model_cached_under_model_key(self, tmp_path):
+    def test_model_outcome_carries_the_cell_key(self, tmp_path):
         cell = spec()
         with SweepEngine(workers=0, cache_dir=None) as eng:
             sim_key = eng.submit(cell, fidelity="sim").result().key
@@ -95,15 +103,35 @@ class TestModelCacheKeying:
             workers=0, cache_dir=tmp_path, fidelity="auto"
         ) as eng:
             outcome = eng.submit(cell).result()
-        assert outcome.key == model_key(sim_key)
-        cache = ResultCache(tmp_path)
-        assert cache.get(model_key(sim_key)) is not None
-        assert cache.get(sim_key) is None  # the sim entry is untouched
+            again = eng.submit(cell).result()
+            assert eng.stats.model_cells == 2  # predicted again, not read back
+            assert eng.stats.cache_hits == 0
+        assert outcome.source == again.source == "model"
+        assert outcome.key == again.key == sim_key
+        assert not outcome.from_cache and not again.from_cache
+        assert ResultCache(tmp_path).get(sim_key) is None
+        assert not list(ResultCache(tmp_path).iter_entries())
+
+    def test_auto_sweep_writes_entries_only_for_simulated_cells(self, tmp_path):
+        # wats has no analytic form, so auto simulates it; the cilk and
+        # eewa cells are predicted and leave nothing on disk.
+        levels = (0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2)
+        cells = [spec(), spec(policy="eewa"), spec(policy="wats", core_levels=levels)]
+        with SweepEngine(
+            workers=0, cache_dir=tmp_path, fidelity="auto"
+        ) as eng:
+            outcomes = eng.run_cells(cells)
+            assert eng.stats.model_cells == 2
+            assert eng.stats.executed == 1
+        assert [o.source for o in outcomes] == ["model", "model", "sim"]
+        entries = [e.key for e in ResultCache(tmp_path).iter_entries()]
+        assert entries == [outcomes[2].key]
 
     def test_sim_results_never_shadowed(self, tmp_path):
         cell = spec()
-        # Model run first, then a sim run of the same cell: both land in
-        # the cache under distinct keys and both are served back.
+        # Model run first, then a sim run of the same cell: the prediction
+        # left no entry, so the sim run simulates, and its entry is what
+        # every later run is served.
         with SweepEngine(
             workers=0, cache_dir=tmp_path, fidelity="auto"
         ) as eng:
@@ -112,7 +140,7 @@ class TestModelCacheKeying:
             workers=0, cache_dir=tmp_path, fidelity="sim"
         ) as eng:
             simulated = eng.submit(cell).result()
-            assert not simulated.from_cache  # model entry did not shadow
+            assert not simulated.from_cache  # no prediction shadows it
             assert simulated.source == "sim"
         with SweepEngine(
             workers=0, cache_dir=tmp_path, fidelity="sim"
@@ -125,7 +153,7 @@ class TestModelCacheKeying:
         ) as eng:
             warm_model = eng.submit(cell).result()
             assert warm_model.from_cache
-            # Both entries exist now; the exact sim result always wins.
+            # The sim entry is looked up first, so the exact result wins.
             assert warm_model.source == "sim"
             assert eng.stats.model_cells == 0  # cache hit, not recompute
 
@@ -147,15 +175,16 @@ class TestModelCacheKeying:
 
 class TestPerSubmitOverride:
     def test_force_sim_through_model_engine(self):
-        with SweepEngine(workers=0, cache_dir=None, fidelity="model") as eng:
+        # spec() is inside the envelope: the auto engine would predict it.
+        with SweepEngine(workers=0, cache_dir=None, fidelity="auto") as eng:
             outcome = eng.submit(spec(), fidelity="sim").result()
         assert outcome.source == "sim"
-        # A full SimResult with a per-batch trace, as trace consumers need.
+        # A record with the per-batch trace, as trace consumers need.
         assert outcome.result.trace.batches
 
     def test_force_model_through_sim_engine(self):
         with SweepEngine(workers=0, cache_dir=None) as eng:
-            outcome = eng.submit(spec(), fidelity="model").result()
+            outcome = eng.submit(spec(), fidelity="auto").result()
         assert outcome.source == "model"
 
 

@@ -17,10 +17,8 @@ from repro.machine.topology import (
 )
 from repro.model import (
     MAX_RELATIVE_ERROR,
-    MODEL_VERSION,
     classify_cell,
     decline_reason,
-    model_key,
     predict_cell,
 )
 from repro.scenario.registry import POLICIES
@@ -164,13 +162,3 @@ class TestRotationGuard:
         assert predict_cell(
             program, "cilk", dyadic, core_levels=(1,) * 8
         ) is not None
-
-
-class TestModelKey:
-    def test_model_key_differs_from_sim_key(self):
-        assert model_key("a" * 64) != "a" * 64
-
-    def test_model_key_is_deterministic_per_sim_key(self):
-        assert MODEL_VERSION  # non-empty version string feeds the key
-        assert model_key("a" * 64) == model_key("a" * 64)
-        assert model_key("a" * 64) != model_key("b" * 64)

@@ -28,10 +28,10 @@ SCENARIO = {
 class TestRequestRoundTrip:
     def test_build_parse_preserves_everything(self):
         body = build_sweep_request(
-            [SCENARIO], fidelity="model", priority=-3, deadline_s=2.5
+            [SCENARIO], fidelity="auto", priority=-3, deadline_s=2.5
         )
         request = parse_sweep_request(body)
-        assert request.fidelity == "model"
+        assert request.fidelity == "auto"
         assert request.priority == -3
         assert request.deadline_s == 2.5
         assert len(request.scenarios) == 1
@@ -90,6 +90,12 @@ class TestRequestValidation:
         with pytest.raises(ScenarioError, match="fidelity"):
             parse_sweep_request(
                 {"scenarios": [SCENARIO], "fidelity": "exact"}
+            )
+
+    def test_forced_model_fidelity_rejected(self):
+        with pytest.raises(ScenarioError, match="fidelity"):
+            parse_sweep_request(
+                {"scenarios": [SCENARIO], "fidelity": "model"}
             )
 
     @pytest.mark.parametrize("priority", [1.5, "high", True])

@@ -15,7 +15,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.experiments.parallel import CellSpec
+from repro.errors import ConfigurationError
+from repro.experiments.parallel import CellSpec, cell_key
 from repro.model.predict import predict_cell
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
@@ -392,6 +393,39 @@ class TestHostileRequests:
         assert frame["frame"] == "error" and frame["code"] == "bad-request"
         assert detail in frame["detail"]
 
+    def test_request_larger_than_max_pending_answers_413(self):
+        # It could never be admitted: a 429 would have the client retry
+        # against an idle server until its retries ran out.
+        srv = serve(port=0, cache_dir=None, max_pending=2)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        assert srv.wait_until_serving()
+        try:
+            client = SweepServiceClient(
+                f"http://127.0.0.1:{srv.server_port}",
+                backoff_base=0.01, backoff_cap=0.05,
+            )
+            with pytest.raises(ServiceError, match="2-cell admission limit") as excinfo:
+                client.run([scenario(seeds=(11, 23, 37))])
+            assert excinfo.value.code == "bad-request"
+            assert "HTTP 413" in str(excinfo.value)
+            assert not client.backoff_log  # final, never retried
+            assert srv.session.engine.stats.cells == 0  # nothing submitted
+            cells, _ = client.run([scenario(seeds=(11, 23))])  # at the limit
+            assert len(cells) == 2
+        finally:
+            srv.drain_and_close()
+            thread.join(timeout=10)
+
+    @pytest.mark.parametrize("max_pending", [0, -5])
+    def test_max_pending_below_one_is_refused(self, max_pending):
+        session = Session()
+        try:
+            with pytest.raises(ConfigurationError, match="max_pending"):
+                serve(port=0, session=session, max_pending=max_pending)
+        finally:
+            session.close()
+
     def test_reply_to_a_departed_client_is_dropped(self, server):
         # The peer of a unix socket pair is gone before the 404 is written,
         # so the write fails with EPIPE; the handler must swallow it.
@@ -423,7 +457,7 @@ class TestUnixSocket:
 
 
 class TestModelFidelity:
-    def test_model_and_auto_requests_stream_model_cells(self, tmp_path):
+    def test_auto_requests_stream_model_cells(self, tmp_path):
         # A predicted cell carries its machine and an empty trace, so it
         # encodes like a simulated one instead of failing mid-stream.
         path = str(tmp_path / "serve.sock")
@@ -433,19 +467,24 @@ class TestModelFidelity:
         assert srv.wait_until_serving()
         try:
             client = SweepServiceClient(f"unix:{path}")
-            for fidelity, request in (
-                ("model", scenario(workload="periodic", policy="eewa")),
-                ("auto", scenario(workload="SHA-1", policy="eewa")),
+            for request in (
+                scenario(workload="MD5", policy="cilk-d"),
+                scenario(workload="SHA-1", policy="eewa"),
             ):
-                cells, end = client.run([request], fidelity=fidelity)
+                cells, end = client.run([request], fidelity="auto")
                 assert end["frame"] == "end"
                 assert end["sources"] == {"model": 1}
+                assert end["from_cache"] == 0
                 (frame,) = cells
                 assert frame["source"] == "model"
+                assert frame["from_cache"] is False
                 spec = ScenarioSpec.from_dict(request)
-                predicted = predict_cell(
-                    tuple(spec.program(11)), "eewa", spec.build_machine()
-                )
+                program = tuple(spec.program(11))
+                machine = spec.build_machine()
+                policy = spec.policy.name
+                # A model cell frame carries its cell's own key.
+                assert frame["key"] == cell_key(program, policy, machine, 11)
+                predicted = predict_cell(program, policy, machine)
                 expected = json.loads(json.dumps(result_to_dict(predicted)))
                 assert frame["result"] == expected
                 assert expected["batches"] == []
@@ -453,6 +492,13 @@ class TestModelFidelity:
             srv.drain_and_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_forced_model_request_answers_400(self, server, client):
+        with pytest.raises(ServiceError, match="fidelity") as excinfo:
+            client.run([scenario()], fidelity="model")
+        assert excinfo.value.code == "bad-request"
+        assert not client.backoff_log
+        assert server.session.engine.stats.cells == 0
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):

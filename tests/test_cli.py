@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import cachectl
 from repro.scenario import ScenarioSpec, Session
-from repro.service.server import resolve_scenario, serve
+from repro.service.server import SweepServer, resolve_scenario, serve
 
 
 class TestCli:
@@ -214,6 +214,29 @@ class TestSweepCli:
         assert main(_sweep_args(tmp_path / "c", "--no-cache", "--quiet")) == 0
         assert "1 simulated" in capsys.readouterr().out
         assert not (tmp_path / "c").exists()
+
+    def test_negative_workers_exits_2(self, tmp_path, capsys):
+        assert main(_sweep_args(tmp_path / "c", "--workers", "-1")) == 2
+        assert "error: workers must be non-negative" in capsys.readouterr().err
+
+    def test_forced_model_fidelity_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_sweep_args(tmp_path / "c", "--fidelity", "model"))
+        assert exc.value.code == 2
+        assert "invalid choice: 'model'" in capsys.readouterr().err
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "-1", "workers must be non-negative"),
+        ("--max-pending", "0", "max_pending must be positive"),
+        ("--max-pending", "-5", "max_pending must be positive"),
+    ])
+    def test_unusable_setting_exits_2(self, monkeypatch, capsys, flag, value, message):
+        # A server that got built returns at once instead of serving.
+        monkeypatch.setattr(SweepServer, "serve_forever", lambda self: None)
+        assert main(["serve", "--port", "0", "--no-cache", flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestRemoteSweepCli:
