@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import ScenarioError
@@ -146,8 +147,12 @@ def parse_sweep_request(data: Any) -> SweepRequest:
     if deadline_s is not None:
         if isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float)):
             raise ScenarioError("deadline_s must be a number of seconds")
-        if deadline_s < 0:
-            raise ScenarioError("deadline_s must be non-negative")
+        # The chained comparison also refuses NaN, and the upper bound is
+        # the longest wait a lock or condition accepts.
+        if not 0 <= deadline_s <= threading.TIMEOUT_MAX:
+            raise ScenarioError(
+                f"deadline_s must lie between 0 and {threading.TIMEOUT_MAX:g} s"
+            )
         deadline_s = float(deadline_s)
     return SweepRequest(
         scenarios=scenarios,

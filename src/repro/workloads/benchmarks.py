@@ -20,9 +20,7 @@ from __future__ import annotations
 from repro.errors import WorkloadError
 from repro.runtime.task import Batch
 from repro.workloads.generators import generate_program
-from repro.workloads.periodic import periodic_workload_spec
 from repro.workloads.spec import TaskClassSpec, WorkloadSpec
-from repro.workloads.synthetic import phased_spec
 
 
 def bwc_spec() -> WorkloadSpec:
@@ -142,35 +140,24 @@ def memory_bound_spec() -> WorkloadSpec:
     )
 
 
-_SPECS = {
-    "BWC": bwc_spec,
-    "Bzip-2": bzip2_spec,
-    "DMC": dmc_spec,
-    "JE": je_spec,
-    "LZW": lzw_spec,
-    "MD5": md5_spec,
-    "SHA-1": sha1_spec,
-    "STREAM-like": memory_bound_spec,
-    # Not in Table II: the batch-to-batch-varying workload used to
-    # demonstrate the value of per-batch adaptation (Fig. 7 discussion).
-    "DMC-phased": phased_spec,
-    # Not in Table II: the strictly periodic zero-jitter mix — the
-    # steady-state regime fast-forward and the analytic model target.
-    "periodic": periodic_workload_spec,
-}
-
 #: The paper's Table II benchmark names, in its order.
 BENCHMARK_NAMES = ("BWC", "Bzip-2", "DMC", "JE", "LZW", "MD5", "SHA-1")
 
 
 def benchmark_spec(name: str) -> WorkloadSpec:
-    """Look up a benchmark spec by its Table II name."""
-    try:
-        return _SPECS[name]()
-    except KeyError:
+    """Look up a workload spec by its registered name.
+
+    The workload registry is the one table: a workload added with
+    :func:`~repro.scenario.registry.register_workload` resolves here too.
+    """
+    # Imported here: the registry imports this package when it loads.
+    from repro.scenario.registry import WORKLOADS
+
+    if name not in WORKLOADS:
         raise WorkloadError(
-            f"unknown benchmark {name!r}; expected one of {sorted(_SPECS)}"
-        ) from None
+            f"unknown benchmark {name!r}; expected one of {sorted(WORKLOADS.names())}"
+        )
+    return WORKLOADS.get(name).spec()
 
 
 def benchmark_program(

@@ -204,10 +204,16 @@ class TestSessionFidelity:
         from repro.scenario import ScenarioSpec, Session
         from repro.scenario.spec import PolicySpec
 
-        scenario = ScenarioSpec(
-            workload="SHA-1", policy=PolicySpec("cilk"),
-            batches=BATCHES, seeds=(11,),
-        )
+        # Every cell of this grid lies inside the envelope, so the model
+        # serves all of them and nothing simulates.
+        scenarios = [
+            ScenarioSpec(
+                workload="SHA-1", policy=PolicySpec(policy),
+                batches=BATCHES, seeds=(11, 23),
+            )
+            for policy in ("cilk", "cilk-d", "eewa")
+        ]
         with Session(fidelity="auto") as session:
-            cells = session.run_grid_detailed([scenario])
-        assert [o.source for o in cells[0]] == ["model"]
+            cells = session.run_grid_detailed(scenarios)
+            assert session.engine.stats.executed == 0
+        assert [o.source for group in cells for o in group] == ["model"] * 6

@@ -1,14 +1,26 @@
 """The Session facade: parity with direct simulation, grids, caching."""
 
+import uuid
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.machine.topology import small_test_machine
-from repro.scenario import POLICIES, MachineSpec, PolicySpec, ScenarioSpec, Session
+from repro.scenario import (
+    POLICIES,
+    WORKLOADS,
+    MachineSpec,
+    PolicySpec,
+    ScenarioSpec,
+    Session,
+    register_workload,
+)
 from repro.scenario import session as session_mod
 from repro.experiments import parallel as parallel_mod
+from repro.experiments.sweep import SweepEngine
 from repro.sim.engine import simulate
 from repro.workloads.benchmarks import benchmark_program
+from repro.workloads.spec import TaskClassSpec, WorkloadSpec
 
 SMALL = MachineSpec(preset="small-test")
 
@@ -140,3 +152,57 @@ class TestModalLevels:
         wats = spec.with_policy(PolicySpec("wats", core_levels=tuple(levels)))
         result = session.run_single(wats)
         assert result.tasks_executed > 0
+
+
+#: A workload that ships with nothing: it exists only once registered.
+PLUGIN = WorkloadSpec(
+    name="plugin-sha",
+    description="a plugin workload",
+    classes=(
+        TaskClassSpec("chunk", count=4, mean_seconds=20e-3),
+        TaskClassSpec("record", count=12, mean_seconds=1.5e-3),
+    ),
+)
+
+
+@pytest.fixture()
+def plugin_workload():
+    """``PLUGIN`` registered under a fresh name, removed again after."""
+    name = f"plugin-{uuid.uuid4().hex[:12]}"
+    register_workload(name, description=PLUGIN.description)(lambda: PLUGIN)
+    yield name
+    del WORKLOADS._entries[name]
+
+
+class TestRegisteredWorkload:
+    """The registry is the one workload table: a plugin runs wherever a
+    shipped workload does."""
+
+    def _scenarios(self, name):
+        return [
+            ScenarioSpec(
+                workload=workload, policy="cilk", machine=SMALL,
+                seeds=(3,), batches=2,
+            )
+            for workload in (name, PLUGIN)
+        ]
+
+    def test_session_runs_it_like_the_inline_spec(self, plugin_workload):
+        named, inline = self._scenarios(plugin_workload)
+        with Session() as session:
+            by_name = session.run(named)
+            by_spec = session.run(inline)
+        assert by_name.benchmark == plugin_workload
+        assert [_fingerprint(r) for r in by_name.results] == [
+            _fingerprint(r) for r in by_spec.results
+        ]
+
+    def test_engine_keys_it_like_the_inline_spec(self, plugin_workload):
+        named, inline = self._scenarios(plugin_workload)
+        with SweepEngine(workers=0, cache_dir=None) as engine:
+            by_name, by_spec = (
+                engine.submit(parallel_mod.CellSpec.from_scenario(s, 3)).result()
+                for s in (named, inline)
+            )
+        assert by_name.result.tasks_executed > 0
+        assert by_name.key == by_spec.key

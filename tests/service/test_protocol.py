@@ -105,7 +105,11 @@ class TestRequestValidation:
                 {"scenarios": [SCENARIO], "priority": priority}
             )
 
-    @pytest.mark.parametrize("deadline", [-1, "soon", True])
+    # NaN, Infinity and waits past threading.TIMEOUT_MAX: a pooled
+    # engine's wait raised OverflowError on the last two, and spun on NaN.
+    @pytest.mark.parametrize(
+        "deadline", [-1, "soon", True, float("nan"), float("inf"), 1e10]
+    )
     def test_bad_deadline_rejected(self, deadline):
         with pytest.raises(ScenarioError, match="deadline_s"):
             parse_sweep_request(

@@ -138,6 +138,19 @@ class TestCrossClientDedup:
             assert engine["deduplicated"] + engine["cache_hits"] == 4
             assert stats["cache"]["entries"] == 4
             assert stats["server"]["requests"] == 2
+
+            # Warm: the same grid again is served from the cache, and
+            # nothing simulates.
+            for slot in (0, 1):
+                hit(slot)
+            for cells, end in results:
+                assert end["streamed"] == 4
+                assert all(frame["from_cache"] for frame in cells)
+            engine = SweepServiceClient(
+                f"http://127.0.0.1:{srv.server_port}"
+            ).stats()["engine"]
+            assert engine["cells"] == 16
+            assert engine["executed"] == 4
         finally:
             srv.drain_and_close()
             thread.join(timeout=10)
@@ -392,6 +405,22 @@ class TestHostileRequests:
             conn.close()
         assert frame["frame"] == "error" and frame["code"] == "bad-request"
         assert detail in frame["detail"]
+
+    def test_nan_deadline_answers_400_before_any_cell(self, server):
+        # Python's json reads the NaN literal; a NaN wait never expires.
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+        try:
+            conn.request("POST", "/sweep", body=json.dumps(
+                {"scenarios": [scenario()], "deadline_s": float("nan")}
+            ))
+            resp = conn.getresponse()
+            assert resp.status == 400
+            frame = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert frame["frame"] == "error" and frame["code"] == "bad-request"
+        assert "deadline_s" in frame["detail"]
+        assert server.session.engine.stats.cells == 0
 
     def test_request_larger_than_max_pending_answers_413(self):
         # It could never be admitted: a 429 would have the client retry
