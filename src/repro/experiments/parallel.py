@@ -87,21 +87,25 @@ _PROGRAM_CACHE_ENTRIES = 256
 #: re-walking thousands of task specs per cell. Identity keying is sound
 #: because an entry holds a strong reference to its keyed object (so its
 #: id cannot be recycled while the entry lives) and every hit re-verifies
-#: identity. The memo is an LRU bounded like the program caches, so it
-#: holds no more programs than they do.
+#: identity. Each memo is an LRU bounded like the program caches, so the
+#: program memo holds no more programs than they do. Machines have a memo
+#: of their own, so the machines a grid keys never evict its programs.
 _BLOB_MEMO_ENTRIES = _PROGRAM_CACHE_ENTRIES
 _blob_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
+_machine_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
 
 
-def _memo_digest(value: Any) -> str:
-    cached = _blob_memo.get(id(value))
+def _memo_digest(
+    value: Any, memo: OrderedDict[int, tuple[Any, str]] = _blob_memo
+) -> str:
+    cached = memo.get(id(value))
     if cached is not None and cached[0] is value:
-        _blob_memo.move_to_end(id(value))
+        memo.move_to_end(id(value))
         return cached[1]
     d = digest([value])
-    _blob_memo[id(value)] = (value, d)
-    while len(_blob_memo) > _BLOB_MEMO_ENTRIES:
-        _blob_memo.popitem(last=False)
+    memo[id(value)] = (value, d)
+    while len(memo) > _BLOB_MEMO_ENTRIES:
+        memo.popitem(last=False)
     return d
 
 
@@ -136,7 +140,7 @@ def cell_key(
         [
             "schema", SCENARIO_SCHEMA_VERSION,
             "engine", ENGINE_VERSION, _CACHE_FORMAT,
-            "machine", _memo_digest(machine),
+            "machine", _memo_digest(machine, _machine_memo),
             "program", program_digest,
             "policy", POLICIES.canonical(policy),
             "core_levels", None if core_levels is None else tuple(core_levels),
@@ -182,6 +186,19 @@ class CellSpec:
     @classmethod
     def from_scenario(cls, scenario: ScenarioSpec, seed: int) -> "CellSpec":
         """One cell of a scenario (its ``seed``-th repetition)."""
+        (cell,) = cls.from_scenario_seeds(scenario, (seed,))
+        return cell
+
+    @classmethod
+    def from_scenario_seeds(
+        cls, scenario: ScenarioSpec, seeds: Optional[Sequence[int]] = None
+    ) -> list["CellSpec"]:
+        """One cell per seed (default: the scenario's seeds).
+
+        The cells share one machine, built once: a cell key digests a
+        machine once per machine object, so a scenario's seeds pay for
+        one machine digest instead of one each.
+        """
         policy = scenario.policy
         eewa_config = None
         if policy.config is not None:
@@ -191,22 +208,25 @@ class CellSpec:
                     "the sweep engine; use JSON params instead"
                 )
             eewa_config = policy.config
-        return cls(
-            benchmark=scenario.workload_name,
-            policy=policy.name,
-            seed=seed,
-            batches=scenario.batches,
-            core_levels=policy.core_levels,
-            eewa_config=eewa_config,
-            machine=scenario.build_machine(),
-            workload=(
-                scenario.workload
-                if isinstance(scenario.workload, WorkloadSpec)
-                else None
-            ),
-            policy_params=policy.params or None,
-            faults=scenario.faults,
+        machine = scenario.build_machine()
+        workload = (
+            scenario.workload if isinstance(scenario.workload, WorkloadSpec) else None
         )
+        return [
+            cls(
+                benchmark=scenario.workload_name,
+                policy=policy.name,
+                seed=seed,
+                batches=scenario.batches,
+                core_levels=policy.core_levels,
+                eewa_config=eewa_config,
+                machine=machine,
+                workload=workload,
+                policy_params=policy.params or None,
+                faults=scenario.faults,
+            )
+            for seed in (scenario.seeds if seeds is None else seeds)
+        ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,8 +346,13 @@ class ResultCache:
         ``os.replace`` lands last wins with a complete entry either way.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            # The shard directory is made on the first put that needs it
+            # (or again after a prune removed it), not checked on every put.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)

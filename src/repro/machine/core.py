@@ -77,7 +77,6 @@ class SimCore:
     scale: OperatingPointSpace
     level: int = 0
     state: CoreState = CoreState.PARKED
-    running_task_id: Optional[int] = None
     core_type: str = DEFAULT_CORE_TYPE
     ipc_scale: float = 1.0
     pending_level: Optional[int] = field(default=None, repr=False)
@@ -115,22 +114,11 @@ class SimCore:
         return self.state is CoreState.TRANSITION
 
     # -- transitions (invoked by the engine only) ---------------------------
-
-    def start_task(self, task_id: int) -> None:
-        if self.state not in (CoreState.SPINNING, CoreState.PARKED):
-            raise SimulationError(
-                f"core {self.core_id} cannot start a task from state {self.state}"
-            )
-        self.state = CoreState.RUNNING
-        self.running_task_id = task_id
-
-    def finish_task(self) -> int:
-        if self.state is not CoreState.RUNNING or self.running_task_id is None:
-            raise SimulationError(f"core {self.core_id} is not running a task")
-        task_id = self.running_task_id
-        self.running_task_id = None
-        self.state = CoreState.SPINNING
-        return task_id
+    #
+    # Starting and finishing a task are not methods: the engine's per-core
+    # slot is the one record of which task a core runs, and the engine
+    # moves ``state`` between SPINNING and RUNNING itself as it fills and
+    # empties that slot.
 
     def begin_transition(self, new_level: int) -> None:
         if self.state is CoreState.RUNNING:

@@ -17,7 +17,6 @@ from repro.runtime.policy import (
     BatchAdjustment,
     RunTask,
     SchedulerPolicy,
-    Wait,
 )
 from repro.runtime.pools import PoolGrid
 from repro.runtime.task import Batch, Task
@@ -134,4 +133,4 @@ class CilkScheduler(SchedulerPolicy):
                 return RunTask(stolen, acquire_cycles=self._steal_cycles)
 
         stats.failed_scans += 1
-        return Wait(scan_cycles=self._scan_cycles)
+        return self._wait

@@ -90,7 +90,7 @@ class CilkDScheduler(CilkScheduler):
         slowest = self._slowest[core_id]
         if level == slowest:
             stats.failed_scans += 1
-            return Wait(scan_cycles=self._scan_cycles)
+            return self._wait
 
         now = ctx.now()
         idle_since = self._idle_since.get(core_id)

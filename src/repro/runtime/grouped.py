@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from repro.core.cgroups import CGroupPlan
 from repro.core.preference import preference_lists
-from repro.runtime.policy import Action, RunTask, SchedulerPolicy, Wait
+from repro.runtime.policy import Action, RunTask, SchedulerPolicy
 from repro.runtime.pools import PoolGrid
 from repro.runtime.task import Batch, Task
 from repro.sim.fingerprint import digest
@@ -219,4 +219,4 @@ class GroupedStealingPolicy(SchedulerPolicy):
             # Group drained everywhere -> move down the preference list.
 
         stats.failed_scans += 1
-        return Wait(scan_cycles=self._scan_cycles)
+        return self._wait

@@ -155,6 +155,15 @@ class TaskFactory:
         self._next_id = task_id + 1
         return Task(task_id=task_id, spec=spec, batch_index=batch_index)
 
+    def make_batch(self, specs: Sequence[TaskSpec], batch_index: int) -> list[Task]:
+        """One task per spec, with the consecutive ids that calling
+        :meth:`make` once per spec would assign."""
+        first = self._next_id
+        self._next_id = first + len(specs)
+        return [
+            Task(task_id, spec, batch_index) for task_id, spec in enumerate(specs, first)
+        ]
+
 
 def flat_batch(index: int, specs: Sequence[TaskSpec]) -> Batch:
     """Convenience constructor for a batch of independent tasks."""

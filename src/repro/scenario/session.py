@@ -179,7 +179,7 @@ class Session:
         counts: list[int] = []
         for spec in specs:
             counts.append(len(spec.seeds))
-            cells.extend(cell_spec.from_scenario(spec, seed) for seed in spec.seeds)
+            cells.extend(cell_spec.from_scenario_seeds(spec))
         outcomes = self.engine.run_cells(cells)
         grouped: list[list[CellOutcome]] = []
         pos = 0

@@ -82,8 +82,7 @@ class SweepRequest:
         """Flattened (scenario-index, cell) pairs in submission order."""
         out: list[tuple[int, CellSpec]] = []
         for index, scenario in enumerate(self.scenarios):
-            for seed in scenario.seeds:
-                out.append((index, CellSpec.from_scenario(scenario, seed)))
+            out.extend((index, cell) for cell in CellSpec.from_scenario_seeds(scenario))
         return out
 
     def to_dict(self) -> dict[str, Any]:

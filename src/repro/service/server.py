@@ -19,10 +19,15 @@ from inside:
 * **disconnect cleanup** — a client that drops mid-stream gets its queued
   tickets cancelled the moment a frame write fails; nothing it shared
   with other clients is disturbed;
+* **silent clients** — every read and write of a connection times out
+  after :data:`HANDLER_TIMEOUT_S`: a client that sends nothing, sends
+  less body than it announced, or stops reading its stream is closed
+  (a stream's queued tickets are cancelled as on a disconnect);
 * **graceful drain** — :meth:`SweepServer.drain_and_close` stops
   accepting, lets every in-flight stream finish, then closes the engine,
   surfacing any ``RuntimeWarning`` (e.g. a wedged dispatcher) in the
-  shutdown log instead of swallowing it.
+  shutdown log instead of swallowing it. Silent clients hold it up for at
+  most :data:`HANDLER_TIMEOUT_S`.
 
 The wire format lives in :mod:`repro.service.protocol`; the matching
 client in :mod:`repro.service.client`.
@@ -62,6 +67,13 @@ DEFAULT_PORT = 8377
 #: Largest ``POST /sweep`` body the server reads, in bytes; a longer
 #: ``Content-Length`` is refused with 413 before any of the body is read.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a handler waits for any one read or write on its connection:
+#: the request line and headers, the body, each frame of a stream. A
+#: connection silent for longer is closed, so an idle client cannot hold
+#: :meth:`SweepServer.drain_and_close` (which joins handler threads) for
+#: longer than this either.
+HANDLER_TIMEOUT_S = 10.0
 
 
 def resolve_scenario(session: Session, scenario: ScenarioSpec) -> ScenarioSpec:
@@ -187,6 +199,13 @@ class _Handler(BaseHTTPRequestHandler):
     server: "SweepServer"
 
     # -- plumbing --------------------------------------------------------
+
+    @property
+    def timeout(self) -> float:
+        """The socket timeout ``StreamRequestHandler.setup`` applies. A read
+        that times out closes the connection (``handle_one_request``); a
+        frame write that does is a disconnect to :func:`stream_request`."""
+        return HANDLER_TIMEOUT_S
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         self.server.log(f"{self.address_string()} {format % args}")
@@ -518,6 +537,7 @@ def serve(
 
 __all__ = [
     "DEFAULT_PORT",
+    "HANDLER_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "SweepServer",
     "UnixSweepServer",

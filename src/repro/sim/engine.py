@@ -433,8 +433,7 @@ class Simulator:
         self._next_batch_pos += 1
         self._barrier.open(batch.index, self.now())
 
-        factory_make = self._factory.make
-        tasks = [factory_make(spec, batch.index) for spec in batch.specs]
+        tasks = self._factory.make_batch(batch.specs, batch.index)
         record_events = self._record_task_events
         for task in tasks:
             self._barrier.add_task()
@@ -783,7 +782,7 @@ class Simulator:
                 del self._stalled[core_id]
                 self._meter.observe(self._queue._now, core_id)
                 core.spin()
-                self._dispatch(core)
+                self._dispatch(core, observed=True)
                 return
         if core.state is not _SPINNING:
             return  # stale wake: core got work or is mid-transition already
@@ -792,16 +791,18 @@ class Simulator:
     def _handle_task_done(self, core_id: int, task_id: int, seq: int) -> None:
         if self._done_seq[core_id] != seq:
             return  # superseded by a mid-run retune reschedule
-        core = self._cores[core_id]
-        task = self._running[core_id]
-        self._running[core_id] = None
+        running = self._running
+        task = running[core_id]
+        if task is None or task.task_id != task_id:
+            raise SimulationError(
+                f"core {core_id} finished task {task_id}, but runs "
+                f"{'none' if task is None else task.task_id}"
+            )
+        running[core_id] = None
         now = self._queue._now
         self._meter.observe(now, core_id)
-        finished_id = core.finish_task()
-        if finished_id != task_id:
-            raise SimulationError(
-                f"core {core_id} finished task {finished_id}, expected {task_id}"
-            )
+        core = self._cores[core_id]
+        core.state = _SPINNING
         task.finish_time = now
         if self._record_task_events:
             self._record_lifecycle(TaskEventKind.DONE, core_id, task_id)
@@ -820,13 +821,13 @@ class Simulator:
             self._idle.add(core_id)
             self._end_batch()
         else:
-            self._dispatch(core)
+            self._dispatch(core, observed=True)
 
     def _handle_dvfs_done(self, core_id: int) -> None:
         core = self._cores[core_id]
         self._meter.observe(self._queue._now, core_id)
         core.complete_transition()
-        self._dispatch(core)
+        self._dispatch(core, observed=True)
 
     def _end_batch(self) -> None:
         batch_index = self._barrier.batch_index
@@ -862,8 +863,19 @@ class Simulator:
     # dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch(self, core: SimCore) -> None:
-        """Ask the policy what ``core`` does next and enact it."""
+    def _dispatch(self, core: SimCore, observed: bool = False) -> None:
+        """Ask the policy what ``core`` does next and enact it.
+
+        ``observed`` says the meter has observed ``core`` at this instant,
+        as the completion, DVFS and stall-end handlers do just before they
+        dispatch it. Nothing reads the meter or moves the clock in between,
+        so a task started now would only repeat that observation, and
+        ``_start_task`` makes none. Two rarer repeats are left to the
+        meter, which records nothing for them: a zero-delay ``CORE_READY``
+        for a core that finished a task at that instant, and a
+        ``SetFrequency`` answered right after a DVFS completion
+        (``_request_levels`` observes).
+        """
         if core.state is not _SPINNING:
             raise SimulationError(
                 f"dispatch of core {core.core_id} in state {core.state}"
@@ -886,7 +898,7 @@ class Simulator:
         action: Action = self._policy.next_action(core_id)
 
         if type(action) is RunTask:
-            self._start_task(core, action)
+            self._start_task(core, action, observed)
         elif type(action) is Wait:
             # The core spins at full power; the failed scan consumes time
             # only in the sense that the core cannot react instantly.
@@ -929,16 +941,19 @@ class Simulator:
                 pool_core=actor if kind is not TaskEventKind.CREATE else -1,
             )
 
-    def _start_task(self, core: SimCore, action: RunTask) -> None:
-        task = action.task
+    def _start_task(self, core: SimCore, action: RunTask, observed: bool) -> None:
+        task, acquire_cycles = action
         task_id = task.task_id
         core_id = core.core_id
         queue = self._queue
         now = queue._now
-        self._meter.observe(now, core_id)
+        if not observed:
+            self._meter.observe(now, core_id)
         if self._record_task_events:
             self._record_lifecycle(TaskEventKind.EXEC, core_id, task_id)
-        core.start_task(task_id)
+        # The slot below is the one record of what the core runs; the
+        # state is what the meter bills.
+        core.state = _RUNNING
         spec = task.spec
         # Same arithmetic as SimCore.exec_seconds, with the effective speed
         # read from the per-core table; spec costs were validated
@@ -946,7 +961,6 @@ class Simulator:
         # and the acquire overhead) retire at the core's effective speed.
         level = core.level
         effective_hz = self._hz_by_level[core_id][level]
-        acquire_cycles = action.acquire_cycles
         stall = spec.mem_stall_seconds
         acquire_seconds = acquire_cycles / effective_hz
         exec_seconds = spec.cpu_cycles / effective_hz + stall
@@ -1140,7 +1154,8 @@ class Simulator:
         the running core does not stall for it in hardware.
         """
         core_id = core.core_id
-        if self._running[core_id] is None:
+        task = self._running[core_id]
+        if task is None:
             raise SimulationError(f"core {core_id} RUNNING without execution state")
         now = self.now()
         cycles = self._run_cycles[core_id]
@@ -1156,10 +1171,8 @@ class Simulator:
 
         core.level = level
         remaining = cycles / core.effective_hz + stall
-        task_id = core.running_task_id
-        assert task_id is not None
         event = self._queue.schedule(
-            remaining, _TASK_DONE, core_id=core_id, task_id=task_id
+            remaining, _TASK_DONE, core_id=core_id, task_id=task.task_id
         )
         self._done_seq[core_id] = event.seq
 

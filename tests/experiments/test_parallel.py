@@ -3,6 +3,7 @@ SweepEngine: cell keys, the result cache, and the exhibits' parallel paths."""
 
 import dataclasses
 import multiprocessing
+import shutil
 import threading
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
@@ -10,10 +11,11 @@ from repro.experiments.outcome import modal_levels_from_result
 from repro.experiments.parallel import CellSpec, ResultCache, cell_key
 from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
+from repro.runtime.task import Batch
 from repro.scenario import POLICIES, MachineSpec, ScenarioSpec, Session
 from repro.scenario.spec import DEFAULT_SEEDS
 from repro.sim.engine import ENGINE_VERSION, simulate
-from repro.workloads.benchmarks import benchmark_program
+from repro.workloads.benchmarks import BENCHMARK_NAMES, benchmark_program
 
 BATCHES = 3
 
@@ -134,6 +136,37 @@ class TestBlobMemo:
         assert held <= parallel._generated_program.cache_info().maxsize
 
 
+class TestGridDigests:
+    def test_policy_major_grid_digests_each_program_once(self, monkeypatch):
+        # 280 cells on 140 programs, all inside the program caches. Each
+        # cell used to carry a machine of its own, whose digests filled
+        # the memo and evicted every program before its second policy.
+        from repro.experiments import parallel
+
+        digested = []
+        digest = parallel.digest
+
+        def counting(values):
+            value = values[0]
+            if isinstance(value, tuple) and value and isinstance(value[0], Batch):
+                digested.append(value)
+            return digest(values)
+
+        parallel._blob_memo.clear()
+        parallel._generated_program.cache_clear()
+        monkeypatch.setattr(parallel, "digest", counting)
+        grid = [
+            ScenarioSpec(workload=name, policy=policy, seeds=tuple(range(20)), batches=2)
+            for policy in ("cilk", "eewa")
+            for name in BENCHMARK_NAMES
+        ]
+        with Session() as session:
+            session.run_grid(grid)
+            assert session.stats.executed == 280
+        assert len(digested) == 140
+        assert len({id(program) for program in digested}) == 140
+
+
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -151,6 +184,18 @@ class TestResultCache:
         path = cache._path(key)
         path.write_bytes(b"not a pickle")
         assert cache.get(key) is None
+
+    def test_put_makes_the_shard_directory_it_needs(self, tmp_path):
+        root = tmp_path / "fresh"
+        cache = ResultCache(root)
+        key = "a7" + "0" * 62
+        payload = {"engine_version": ENGINE_VERSION, "result": 1}
+        cache.put(key, payload)  # in a root that does not exist yet
+        assert cache.get(key) == payload
+        shutil.rmtree(root / "a7")
+        cache.put(key, payload)  # after its shard directory was removed
+        assert cache.get(key) == payload
+        assert [entry.key for entry in cache.iter_entries()] == [key]
 
 
 class TestParallelRunner:

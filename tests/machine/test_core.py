@@ -5,11 +5,41 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.core import BUSY_STATES, CoreState, SimCore
 from repro.machine.frequency import opteron_8380_scale
+from repro.machine.topology import small_test_machine
+from repro.runtime.policy import RunTask, SchedulerPolicy, Wait
+from repro.runtime.task import TaskSpec, flat_batch
+from repro.sim.engine import simulate
 
 
 @pytest.fixture
 def core() -> SimCore:
     return SimCore(core_id=0, scale=opteron_8380_scale())
+
+
+def at_first_completion(check):
+    """Run a long and a short task on two cores; call ``check(sim, task)``
+    when core 1 has finished the short one and core 0 still runs the long
+    one. Starting and finishing a task are the engine's: its per-core slot
+    records the task, and it sets the core's state."""
+    checked = []
+
+    class Probe(SchedulerPolicy):
+        name = "probe"
+
+        def on_batch_start(self, batch, tasks):
+            self._tasks = sorted(tasks, key=lambda t: t.spec.cpu_cycles)
+
+        def next_action(self, core_id):
+            return RunTask(self._tasks.pop()) if self._tasks else Wait()
+
+        def on_task_complete(self, core_id, task):
+            if core_id == 1:
+                check(self.ctx, task)
+                checked.append(task)
+
+    program = [flat_batch(0, [TaskSpec("long", 1e9), TaskSpec("short", 2e8)])]
+    simulate(program, Probe(), small_test_machine())
+    assert len(checked) == 1
 
 
 class TestLifecycle:
@@ -18,27 +48,40 @@ class TestLifecycle:
         assert core.level == 0
         assert core.frequency == opteron_8380_scale().fastest
 
-    def test_run_finish_cycle(self, core):
-        core.spin()
-        core.start_task(7)
-        assert core.state is CoreState.RUNNING
-        assert core.running_task_id == 7
-        assert core.finish_task() == 7
-        assert core.state is CoreState.SPINNING
+    def test_run_finish_cycle(self):
+        def check(sim, task):
+            assert task.spec.function == "short"
+            assert sim._cores[1].state is CoreState.SPINNING
+            assert sim._running[1] is None
+            assert sim._cores[0].state is CoreState.RUNNING
+            assert sim._running[0].spec.function == "long"
 
-    def test_cannot_start_while_running(self, core):
-        core.spin()
-        core.start_task(1)
-        with pytest.raises(SimulationError):
-            core.start_task(2)
+        at_first_completion(check)
 
-    def test_cannot_finish_when_not_running(self, core):
-        with pytest.raises(SimulationError):
-            core.finish_task()
+    def test_cannot_start_while_running(self):
+        def check(sim, task):
+            # Only a spinning core is dispatched, so only it starts a task.
+            with pytest.raises(SimulationError, match="dispatch of core 0"):
+                sim._dispatch(sim._cores[0])
+
+        at_first_completion(check)
+
+    def test_cannot_finish_when_not_running(self):
+        def check(sim, task):
+            # A completion must name the task in its core's slot.
+            with pytest.raises(SimulationError, match="runs none"):
+                sim._handle_task_done(1, task.task_id, sim._done_seq[1])
+            long_id = sim._running[0].task_id
+            with pytest.raises(SimulationError, match=f"runs {long_id}"):
+                sim._handle_task_done(0, task.task_id, sim._done_seq[0])
+
+        at_first_completion(check)
+
+    # A running core below is one the engine would have set RUNNING.
 
     def test_cannot_park_or_spin_while_running(self, core):
         core.spin()
-        core.start_task(1)
+        core.state = CoreState.RUNNING
         with pytest.raises(SimulationError):
             core.park()
         with pytest.raises(SimulationError):
@@ -57,7 +100,7 @@ class TestDvfs:
 
     def test_cannot_transition_while_running(self, core):
         core.spin()
-        core.start_task(1)
+        core.state = CoreState.RUNNING
         with pytest.raises(SimulationError):
             core.begin_transition(1)
 

@@ -35,7 +35,7 @@ class TestBilling:
         cores, power, meter = setup
         cores[0].spin()
         cores[1].spin()
-        cores[1].start_task(1)
+        cores[1].state = CoreState.RUNNING
         meter.finalize(1.0)
         a, b = meter.accounts
         assert a.joules == pytest.approx(b.joules)
@@ -68,9 +68,9 @@ class TestAccounting:
         cores, _, meter = setup
         cores[0].spin()
         meter.observe(0.5)
-        cores[0].start_task(1)
+        cores[0].state = CoreState.RUNNING
         meter.observe(1.25)
-        cores[0].finish_task()
+        cores[0].state = CoreState.SPINNING
         meter.finalize(2.0)
         for account in meter.accounts:
             assert account.seconds == pytest.approx(2.0)
@@ -81,7 +81,7 @@ class TestAccounting:
         cores, power, meter = setup
         cores[0].spin()
         meter.observe(1.0)
-        cores[0].start_task(1)
+        cores[0].state = CoreState.RUNNING
         meter.finalize(3.0)
         account = meter.accounts[0]
         assert account.seconds_by_state[CoreState.SPINNING] == pytest.approx(1.0)

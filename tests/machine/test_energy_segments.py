@@ -90,9 +90,9 @@ def apply_change(core, kind, level):
     """Enact one core change if the core's state allows it."""
     state = core.state
     if kind == "start" and state in (CoreState.SPINNING, CoreState.PARKED):
-        core.start_task(1)
+        core.state = CoreState.RUNNING
     elif kind == "finish" and state is CoreState.RUNNING:
-        core.finish_task()
+        core.state = CoreState.SPINNING
     elif kind == "spin" and state is not CoreState.RUNNING:
         core.spin()
     elif kind == "park" and state is not CoreState.RUNNING:
@@ -251,7 +251,7 @@ def test_long_segment_matches_interval_by_interval_billing():
         meter.observe(t)
         eager.observe(t)
         if k == 2500:
-            cores[0].start_task(1)
+            cores[0].state = CoreState.RUNNING
     assert_same(meter, eager)
 
 

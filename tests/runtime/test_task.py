@@ -66,6 +66,16 @@ class TestTaskRecord:
         ids = {factory.make(spec, 0).task_id for _ in range(100)}
         assert len(ids) == 100
 
+    def test_make_batch_mints_what_make_would(self):
+        specs = [TaskSpec(f"f{i}", float(i)) for i in range(5)]
+        one_by_one, batched = TaskFactory(), TaskFactory()
+        one_by_one.make(specs[0], 0)
+        batched.make(specs[0], 0)
+        expected = [one_by_one.make(spec, 3) for spec in specs]
+        assert batched.make_batch(specs, 3) == expected
+        assert batched.next_id == one_by_one.next_id == 6
+        assert batched.make(specs[0], 4).task_id == 6
+
     def test_elapsed_requires_completion(self):
         task = TaskFactory().make(TaskSpec("f", 1.0), 0)
         with pytest.raises(ConfigurationError):

@@ -26,6 +26,7 @@ from repro.service.protocol import (
     end_frame,
     parse_sweep_request,
 )
+from repro.service import server as server_module
 from repro.service.server import MAX_BODY_BYTES, serve, stream_request
 from repro.sim.export import result_to_dict
 
@@ -454,6 +455,47 @@ class TestHostileRequests:
                 serve(port=0, session=session, max_pending=max_pending)
         finally:
             session.close()
+
+    @pytest.fixture()
+    def quick_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "HANDLER_TIMEOUT_S", 0.3)
+
+    def test_idle_connection_is_closed(self, quick_timeout, server):
+        with socket.create_connection(("127.0.0.1", server.server_port), timeout=5) as sock:
+            assert sock.recv(1) == b""  # closed by the server, not timed out here
+
+    def test_short_body_is_closed(self, quick_timeout, server):
+        with socket.create_connection(("127.0.0.1", server.server_port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /sweep HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100\r\n\r\n{\"scenarios\": "
+            )
+            assert sock.recv(65536) == b""
+
+    def test_drain_returns_while_silent_clients_are_open(self, quick_timeout):
+        srv = serve(port=0, cache_dir=None)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        assert srv.wait_until_serving()
+        address = ("127.0.0.1", srv.server_port)
+        with socket.create_connection(address, timeout=5) as idle, \
+                socket.create_connection(address, timeout=5) as half:
+            half.sendall(b"POST /sweep HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+            # Connections are accepted in order: once a later one is
+            # answered, both silent ones have their handler threads.
+            conn = http.client.HTTPConnection(*address, timeout=5)
+            try:
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+            drain = threading.Thread(target=srv.drain_and_close)
+            drain.start()
+            drain.join(timeout=5)
+            drained = not drain.is_alive()
+        drain.join(timeout=10)  # the clients are gone; it returns now
+        thread.join(timeout=10)
+        assert drained
 
     def test_reply_to_a_departed_client_is_dropped(self, server):
         # The peer of a unix socket pair is gone before the 404 is written,

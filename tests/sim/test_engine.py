@@ -1,13 +1,18 @@
 """Tests for the discrete-event engine."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core.eewa import EEWAScheduler
 from repro.errors import SchedulingError, SimulationError
-from repro.machine.topology import small_test_machine
+from repro.machine.energy import EnergyMeter
+from repro.machine.topology import opteron_8380_machine, small_test_machine
 from repro.runtime.cilk import CilkScheduler
-from repro.runtime.policy import RunTask, SchedulerPolicy, Wait
+from repro.runtime.policy import RunTask, SchedulerPolicy, SetFrequency, Wait
 from repro.runtime.task import TaskSpec, flat_batch
 from repro.sim.engine import Simulator, simulate
+from repro.workloads.benchmarks import benchmark_program
 
 REF = 2.0e9  # fastest level of small_test_machine
 
@@ -163,3 +168,67 @@ class TestActionDispatch:
         machine = small_test_machine(num_cores=1)
         with pytest.raises(SchedulingError, match="unknown action"):
             simulate([batch_of(0, 0.1)], SubclassingPolicy(), machine)
+
+
+class _ListPolicy(SchedulerPolicy):
+    """Hands out a batch's tasks, longest first, to whichever core asks."""
+
+    name = "list"
+
+    def on_batch_start(self, batch, tasks):
+        self._tasks = sorted(tasks, key=lambda t: t.spec.cpu_cycles)
+
+    def next_action(self, core_id):
+        return RunTask(self._tasks.pop()) if self._tasks else Wait()
+
+
+def _observations(program, policy, machine):
+    """Every ``EnergyMeter.observe`` call of one run, as ``(now, core)``."""
+    calls = []
+    observe = EnergyMeter.observe
+
+    def record(meter, now, core=None):
+        calls.append((now, core))
+        observe(meter, now, core)
+
+    with mock.patch.object(EnergyMeter, "observe", record):
+        result = simulate(program, policy, machine)
+    return calls, result
+
+
+def _repeats(calls):
+    return sum(a == b for a, b in zip(calls, calls[1:]))
+
+
+class TestOneObservationPerSwitch:
+    """A core observed by a completion handler is not observed again when
+    the handler dispatches it onto a task at the same instant."""
+
+    def test_task_completion_then_start(self):
+        machine = small_test_machine(num_cores=1)
+        calls, result = _observations([batch_of(0, 0.5, 0.25)], _ListPolicy(), machine)
+        first, second = sorted(result.tasks, key=lambda t: t.finish_time)
+        assert second.start_time == first.finish_time  # no acquire cost
+        assert calls.count((first.finish_time, 0)) == 1
+        assert _repeats(calls) == 0
+
+    def test_dvfs_completion_then_start(self):
+        class SlowDown(_ListPolicy):
+            def next_action(self, core_id):
+                if self.ctx.requested_level(core_id) == 0:
+                    return SetFrequency(1)
+                return super().next_action(core_id)
+
+        machine = small_test_machine(num_cores=1)
+        calls, result = _observations([batch_of(0, 0.5)], SlowDown(), machine)
+        (task,) = result.tasks
+        assert task.executed_level == 1
+        switched = machine.dvfs_latency_s
+        assert calls.count((switched, 0)) == 1
+        assert _repeats(calls) == 0
+
+    def test_a_paper_cell_repeats_no_observation(self):
+        program = benchmark_program("SHA-1", batches=4, seed=11)
+        calls, result = _observations(program, EEWAScheduler(), opteron_8380_machine())
+        assert result.tasks_executed > 100
+        assert _repeats(calls) == 0
