@@ -21,6 +21,7 @@ paper's example table in Fig. 3 which happens to be integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,50 +34,78 @@ from repro.machine.operating_point import OperatingPointSpace
 
 @dataclass(frozen=True)
 class CCTable:
-    """An ``|OP| x k`` core-count table bound to its classes and scale."""
+    """An ``|OP| x k`` core-count table bound to its classes and scale.
+
+    ``rows[j][i]`` is ``CC[j][i]`` as a plain Python float. The adjuster
+    builds and searches tables of 2-3 classes x a handful of operating
+    points once per batch, where NumPy's per-array and per-element costs
+    outweigh the arithmetic; Python floats do the same IEEE operations.
+    :attr:`values`, :meth:`row` and :meth:`column` build NumPy arrays on
+    demand for readers outside the decision path.
+    """
 
     scale: OperatingPointSpace
     class_names: tuple[str, ...]
-    values: np.ndarray  # shape (r, k), float64
+    rows: tuple[tuple[float, ...], ...]
     ideal_time: float
 
     def __post_init__(self) -> None:
-        r, k = self.values.shape
+        r, k = len(self.rows), len(self.class_names)
         if r != self.scale.r:
             raise SearchError(f"CC table has {r} rows for {self.scale.r} frequencies")
-        if k != len(self.class_names):
-            raise SearchError(f"CC table has {k} columns for {len(self.class_names)} classes")
         if k == 0:
             raise SearchError("CC table needs at least one task class")
-        if np.any(self.values < 0):
-            raise SearchError("CC table entries must be non-negative")
+        for row in self.rows:
+            if len(row) != k:
+                raise SearchError(f"CC table has {len(row)} columns for {k} classes")
+            for value in row:
+                if value < 0:
+                    raise SearchError("CC table entries must be non-negative")
 
     @property
     def r(self) -> int:
-        return self.values.shape[0]
+        return len(self.rows)
 
     @property
     def k(self) -> int:
-        return self.values.shape[1]
+        return len(self.class_names)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The table as a new ``(r, k)`` float64 array."""
+        return np.array(self.rows, dtype=np.float64)
 
     def __getitem__(self, ji: tuple[int, int]) -> float:
         j, i = ji
-        return float(self.values[j, i])
+        return self.rows[j][i]
 
     def column(self, i: int) -> np.ndarray:
-        return self.values[:, i]
+        return np.array([row[i] for row in self.rows], dtype=np.float64)
 
     def row(self, j: int) -> np.ndarray:
-        return self.values[j, :]
+        return np.array(self.rows[j], dtype=np.float64)
 
     def fastest_row_total(self) -> float:
         """Sum of row ``F_0`` — cores needed if everything ran fast.
 
         The paper (Fig. 3 discussion) observes this can be far below ``m``
         when workloads are imbalanced; the gap is exactly the slack EEWA
-        converts into energy savings.
+        converts into energy savings. No decision reads it, so it keeps
+        NumPy's pairwise sum: from 8 classes up, a left-to-right loop
+        would round differently.
         """
-        return float(self.values[0, :].sum())
+        return float(np.sum(self.rows[0]))
+
+
+def _floor(x: float) -> float:
+    """``np.floor`` on one float: ``math.floor`` as a float, and ``inf``
+    and ``nan`` passed through where ``math.floor`` would raise."""
+    return float(math.floor(x)) if math.isfinite(x) else x
+
+
+def _ceil(x: float) -> float:
+    """``np.ceil`` on one float (see :func:`_floor`)."""
+    return float(math.ceil(x)) if math.isfinite(x) else x
 
 
 #: CC construction modes. ``"fluid"`` is the paper's Table I formula, which
@@ -123,46 +152,45 @@ def build_cc_table(
     if any(a < b - 1e-12 for a, b in zip(workloads, workloads[1:])):
         raise SearchError("task classes must be sorted by mean workload, heaviest first")
 
-    totals = np.array([c.total_workload for c in classes], dtype=np.float64)
-    fastest_row = totals / ideal_time  # CC[0][i] = n_i * w_i / T
-    slowdowns = np.array([scale.slowdown(j) for j in range(scale.r)], dtype=np.float64)
-    values = np.outer(slowdowns, fastest_row)  # CC[j][i] = (F_0/F_j) * CC[0][i]
+    # CC[0][i] = n_i * w_i / T, and CC[j][i] = (F_0/F_j) * CC[0][i].
+    fastest_row = [c.total_workload / ideal_time for c in classes]
+    slowdowns = [scale.slowdown(j) for j in range(scale.r)]
 
-    if mode == "discrete":
+    if mode == "fluid":
+        rows = [[s * f for f in fastest_row] for s in slowdowns]
+    else:
         if headroom < 0:
             raise SearchError("headroom must be non-negative")
-        counts = np.array([c.count for c in classes], dtype=np.float64)
-        means = np.array([c.mean_workload for c in classes], dtype=np.float64)
-        for j in range(scale.r):
-            task_time = means * slowdowns[j]  # per-task seconds at level j
-            # Pack against a deflated budget: per-task times jitter batch to
-            # batch, so planning to land exactly on T systematically
-            # overruns it.
-            with np.errstate(divide="ignore"):
-                per_core = np.floor(
-                    ideal_time / np.maximum(task_time * (1.0 + headroom), 1e-300)
-                )
-            for i in range(len(classes)):
-                if task_time[i] <= 0:
-                    values[j, i] = 0.0
-                elif task_time[i] * (1.0 + headroom) > ideal_time:
-                    values[j, i] = np.inf  # one task alone blows the budget
+        factor = 1.0 + headroom
+        rows = []
+        for s in slowdowns:
+            row = []
+            for c in classes:
+                task_time = c.mean_workload * s  # per-task seconds at this level
+                if task_time <= 0:
+                    row.append(0.0)
+                elif task_time * factor > ideal_time:
+                    row.append(math.inf)  # one task alone blows the budget
                 else:
-                    values[j, i] = np.ceil(counts[i] / per_core[i])
+                    # Pack against a deflated budget: per-task times jitter
+                    # batch to batch, so planning to land exactly on T
+                    # systematically overruns it.
+                    per_core = _floor(ideal_time / max(task_time * factor, 1e-300))
+                    row.append(_ceil(float(c.count) / per_core))
+            rows.append(row)
         # A class that no longer fits T even at F_0 (workload drifted past
         # the first batch's level) must still be schedulable — F_0 is the
         # best the machine can do, so pin its F_0 demand to the fluid core
         # count instead of abandoning the whole search to the fallback.
-        for i in range(len(classes)):
-            if not np.isfinite(values[0, i]):
-                values[0, i] = min(
-                    float(np.ceil(fastest_row[i])), float(max(1, counts[i]))
-                )
+        first = rows[0]
+        for i, c in enumerate(classes):
+            if not math.isfinite(first[i]):
+                first[i] = min(_ceil(fastest_row[i]), max(1.0, float(c.count)))
 
     return CCTable(
         scale=scale,
         class_names=tuple(c.function for c in classes),
-        values=values,
+        rows=tuple(map(tuple, rows)),
         ideal_time=ideal_time,
     )
 
@@ -180,4 +208,9 @@ def cc_table_from_values(
         raise SearchError("CC values must be a 2-D array")
     k = array.shape[1]
     names = tuple(class_names) if class_names is not None else tuple(f"TC{i}" for i in range(k))
-    return CCTable(scale=scale, class_names=names, values=array, ideal_time=ideal_time)
+    return CCTable(
+        scale=scale,
+        class_names=names,
+        rows=tuple(map(tuple, array.tolist())),
+        ideal_time=ideal_time,
+    )

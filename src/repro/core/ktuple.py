@@ -25,8 +25,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.core.cc_table import CCTable
 from repro.errors import SearchError
 from repro.machine.power import PowerModel
@@ -101,7 +99,7 @@ def _search(
     i: int,
     a: list[int],
     used: list[float],
-    cc: np.ndarray,
+    cc: tuple[tuple[float, ...], ...],
     r: int,
     bucket_of_row: list[int],
     budgets: list[float],
@@ -117,12 +115,12 @@ def _search(
     lower = a[i - 1] if i > 0 else 0  # monotonicity bound (constraint 3)
     for j in range(r - 1, lower - 1, -1):  # lowest frequency first (constraint 2)
         b = bucket_of_row[j]
-        if cc[j, i] + used[b] <= budgets[b] + 1e-9:
+        if cc[j][i] + used[b] <= budgets[b] + 1e-9:
             a[i] = j
-            used[b] += cc[j, i]
+            used[b] += cc[j][i]
             if _search(i + 1, a, used, cc, r, bucket_of_row, budgets):
                 return True
-            used[bucket_of_row[a[i]]] -= cc[a[i], i]
+            used[bucket_of_row[a[i]]] -= cc[a[i]][i]
     return False
 
 
@@ -142,14 +140,14 @@ def search_ktuple(
     """
     if num_cores < 1:
         raise SearchError("num_cores must be >= 1")
-    cc = table.values
+    cc = table.rows
     bucket_of_row, budgets = _capacity_layout(table, num_cores, capacities)
     a = [0] * table.k
     used = [0.0] * len(budgets)
     if not _search(0, a, used, cc, table.r, bucket_of_row, budgets):
         return None
     assignment = tuple(a)
-    demand = tuple(float(cc[j, i]) for i, j in enumerate(assignment))
+    demand = tuple(cc[j][i] for i, j in enumerate(assignment))
     return KTupleSolution(assignment=assignment, core_demand=demand)
 
 
@@ -251,13 +249,13 @@ def exhaustive_search(
     if estimate is None:
         estimate = default_power_estimate(table, num_cores, capacities=capacities)
     r, k = table.r, table.k
-    cc = table.values
+    cc = table.rows
 
     best: Optional[KTupleSolution] = None
     best_score = float("inf")
     # Monotone non-decreasing assignments == combinations with repetition.
     for combo in itertools.combinations_with_replacement(range(r), k):
-        demand = [float(cc[j, i]) for i, j in enumerate(combo)]
+        demand = [cc[j][i] for i, j in enumerate(combo)]
         used = [0.0] * len(budgets)
         for j, d in zip(combo, demand):
             used[bucket_of_row[j]] += d

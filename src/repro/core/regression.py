@@ -179,6 +179,6 @@ def build_regression_cc_table(
     return CCTable(
         scale=scale,
         class_names=tuple(names),
-        values=values,
+        rows=tuple(map(tuple, values.tolist())),
         ideal_time=ideal_time,
     )

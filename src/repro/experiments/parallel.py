@@ -78,8 +78,10 @@ _CACHE_FORMAT = 1
 
 #: Programs the generation caches below keep. The key memo shares the
 #: bound: a program those caches have dropped is never keyed by identity
-#: again, so a larger memo would only pin dropped programs (100-200 KB
-#: each) in memory.
+#: again, so a larger memo would only pin dropped programs in memory: a
+#: jittered Table II program holds 150-330 KB, while a program whose
+#: batches repeat shares its specs and its ``specs`` tuple (3.4 KB for
+#: 30 periodic batches).
 _PROGRAM_CACHE_ENTRIES = 256
 
 #: Sub-digests of immutable inputs, memoised by object identity — a sweep

@@ -48,8 +48,9 @@ class MachineConfig:
     pop_cycles:
         Cycles charged for a local pool pop (cheap, lock-free path).
     failed_scan_cycles:
-        Cycles charged for scanning all victims and finding nothing before
-        the core settles into its spin-wait.
+        Cost of scanning all victims and finding nothing. Policies hand it
+        to the engine in ``Wait.scan_cycles``, which the engine does not
+        bill: a failed scan takes no simulated time or energy.
     dvfs_latency_s:
         Seconds a core is stalled while switching P-states.
     dvfs_domains:

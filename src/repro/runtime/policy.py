@@ -51,12 +51,17 @@ class SetFrequency(NamedTuple):
 class Wait(NamedTuple):
     """No runnable work anywhere this core may look.
 
-    ``scan_cycles`` is the cost of the failed victim scan, billed before the
-    core settles into its spin-wait. The core spins (at full power for its
-    current frequency) until the engine wakes it — or, if ``retry_after``
-    is set, until that many seconds pass, whichever is first. Timed retries
-    let policies implement reaction delays (e.g. Cilk-D's idle-detection
-    grace period) without an engine-side timer API.
+    The core spins (at full power for its current frequency) until the
+    engine wakes it — or, if ``retry_after`` is set, until that many
+    seconds pass, whichever is first. Timed retries let policies implement
+    reaction delays (e.g. Cilk-D's idle-detection grace period) without an
+    engine-side timer API.
+
+    ``scan_cycles`` carries the failed victim scan's cost
+    (``MachineConfig.failed_scan_cycles``), but the engine does not bill
+    it: dispatch reads only ``retry_after``, so a failed scan takes no
+    simulated time or energy and the core can be woken at the same
+    instant. Billing it would move every golden hash.
     """
 
     scan_cycles: float = 0.0

@@ -108,38 +108,48 @@ def stream_request(
     encoded frame at a time; if it raises ``OSError`` (client gone), the
     request's still-queued tickets are cancelled and the summary records
     the disconnect. Returns a summary dict (``ended`` is one of ``"end"``,
-    ``"deadline"``, ``"engine"``, ``"disconnect"``).
+    ``"deadline"``, ``"engine"``, ``"disconnect"``). A failure before the
+    first cell is queued (resolving a scenario, building its cells, or
+    submitting them to an engine that is closing) ends the stream with an
+    ``engine`` error frame: the handler has already sent its ``200``.
     """
     engine = session.engine
-    # A request may carry one scenario object several times (``repro
-    # sweep --repeat``); resolve each object once.
-    by_id: dict[int, ScenarioSpec] = {}
-    for scenario in request.scenarios:
-        if id(scenario) not in by_id:
-            by_id[id(scenario)] = resolve_scenario(session, scenario)
-    resolved = SweepRequest(
-        scenarios=tuple(by_id[id(s)] for s in request.scenarios),
-        fidelity=request.fidelity,
-        priority=request.priority,
-        deadline_s=request.deadline_s,
-    )
-    pairs = resolved.cells()
-    tickets = engine.submit_many(
-        [cell for _, cell in pairs],
-        priority=request.priority,
-        fidelity=request.fidelity,
-    )
-    order = {id(t): i for i, t in enumerate(tickets)}
-    streamed = 0
-    from_cache = 0
     sources: dict[str, int] = {}
     summary = {
-        "cells": len(tickets),
+        "cells": 0,
         "streamed": 0,
         "from_cache": 0,
         "sources": sources,
         "ended": "end",
     }
+    try:
+        # A request may carry one scenario object several times (``repro
+        # sweep --repeat``); resolve each object once.
+        by_id: dict[int, ScenarioSpec] = {}
+        for scenario in request.scenarios:
+            if id(scenario) not in by_id:
+                by_id[id(scenario)] = resolve_scenario(session, scenario)
+        resolved = SweepRequest(
+            scenarios=tuple(by_id[id(s)] for s in request.scenarios),
+            fidelity=request.fidelity,
+            priority=request.priority,
+            deadline_s=request.deadline_s,
+        )
+        pairs = resolved.cells()
+        tickets = engine.submit_many(
+            [cell for _, cell in pairs],
+            priority=request.priority,
+            fidelity=request.fidelity,
+        )
+    except Exception as exc:
+        summary["ended"] = "engine"
+        with contextlib.suppress(OSError):
+            write(encode_frame(error_frame("engine", f"{type(exc).__name__}: {exc}")))
+        return summary
+    order = {id(t): i for i, t in enumerate(tickets)}
+    streamed = 0
+    from_cache = 0
+    summary["cells"] = len(tickets)
 
     def _cancel_rest() -> int:
         return sum(1 for t in tickets if t.cancel())

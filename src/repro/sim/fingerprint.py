@@ -75,13 +75,22 @@ def _dataclass_tokens(cls: type) -> Optional[tuple[str, tuple[tuple[str, str], .
     return None
 
 
-def _encode(parts: Iterable[Any], out: list[str]) -> None:
+def _encode(parts: Iterable[Any], out: list[str], seen: dict[int, list[Any]]) -> None:
     """Append the canonical encoding of each part, ``|``-terminated.
 
     A dataclass, enum or dict is written as the list
     :func:`canonical_value` turns it into — one walk over the raw value,
     with no intermediate tree. A dataclass is written from its class's
-    precomputed tokens, with scalar and sequence field values inline.
+    precomputed tokens, with scalar field values inline.
+
+    A list or tuple met a second time in the same call is written by
+    copying the bytes its first walk wrote, so a program whose batches
+    share one ``specs`` tuple is walked once per distinct batch. ``seen``
+    maps the ``id`` of each sequence walked so far to ``[sequence, start,
+    end]``, where ``out[start:end]`` is what the walk wrote; the first
+    repeat appends the join of that slice to the entry for later repeats.
+    The entry holds the sequence, so no other object can take its ``id``
+    while the call runs, and ``out`` only grows, so the slice stays valid.
     """
     append = out.append
     for part in parts:
@@ -89,9 +98,18 @@ def _encode(parts: Iterable[Any], out: list[str]) -> None:
         if cls in _REPR_TYPES:
             append(repr(part))
         elif cls in _SEQUENCE_TYPES:
-            append("[")
-            _encode(part, out)
-            append("]")
+            if not part:
+                append("[]")
+            elif (entry := seen.get(id(part))) is None:
+                start = len(out)
+                append("[")
+                _encode(part, out, seen)
+                append("]")
+                seen[id(part)] = [part, start, len(out)]
+            else:
+                if len(entry) == 3:
+                    entry.append("".join(out[entry[1]:entry[2]]))
+                append(entry[3])
         elif (tokens := _dataclass_tokens(cls)) is not None:
             head, fields = tokens
             append(head)
@@ -102,12 +120,10 @@ def _encode(parts: Iterable[Any], out: list[str]) -> None:
                 if value_cls in _REPR_TYPES:
                     append(repr(value))
                     append("|")
-                elif value_cls in _SEQUENCE_TYPES:
-                    append("[")
-                    _encode(value, out)
-                    append("]|")
+                elif value_cls in _SEQUENCE_TYPES and not value:
+                    append("[]|")
                 else:
-                    _encode((value,), out)
+                    _encode((value,), out, seen)
             append("]")
         else:
             if isinstance(part, enum.Enum):
@@ -121,7 +137,7 @@ def _encode(parts: Iterable[Any], out: list[str]) -> None:
                 append("|")
                 continue
             append("[")
-            _encode(items, out)
+            _encode(items, out, seen)
             append("]")
         append("|")
 
@@ -130,7 +146,7 @@ def canonical_blob(parts: Iterable[Any]) -> bytes:
     """Deterministic byte encoding of a nested structure of scalars,
     containers, dataclasses and enums."""
     out: list[str] = []
-    _encode(parts, out)
+    _encode(parts, out, {})
     return "".join(out).encode()
 
 

@@ -10,6 +10,7 @@ on.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from repro.machine.counters import PerfCounters
@@ -60,6 +61,13 @@ def generate_program(
     (drift); each task jitters lognormally around the drifted mean; the
     batch's task order is shuffled so placement does not accidentally
     presort classes.
+
+    Repeated work is shared, not rebuilt: a class's :class:`TaskSpec`
+    (with its counters) is reused while the class's work value repeats,
+    and a batch holding the same spec objects as the batch before it
+    reuses that batch's ``specs`` tuple. A jitter- and drift-free program
+    of any length therefore holds one spec per class and one tuple, which
+    is what lets the cell key encode it once per distinct batch.
     """
     if batches is None:
         batches = spec.default_batches
@@ -68,8 +76,11 @@ def generate_program(
 
     rng = RngStreams(seed)
     drift = {c.name: 1.0 for c in spec.classes}
+    # Per class: the last work value and the spec built for it.
+    last: dict[str, tuple[float, TaskSpec]] = {}
 
     program: list[Batch] = []
+    previous: tuple[TaskSpec, ...] = ()
     for b in range(batches):
         specs: list[TaskSpec] = []
         for cls in spec.classes:
@@ -77,16 +88,26 @@ def generate_program(
                 step = rng.lognormal_factor(f"drift.{spec.name}.{cls.name}", cls.drift_sigma)
                 drift[cls.name] = min(_DRIFT_MAX, max(_DRIFT_MIN, drift[cls.name] * step))
             mean = cls.mean_seconds * drift[cls.name]
+            jitter_stream = f"jitter.{spec.name}.{cls.name}"
+            last_work, last_spec = last.get(cls.name, (None, None))
             for _ in range(cls.count_in_batch(b)):
-                jitter = rng.lognormal_factor(f"jitter.{spec.name}.{cls.name}", cls.jitter_sigma)
-                specs.append(_task_spec(cls, mean * jitter, ref_frequency))
+                work = mean * rng.lognormal_factor(jitter_stream, cls.jitter_sigma)
+                if work != last_work:
+                    last_work, last_spec = work, _task_spec(cls, work, ref_frequency)
+                specs.append(last_spec)
+            last[cls.name] = (last_work, last_spec)
         shuffled = rng.shuffled(f"order.{spec.name}", range(len(specs)))
         ordered = [specs[i] for i in shuffled]
         # Spawn heavy tasks last: owner deques pop LIFO, so the last-pushed
         # (heaviest) tasks start first — the LPT-style spawn order a sane
         # Cilk program uses and the strongest-possible baseline behaviour.
         ordered.sort(key=lambda s: s.cpu_cycles + s.mem_stall_seconds * ref_frequency)
-        program.append(flat_batch(b, ordered))
+        if len(ordered) == len(previous) and all(map(operator.is_, ordered, previous)):
+            batch = flat_batch(b, previous)
+        else:
+            batch = flat_batch(b, ordered)
+            previous = batch.specs
+        program.append(batch)
     return program
 
 

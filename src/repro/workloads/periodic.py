@@ -37,10 +37,11 @@ def periodic_batch_specs(
     heavy_cycles: float = HEAVY_CYCLES,
     light_cycles: float = LIGHT_CYCLES,
 ) -> list[TaskSpec]:
-    """The spec list one batch repeats: ``heavy`` + ``light`` flat tasks."""
-    return [TaskSpec("heavy", cpu_cycles=heavy_cycles) for _ in range(heavy)] + [
-        TaskSpec("light", cpu_cycles=light_cycles) for _ in range(light)
-    ]
+    """The spec list one batch repeats: ``heavy`` + ``light`` flat tasks,
+    one shared spec object per class."""
+    return [TaskSpec("heavy", cpu_cycles=heavy_cycles)] * heavy + [
+        TaskSpec("light", cpu_cycles=light_cycles)
+    ] * light
 
 
 def periodic_program(
@@ -51,11 +52,12 @@ def periodic_program(
     heavy_cycles: float = HEAVY_CYCLES,
     light_cycles: float = LIGHT_CYCLES,
 ) -> list[Batch]:
-    """``batches`` identical flat batches of heavy+light two-class work."""
-    specs = periodic_batch_specs(
+    """``batches`` identical flat batches of heavy+light two-class work,
+    sharing one ``specs`` tuple."""
+    specs = tuple(periodic_batch_specs(
         heavy, light, heavy_cycles=heavy_cycles, light_cycles=light_cycles
-    )
-    return [flat_batch(i, list(specs)) for i in range(batches)]
+    ))
+    return [flat_batch(i, specs) for i in range(batches)]
 
 
 def periodic_workload_spec() -> WorkloadSpec:

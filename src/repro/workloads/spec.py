@@ -13,9 +13,17 @@ generator converts them to cycles with the reference frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
+
+
+#: The :class:`TaskClassSpec` fields that hold numbers.
+_NUMERIC_FIELDS = (
+    "count", "mean_seconds", "jitter_sigma", "drift_sigma", "miss_intensity",
+    "mem_stall_fraction", "phase_amplitude", "phase_period",
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,11 @@ class TaskClassSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkloadError("task class needs a name")
+        # NaN passes the ordered checks below, and an infinite mean, sigma
+        # or period fails only later, inside generation.
+        for field_name in _NUMERIC_FIELDS:
+            if not math.isfinite(getattr(self, field_name)):
+                raise WorkloadError(f"class {self.name}: {field_name} must be finite")
         if self.count < 1:
             raise WorkloadError(f"class {self.name}: count must be >= 1")
         if self.mean_seconds <= 0:
@@ -85,8 +98,6 @@ class TaskClassSpec:
         """Task count for one batch, after phase modulation (>= 1)."""
         if self.phase_amplitude == 0.0:
             return self.count
-        import math
-
         factor = 1.0 + self.phase_amplitude * math.sin(
             2.0 * math.pi * batch_index / self.phase_period
         )

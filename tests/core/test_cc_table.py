@@ -178,7 +178,7 @@ class TestDirectConstruction:
             CCTable(
                 scale=scale,
                 class_names=("a",),
-                values=np.array([[-1.0], [1.0]]),
+                rows=((-1.0,), (1.0,)),
                 ideal_time=1.0,
             )
 

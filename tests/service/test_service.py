@@ -237,6 +237,36 @@ class TestDisconnect:
         assert server.active_streams == 0
 
 
+class TestStreamSetUp:
+    @staticmethod
+    def _closed(*args, **kwargs):
+        raise RuntimeError("engine is closed")
+
+    def test_a_failing_submit_ends_the_stream_with_an_engine_frame(self, monkeypatch):
+        # The handler has sent its 200 before stream_request runs, so a
+        # failure while the cells are submitted must still reach the
+        # client as a frame, not kill the handler thread.
+        with Session(cache_dir=None) as session:
+            monkeypatch.setattr(session.engine, "submit_many", self._closed)
+            request = parse_sweep_request({"scenarios": [scenario(seeds=(11, 23))]})
+            wrote = []
+            summary = stream_request(session, request, wrote.append)
+        assert summary["ended"] == "engine"
+        assert summary["cells"] == summary["streamed"] == 0
+        frames = [json.loads(frame) for frame in wrote]
+        assert [(f["frame"], f["code"]) for f in frames] == [("error", "engine")]
+        assert "RuntimeError: engine is closed" in frames[0]["detail"]
+
+    def test_a_client_gone_before_the_engine_frame_is_not_an_error(self, monkeypatch):
+        def gone(frame: bytes) -> None:
+            raise OSError("client went away")
+
+        with Session(cache_dir=None) as session:
+            monkeypatch.setattr(session.engine, "submit_many", self._closed)
+            request = parse_sweep_request({"scenarios": [scenario()]})
+            assert stream_request(session, request, gone)["ended"] == "engine"
+
+
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self, tmp_path):
         srv = serve(port=0, cache_dir=None, max_pending=2)
@@ -390,6 +420,15 @@ class TestHostileRequests:
         ("workload", {"name": "w", "classes": [{"name": "a", "count": 2}]},
          "exactly one of mean_ms / mean_s"),
         ("seeds", ["a"], "invalid scenario seeds"),
+        # Non-finite class parameters used to be answered 200, then the
+        # handler died inside generation and the client read an empty
+        # stream.
+        ("workload", {"name": "w", "classes": [
+            {"name": "a", "count": 2, "mean_s": float("nan")}]},
+         "mean_seconds must be finite"),
+        ("workload", {"name": "w", "classes": [
+            {"name": "a", "count": 2, "mean_ms": 1.0, "jitter_sigma": float("nan")}]},
+         "jitter_sigma must be finite"),
     ])
     def test_malformed_scenario_field_answers_400(
         self, server, field, value, detail
@@ -406,6 +445,7 @@ class TestHostileRequests:
             conn.close()
         assert frame["frame"] == "error" and frame["code"] == "bad-request"
         assert detail in frame["detail"]
+        assert server.session.engine.stats.cells == 0
 
     def test_nan_deadline_answers_400_before_any_cell(self, server):
         # Python's json reads the NaN literal; a NaN wait never expires.

@@ -9,6 +9,7 @@ cell keys were computed by that two-pass encoding; if one moves, every
 result cache written before the change goes cold.
 """
 
+import copy
 import dataclasses
 import enum
 from typing import Any, ClassVar
@@ -126,6 +127,39 @@ def test_parts_lists_encode_item_by_item(parts):
     assert canonical_blob(parts) == b"".join(
         two_pass_blob(part) for part in parts
     )
+
+
+@st.composite
+def values_with_shared_parts(draw):
+    """A value holding one list, tuple or dataclass at two or more places,
+    directly and inside dicts, dataclasses and other sequences."""
+    shared = draw(
+        st.lists(nested, min_size=1, max_size=3)
+        | st.lists(nested, min_size=1, max_size=3).map(tuple)
+        | st.builds(Leaf, nested, st.booleans())
+    )
+    body = draw(st.recursive(scalars | st.just(shared), _extend, max_leaves=12))
+    return draw(st.permutations([shared, (shared, body), body, Leaf(shared), {"k": shared}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values_with_shared_parts())
+def test_shared_parts_encode_as_if_unshared(value):
+    # The encoder copies the bytes of a sequence it has already written in
+    # the same call; the bytes must be those of the unshared tree.
+    assert_canonical(value)
+    assert canonical_blob([value]) == canonical_blob([copy.deepcopy(value)])
+
+
+def test_repeated_batches_encode_as_distinct_ones():
+    shared = tuple(periodic_program(5, 2, 3))
+    rebuilt = tuple(
+        dataclasses.replace(batch, specs=tuple(copy.copy(s) for s in batch.specs))
+        for batch in shared
+    )
+    assert len({id(b.specs) for b in shared}) == 1
+    assert len({id(b.specs) for b in rebuilt}) == 5
+    assert canonical_blob([shared]) == canonical_blob([rebuilt]) == two_pass_blob(shared)
 
 
 def test_class_objects_are_written_with_repr():

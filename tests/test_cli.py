@@ -171,6 +171,27 @@ class TestRunSpecScenario:
         assert main(["run-spec", path]) == 2
         assert "exactly one of mean_ms / mean_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"mean_s": float("nan")}, "mean_seconds"),
+        ({"mean_ms": float("inf")}, "mean_seconds"),
+        ({"mean_ms": 1.0, "jitter_sigma": float("nan")}, "jitter_sigma"),
+        ({"mean_ms": 1.0, "phase_amplitude": 0.5, "phase_period": float("nan")},
+         "phase_period"),
+    ])
+    def test_non_finite_class_parameter_exits_2(self, tmp_path, capsys, overrides, field):
+        # NaN slipped past the class's ordered checks, and generation then
+        # died on a bare ValueError: exit 1 with a traceback.
+        path = self._write(tmp_path, {
+            "workload": {"name": "w", "classes": [dict(name="a", count=2, **overrides)]},
+            "policy": "cilk",
+            "seeds": [1],
+            "batches": 1,
+        })
+        assert main(["run-spec", path]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario workload" in err
+        assert f"{field} must be finite" in err
+
     def test_non_integer_seed_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, {
             "workload": "SHA-1", "policy": "cilk", "seeds": ["a"],

@@ -30,6 +30,17 @@ class TestTaskClassSpec:
         with pytest.raises(WorkloadError):
             TaskClassSpec("x", count=1, mean_seconds=0.1, mem_stall_fraction=1.0)
 
+    @pytest.mark.parametrize("field", [
+        "count", "mean_seconds", "jitter_sigma", "drift_sigma", "miss_intensity",
+        "mem_stall_fraction", "phase_amplitude", "phase_period",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_rejected(self, field, value):
+        fields = dict(name="x", count=2, mean_seconds=0.1, phase_amplitude=0.5)
+        fields[field] = value
+        with pytest.raises(WorkloadError, match=f"{field} must be finite"):
+            TaskClassSpec(**fields)
+
     def test_total_seconds(self):
         c = TaskClassSpec("x", count=10, mean_seconds=0.01)
         assert c.total_seconds == pytest.approx(0.1)
