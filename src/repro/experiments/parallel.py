@@ -18,13 +18,17 @@ vocabulary the sweep engine (:mod:`repro.experiments.sweep`) builds on:
   an allow-listed unpickler that admits only the classes a record holds,
   so an entry names its own layout: one holding anything else (such as a
   whole ``SimResult``, as earlier versions wrote) is a miss, deleted and
-  re-simulated. A repeated sweep with unchanged inputs executes zero
-  simulations; changing *any* input — a task spec, a policy tunable, the
-  machine, the seed, the engine version tag
-  (:data:`repro.sim.engine.ENGINE_VERSION`), or the scenario schema
-  version (:data:`repro.scenario.spec.SCENARIO_SCHEMA_VERSION`, which
-  versions the key layout itself) — changes the key and misses. Entries
-  written under an older schema version are therefore never served.
+  re-simulated. A generated cell is keyed by what generates its program
+  (:class:`GeneratedProgram`), so a cached one is found without
+  generating it. A repeated sweep with unchanged inputs executes zero
+  simulations; changing *any* input — a workload or task-class field,
+  the batch count, a policy tunable, the machine, the seed, the engine
+  version tag (:data:`repro.sim.engine.ENGINE_VERSION`), the generator
+  version (:data:`repro.workloads.generators.GENERATOR_VERSION`), or the
+  key layout (``_CACHE_FORMAT`` and
+  :data:`repro.scenario.spec.SCENARIO_SCHEMA_VERSION`) — changes the key
+  and misses. Entries written under an older layout are therefore never
+  served.
 
 Cells run through :class:`repro.experiments.sweep.SweepEngine`, directly
 or through :class:`repro.scenario.session.Session`.
@@ -45,9 +49,10 @@ import functools
 import os
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.eewa import EEWAConfig
 from repro.errors import ConfigurationError
@@ -62,57 +67,84 @@ from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.sim.fingerprint import digest
 from repro.sim.record import CellResult
 from repro.sim.trace import BatchTrace, DvfsTransition, TraceRecorder
-from repro.workloads.benchmarks import benchmark_program
+from repro.workloads import generators
+from repro.workloads.benchmarks import benchmark_spec
 from repro.workloads.spec import WorkloadSpec
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Part of every cell key, and kept at 1 so keys do not move. The stored
-#: format needs no key bump: an entry names its own layout through the
-#: classes it pickles, and :data:`_ENTRY_CLASSES` admits only the current
-#: one. (The simulated behaviour is versioned by ``ENGINE_VERSION`` and
-#: the key layout by ``SCENARIO_SCHEMA_VERSION``.)
-_CACHE_FORMAT = 1
+#: Version of the key layout :func:`cell_key` hashes, part of every key.
+#: 2 since a generated cell is keyed by its generator
+#: (:class:`GeneratedProgram`) instead of its program's digest, so no
+#: entry written under 1 is served. The stored format needs no bump: an
+#: entry names its own layout through the classes it pickles, and
+#: :data:`_ENTRY_CLASSES` admits only the current one. (Simulated
+#: behaviour is versioned by ``ENGINE_VERSION``, generated programs by
+#: ``GENERATOR_VERSION`` and scenario fields by ``SCENARIO_SCHEMA_VERSION``.)
+_CACHE_FORMAT = 2
 
-
-#: Programs the generation caches below keep. The key memo shares the
-#: bound: a program those caches have dropped is never keyed by identity
-#: again, so a larger memo would only pin dropped programs in memory: a
-#: jittered Table II program holds 150-330 KB, while a program whose
-#: batches repeat shares its specs and its ``specs`` tuple (3.4 KB for
-#: 30 periodic batches).
+#: Programs :func:`_generated_program` keeps: a grid runs each program
+#: under several policies. A jittered Table II program holds 150-330 KB,
+#: while a program whose batches repeat shares its specs and its
+#: ``specs`` tuple (3.4 KB for 30 periodic batches).
 _PROGRAM_CACHE_ENTRIES = 256
 
-#: Sub-digests of immutable inputs, memoised by object identity — a sweep
-#: hashes the same program once per (program, policy-count) instead of
-#: re-walking thousands of task specs per cell. Identity keying is sound
-#: because an entry holds a strong reference to its keyed object (so its
+#: Machine digests, memoised by object identity. A preset's machine is
+#: one shared object (:meth:`~repro.scenario.spec.MachineSpec.build`), so
+#: a sweep digests it once instead of once per cell. Identity keying is
+#: sound because an entry holds a strong reference to its machine (so its
 #: id cannot be recycled while the entry lives) and every hit re-verifies
-#: identity. Each memo is an LRU bounded like the program caches, so the
-#: program memo holds no more programs than they do. Machines have a memo
-#: of their own, so the machines a grid keys never evict its programs.
-_BLOB_MEMO_ENTRIES = _PROGRAM_CACHE_ENTRIES
-_blob_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
-_machine_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
+#: identity. The memo is an LRU of :data:`_MACHINE_MEMO_ENTRIES`.
+_MACHINE_MEMO_ENTRIES = 256
+_machine_memo: OrderedDict[int, tuple[MachineConfig, str]] = OrderedDict()
+_machine_memo_lock = threading.Lock()
 
 
-def _memo_digest(
-    value: Any, memo: OrderedDict[int, tuple[Any, str]] = _blob_memo
-) -> str:
-    cached = memo.get(id(value))
-    if cached is not None and cached[0] is value:
-        memo.move_to_end(id(value))
+def _machine_digest(machine: MachineConfig) -> str:
+    key = id(machine)
+    with _machine_memo_lock:
+        cached = _machine_memo.get(key)
+        if cached is None or cached[0] is not machine:
+            cached = _machine_memo[key] = (machine, digest([machine]))
+        _machine_memo.move_to_end(key)
+        if len(_machine_memo) > _MACHINE_MEMO_ENTRIES:
+            _machine_memo.popitem(last=False)
         return cached[1]
-    d = digest([value])
-    memo[id(value)] = (value, d)
-    while len(memo) > _BLOB_MEMO_ENTRIES:
-        memo.popitem(last=False)
-    return d
+
+
+@functools.lru_cache(maxsize=64)
+def _workload_digest(workload: WorkloadSpec) -> str:
+    """Memoised by value: a WorkloadSpec is frozen and hashable, and
+    hashing one costs a twentieth of digesting it."""
+    return digest([workload])
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratedProgram:
+    """A cell's program named by what generates it.
+
+    The program is ``generate_program(workload, batches=batches,
+    seed=seed)`` for the cell's seed: a pure function of the spec, the
+    batch count, the seed and the generator code, which
+    ``GENERATOR_VERSION`` versions. So the cell key digests those instead
+    of the program, and a cached cell is found without generating it.
+    ``batches`` is resolved: a cell asking for the workload's default
+    batch count keys like one that names it.
+    """
+
+    workload: WorkloadSpec
+    batches: int
+
+    def generate(self, seed: int) -> tuple[Batch, ...]:
+        return _generated_program(self, seed)
+
+
+ProgramSource = Union[Sequence[Batch], GeneratedProgram]
 
 
 def cell_key(
-    program: Sequence[Batch],
+    program: ProgramSource,
     policy: str,
     machine: MachineConfig,
     seed: int,
@@ -125,25 +157,30 @@ def cell_key(
 ) -> str:
     """Content hash of one simulation's complete input set.
 
-    This is the resolved-scenario digest: the policy name must be
-    registered, and the layout is versioned by ``SCENARIO_SCHEMA_VERSION``
-    — bumping it orphans every entry written under the old layout.
-    ``fast_forward`` is part of the key: on machines whose arithmetic is
-    not float-exact a fast-forwarded result may differ from a full one in
-    last-ulp positions, so the two modes must never share cache entries.
+    ``program`` is a :class:`GeneratedProgram`, keyed by
+    ``GENERATOR_VERSION``, its workload spec and its batch count, or an
+    explicit program (a sequence of batches), keyed by the digest of its
+    content. This is the resolved-scenario digest: the policy name must
+    be registered, and the layout is versioned by ``_CACHE_FORMAT`` and
+    ``SCENARIO_SCHEMA_VERSION`` — bumping either orphans every entry
+    written under the old layout. ``fast_forward`` is part of the key: on
+    machines whose arithmetic is not float-exact a fast-forwarded result
+    may differ from a full one in last-ulp positions, so the two modes
+    must never share cache entries.
     """
-    if isinstance(program, tuple):
-        program_digest = _memo_digest(program)
+    if isinstance(program, GeneratedProgram):
+        program_id: Any = (
+            "generated", generators.GENERATOR_VERSION,
+            _workload_digest(program.workload), program.batches,
+        )
     else:
-        # A tuple built here has a one-shot id — memoising it would only
-        # fill the memo with entries no later call can ever hit.
-        program_digest = digest([tuple(program)])
+        program_id = digest([tuple(program)])
     return digest(
         [
             "schema", SCENARIO_SCHEMA_VERSION,
             "engine", ENGINE_VERSION, _CACHE_FORMAT,
-            "machine", _memo_digest(machine, _machine_memo),
-            "program", program_digest,
+            "machine", _machine_digest(machine),
+            "program", program_id,
             "policy", POLICIES.canonical(policy),
             "core_levels", None if core_levels is None else tuple(core_levels),
             "eewa_config", eewa_config,
@@ -166,11 +203,12 @@ class CellSpec:
 
     ``benchmark`` names a registered workload; ``workload`` carries an
     inline :class:`~repro.workloads.spec.WorkloadSpec` instead (the cache
-    key hashes generated program *content*, so an inline spec and the
-    registered workload it equals share cache entries). ``program``
-    overrides generation entirely; ``machine`` overrides the engine's
-    default machine (Fig. 9's core-count sweep). ``policy_params`` are the
-    JSON-scalar tunables of a :class:`~repro.scenario.spec.PolicySpec`.
+    key hashes the workload spec's *content*, not its name, so an inline
+    spec and the registered workload it equals share cache entries).
+    ``program`` overrides generation entirely and is keyed by its own
+    content; ``machine`` overrides the engine's default machine (Fig. 9's
+    core-count sweep). ``policy_params`` are the JSON-scalar tunables of a
+    :class:`~repro.scenario.spec.PolicySpec`.
     """
 
     benchmark: str
@@ -185,6 +223,21 @@ class CellSpec:
     policy_params: Optional[tuple[tuple[str, Any], ...]] = None
     faults: Optional[FaultSpec] = None
 
+    def program_source(self) -> ProgramSource:
+        """What the cell key names this cell's program by: the explicit
+        ``program``, or the generator of the inline ``workload`` or of the
+        registered ``benchmark``."""
+        if self.program is not None:
+            return self.program
+        workload = (
+            self.workload if self.workload is not None
+            else benchmark_spec(self.benchmark)
+        )
+        return GeneratedProgram(
+            workload,
+            workload.default_batches if self.batches is None else self.batches,
+        )
+
     @classmethod
     def from_scenario(cls, scenario: ScenarioSpec, seed: int) -> "CellSpec":
         """One cell of a scenario (its ``seed``-th repetition)."""
@@ -197,9 +250,10 @@ class CellSpec:
     ) -> list["CellSpec"]:
         """One cell per seed (default: the scenario's seeds).
 
-        The cells share one machine, built once: a cell key digests a
-        machine once per machine object, so a scenario's seeds pay for
-        one machine digest instead of one each.
+        The cells share one machine, built once; a preset's machine is
+        the same object for every scenario that names it (see
+        :meth:`~repro.scenario.spec.MachineSpec.build`), and a cell key
+        digests a machine once per object.
         """
         policy = scenario.policy
         eewa_config = None
@@ -414,31 +468,12 @@ class ResultCache:
 
 
 @functools.lru_cache(maxsize=_PROGRAM_CACHE_ENTRIES)
-def _generated_program(
-    benchmark: str, batches: Optional[int], seed: int
-) -> tuple[Batch, ...]:
-    """Memoised program generation — generation is deterministic in these
-    arguments, and returning the *same* tuple object across a sweep's cells
-    lets the key hasher reuse its per-program digest."""
-    return tuple(benchmark_program(benchmark, batches=batches, seed=seed))
-
-
-@functools.lru_cache(maxsize=64)
-def _generated_from_spec(
-    workload: WorkloadSpec, batches: Optional[int], seed: int
-) -> tuple[Batch, ...]:
-    """Memoised generation for inline workload specs (frozen, hashable)."""
-    from repro.workloads.generators import generate_program
-
-    return tuple(generate_program(workload, batches=batches, seed=seed))
-
-
-def _resolve_program(spec: CellSpec) -> tuple[Batch, ...]:
-    if spec.program is not None:
-        return spec.program
-    if spec.workload is not None:
-        return _generated_from_spec(spec.workload, spec.batches, spec.seed)
-    return _generated_program(spec.benchmark, spec.batches, spec.seed)
+def _generated_program(source: GeneratedProgram, seed: int) -> tuple[Batch, ...]:
+    """Memoised generation, keyed by the workload spec's value (never by
+    its name, which may be registered again with other content)."""
+    return tuple(generators.generate_program(
+        source.workload, batches=source.batches, seed=seed
+    ))
 
 
 def _simulate_cell(

@@ -75,15 +75,16 @@ from repro.experiments.parallel import (
     DEFAULT_CACHE_DIR,
     CellOutcome,
     CellSpec,
+    GeneratedProgram,
     ResultCache,
     SweepStats,
-    _resolve_program,
     _simulate_cell,
     cell_key,
 )
-from repro.machine.topology import MachineConfig, opteron_8380_machine
+from repro.machine.topology import MachineConfig
 from repro.model.bounds import classify_cell
 from repro.model.predict import predict_cell
+from repro.scenario.spec import MachineSpec
 
 #: Job lifecycle states.
 _QUEUED, _DISPATCHED, _DONE, _CANCELLED = range(4)
@@ -231,7 +232,7 @@ class SweepEngine:
             )
         if max_pending < 1:
             raise ConfigurationError("max_pending must be positive")
-        self.machine = machine if machine is not None else opteron_8380_machine()
+        self.machine = machine if machine is not None else MachineSpec().build()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.fidelity = fidelity
@@ -269,7 +270,8 @@ class SweepEngine:
 
         A submission coalesces onto an identical in-flight cell, resolves
         instantly from the cache (or, under ``"auto"``, the model), or
-        joins the priority queue.
+        joins the priority queue. Only the last two need the cell's
+        program: a coalesced or cached cell is found by its key alone.
         However it is served, the outcome's ``result`` is a
         :class:`~repro.sim.record.CellResult`: scalars, per-batch trace and
         task rows, without the energy meter or ``Task`` objects (a full
@@ -286,9 +288,9 @@ class SweepEngine:
             )
         cell_fidelity = fidelity if fidelity is not None else self.fidelity
         machine = spec.machine if spec.machine is not None else self.machine
-        program = _resolve_program(spec)
+        source = spec.program_source()
         key = cell_key(
-            program, spec.policy, machine, spec.seed,
+            source, spec.policy, machine, spec.seed,
             core_levels=spec.core_levels, eewa_config=spec.eewa_config,
             policy_params=spec.policy_params,
             fast_forward=self._fast_forward,
@@ -298,21 +300,25 @@ class SweepEngine:
             if self._closed:
                 raise RuntimeError("SweepEngine is closed")
             self.stats.cells += 1
-
-            job = self._inflight.get(key)
-            if job is not None:
-                ticket = SweepTicket(self, spec, key, job)
-                job.tickets.append(ticket)
-                self.stats.deduplicated += 1
+            ticket = self._served_locked(spec, key, lookup=True)
+            if ticket is not None:
                 return ticket
-
-            payload = self._lookup_cached(key)
-            if payload is not None:
-                self.stats.cache_hits += 1
-                ticket = SweepTicket(self, spec, key)
-                ticket.future.set_result(
-                    self._outcome(spec, key, payload, from_cache=True)
-                )
+            executed = self.stats.executed
+        # A miss needs the program. It is generated outside the lock, so
+        # other submits and finishing chunks do not wait for it.
+        program = (
+            source.generate(spec.seed)
+            if isinstance(source, GeneratedProgram) else source
+        )
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("SweepEngine is closed")
+            # Meanwhile another submit may have queued this cell, or a
+            # finished chunk may have cached it.
+            ticket = self._served_locked(
+                spec, key, lookup=self.stats.executed != executed
+            )
+            if ticket is not None:
                 return ticket
 
             if cell_fidelity == "auto":
@@ -556,6 +562,28 @@ class SweepEngine:
         return ticket
 
     # -- internals: cache/memo ------------------------------------------
+
+    def _served_locked(
+        self, spec: CellSpec, key: str, *, lookup: bool
+    ) -> Optional[SweepTicket]:
+        """A ticket coalesced onto the in-flight job for ``key`` or, with
+        ``lookup``, served from the cache; ``None`` when neither has it.
+        Called with the lock held."""
+        job = self._inflight.get(key)
+        if job is not None:
+            ticket = SweepTicket(self, spec, key, job)
+            job.tickets.append(ticket)
+            self.stats.deduplicated += 1
+            return ticket
+        payload = self._lookup_cached(key) if lookup else None
+        if payload is None:
+            return None
+        self.stats.cache_hits += 1
+        ticket = SweepTicket(self, spec, key)
+        ticket.future.set_result(
+            self._outcome(spec, key, payload, from_cache=True)
+        )
+        return ticket
 
     def _lookup_cached(self, key: str) -> Optional[dict[str, Any]]:
         """The cached payload for ``key``, or ``None``.

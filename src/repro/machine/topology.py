@@ -45,12 +45,10 @@ class MachineConfig:
     steal_cycles:
         Cycles charged to a core for one successful steal (victim scan +
         deque CAS). Converted to seconds at the thief's effective speed.
+        A scan that finds nothing costs nothing (see
+        :class:`~repro.runtime.policy.Wait`).
     pop_cycles:
         Cycles charged for a local pool pop (cheap, lock-free path).
-    failed_scan_cycles:
-        Cost of scanning all victims and finding nothing. Policies hand it
-        to the engine in ``Wait.scan_cycles``, which the engine does not
-        bill: a failed scan takes no simulated time or energy.
     dvfs_latency_s:
         Seconds a core is stalled while switching P-states.
     dvfs_domains:
@@ -79,7 +77,6 @@ class MachineConfig:
     power: PowerModel
     steal_cycles: float = 6000.0
     pop_cycles: float = 400.0
-    failed_scan_cycles: float = 12000.0
     dvfs_latency_s: float = 100e-6
     dvfs_domains: Optional[tuple[tuple[int, ...], ...]] = None
     core_types: Optional[tuple[tuple[str, int], ...]] = None
@@ -88,7 +85,7 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigurationError("a machine needs at least one core")
-        for name in ("steal_cycles", "pop_cycles", "failed_scan_cycles", "dvfs_latency_s"):
+        for name in ("steal_cycles", "pop_cycles", "dvfs_latency_s"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.core_types is None:
@@ -306,7 +303,6 @@ def dyadic_test_machine(num_cores: int = 8, r: int = 4) -> MachineConfig:
         power=power,
         steal_cycles=8192.0,
         pop_cycles=512.0,
-        failed_scan_cycles=16384.0,
         dvfs_latency_s=2.0**-13,
     )
 
@@ -357,7 +353,6 @@ def big_little_test_machine(
         power=big_power,
         steal_cycles=8192.0,
         pop_cycles=512.0,
-        failed_scan_cycles=16384.0,
         dvfs_latency_s=2.0**-13,
         core_types=(("big", big_cores), ("little", little_cores)),
         type_powers=(("big", big_power), ("little", little_power)),

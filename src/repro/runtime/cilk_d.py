@@ -105,7 +105,7 @@ class CilkDScheduler(CilkScheduler):
             self._idle_since[core_id] = None
             return SetFrequency(slowest)
         stats.failed_scans += 1
-        return Wait(scan_cycles=self._scan_cycles, retry_after=remaining)
+        return Wait(retry_after=remaining)
 
     def on_program_start(self) -> BatchAdjustment:
         self._idle_since.clear()

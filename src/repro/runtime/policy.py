@@ -57,14 +57,11 @@ class Wait(NamedTuple):
     reaction delays (e.g. Cilk-D's idle-detection grace period) without an
     engine-side timer API.
 
-    ``scan_cycles`` carries the failed victim scan's cost
-    (``MachineConfig.failed_scan_cycles``), but the engine does not bill
-    it: dispatch reads only ``retry_after``, so a failed scan takes no
-    simulated time or energy and the core can be woken at the same
-    instant. Billing it would move every golden hash.
+    The failed victim scan that led here takes no simulated time or
+    energy, so the core can be woken at the same instant. (Billing a scan
+    cost would move every golden hash.)
     """
 
-    scan_cycles: float = 0.0
     retry_after: Optional[float] = None
 
 
@@ -155,14 +152,12 @@ class SchedulerPolicy(abc.ABC):
         self.ctx: Optional[RuntimeContext] = None
         self.stats = PolicyStats()
         #: The machine's task-acquisition costs in cycles (local pop,
-        #: steal, failed scan), fixed for a run and bound by :meth:`bind`
-        #: so that dispatch does not look them up for every action.
+        #: steal), fixed for a run and bound by :meth:`bind` so that
+        #: dispatch does not look them up for every action.
         self._pop_cycles = 0.0
         self._steal_cycles = 0.0
-        self._scan_cycles = 0.0
-        #: The untimed ``Wait`` a failed scan returns, built once by
-        #: :meth:`bind` (actions are immutable, so one instance serves
-        #: every dispatch).
+        #: The untimed ``Wait`` a failed scan returns (actions are
+        #: immutable, so one instance serves every dispatch).
         self._wait = Wait()
 
     # -- lifecycle ----------------------------------------------------------
@@ -173,8 +168,6 @@ class SchedulerPolicy(abc.ABC):
         machine = ctx.machine
         self._pop_cycles = machine.pop_cycles
         self._steal_cycles = machine.steal_cycles
-        self._scan_cycles = machine.failed_scan_cycles
-        self._wait = Wait(scan_cycles=self._scan_cycles)
 
     def on_program_start(self) -> BatchAdjustment | None:
         """Called before the first batch. May set initial frequencies."""

@@ -27,6 +27,7 @@ from repro.scenario.registry import (
 )
 from repro.scenario.spec import (
     DEFAULT_SEEDS,
+    MAX_CORES,
     SCENARIO_SCHEMA_VERSION,
     MachineSpec,
     PolicySpec,
@@ -37,6 +38,7 @@ from repro.scenario.session import Session
 __all__ = [
     "DEFAULT_SEEDS",
     "MACHINES",
+    "MAX_CORES",
     "MachinePresetEntry",
     "MachineSpec",
     "POLICIES",

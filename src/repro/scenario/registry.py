@@ -21,6 +21,7 @@ Each entry has exactly one name, unique within its registry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -158,7 +159,12 @@ class MachinePresetEntry:
 
 @dataclass(frozen=True)
 class WorkloadEntry:
-    """One registered workload; ``spec_factory()`` → fresh WorkloadSpec."""
+    """One registered workload; ``spec()`` → its WorkloadSpec.
+
+    ``spec_factory`` runs on the first ``spec()`` only. A WorkloadSpec is
+    immutable, so every caller shares that one, and keying a cell by its
+    workload does not rebuild the spec each time.
+    """
 
     name: str
     spec_factory: Callable[[], WorkloadSpec]
@@ -166,8 +172,12 @@ class WorkloadEntry:
     #: True for the paper's Table II benchmarks.
     table2: bool = False
 
-    def spec(self) -> WorkloadSpec:
+    @functools.cached_property
+    def _spec(self) -> WorkloadSpec:
         return self.spec_factory()
+
+    def spec(self) -> WorkloadSpec:
+        return self._spec
 
 
 POLICIES: Registry[PolicyEntry] = Registry("policy")

@@ -35,6 +35,8 @@ Heterogeneous machines pin the per-type core partition with the schema-v3
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -44,7 +46,7 @@ from repro.faults.spec import FaultSpec
 from repro.machine.topology import MachineConfig
 from repro.runtime.policy import SchedulerPolicy
 from repro.runtime.task import Batch
-from repro.scenario.registry import MACHINES, POLICIES, WORKLOADS
+from repro.scenario.registry import MACHINES, POLICIES, WORKLOADS, MachinePresetEntry
 from repro.sim.fingerprint import digest
 from repro.workloads.io import spec_from_dict, spec_to_dict
 from repro.workloads.spec import WorkloadSpec
@@ -68,6 +70,56 @@ DEFAULT_SEEDS = (11, 23, 37)
 
 _INLINE_PRESET = "<inline>"
 
+#: Most cores a :class:`MachineSpec` may ask for, as ``num_cores`` or as
+#: the total of its ``core_types``: 64 times the paper's 16-core machine.
+#: Building and simulating a machine costs time and memory in proportion
+#: to its core count (a one-batch SHA-1 cell on 100,000 cores took 3.3 s
+#: and raised peak RSS from 35 to 299 MB on a 2-CPU Xeon VM), so one
+#: scenario could otherwise exhaust ``repro serve``.
+MAX_CORES = 1024
+
+#: Preset machines :func:`_preset_machine` keeps, least recently used
+#: dropped first.
+_PRESET_MACHINES_KEPT = 64
+
+_preset_machines: OrderedDict[
+    tuple[str, Optional[int], Optional[tuple[tuple[str, int], ...]]],
+    tuple[MachinePresetEntry, MachineConfig],
+] = OrderedDict()
+_preset_lock = threading.Lock()
+
+
+def _preset_machine(
+    preset: str,
+    num_cores: Optional[int],
+    core_types: Optional[tuple[tuple[str, int], ...]],
+) -> MachineConfig:
+    """The one machine the registered ``preset`` builds with these overrides.
+
+    A machine is immutable, so every scenario, cell and engine can share
+    it; the cell key digests a machine once per object, so sharing also
+    makes that digest a memo hit. Each machine is held with the registry
+    entry that built it: once the name is registered again, with a new
+    entry, its machines are never served again and are dropped.
+    """
+    entry = MACHINES.get(preset)
+    key = (preset, num_cores, core_types)
+    with _preset_lock:
+        held = _preset_machines.get(key)
+        if held is not None and held[0] is entry:
+            _preset_machines.move_to_end(key)
+            return held[1]
+        machine = entry.build(num_cores, core_types)
+        for stale in [
+            k for k, (built_by, _) in _preset_machines.items()
+            if k[0] == preset and built_by is not entry
+        ]:
+            del _preset_machines[stale]
+        _preset_machines[key] = (entry, machine)
+        if len(_preset_machines) > _PRESET_MACHINES_KEPT:
+            _preset_machines.popitem(last=False)
+        return machine
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -75,7 +127,8 @@ class MachineSpec:
 
     ``config`` is the escape hatch for API callers holding an arbitrary
     :class:`MachineConfig` (e.g. unusual ladders in tests); inline machines
-    participate in digests but cannot be serialised to JSON.
+    participate in digests but cannot be serialised to JSON. A spec asks
+    for at most :data:`MAX_CORES` cores.
     """
 
     preset: str = "opteron-8380"
@@ -88,8 +141,8 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.config is None:
             object.__setattr__(self, "preset", MACHINES.canonical(self.preset))
-        if self.num_cores is not None and self.num_cores < 1:
-            raise ScenarioError("num_cores must be >= 1")
+        if self.num_cores is not None and not 1 <= self.num_cores <= MAX_CORES:
+            raise ScenarioError(f"num_cores must lie between 1 and {MAX_CORES}")
         if self.core_types is not None:
             if self.config is not None:
                 raise ScenarioError(
@@ -102,6 +155,11 @@ class MachineSpec:
                 raise ScenarioError("core_types must be non-empty when given")
             if any(count < 1 for _, count in normalised):
                 raise ScenarioError("core_types counts must be >= 1")
+            total = sum(count for _, count in normalised)
+            if total > MAX_CORES:
+                raise ScenarioError(
+                    f"core_types ask for {total} cores; the limit is {MAX_CORES}"
+                )
             object.__setattr__(self, "core_types", normalised)
 
     @classmethod
@@ -111,11 +169,13 @@ class MachineSpec:
         return cls(preset=_INLINE_PRESET, num_cores=num_cores, config=config)
 
     def build(self) -> MachineConfig:
+        """The machine; a preset's is built once and shared (see
+        :func:`_preset_machine`)."""
         if self.config is not None:
             if self.num_cores is not None:
                 return self.config.with_cores(self.num_cores)
             return self.config
-        return MACHINES.get(self.preset).build(self.num_cores, self.core_types)
+        return _preset_machine(self.preset, self.num_cores, self.core_types)
 
     def to_dict(self) -> dict[str, Any]:
         if self.config is not None:
@@ -456,6 +516,7 @@ class ScenarioSpec:
 
 __all__ = [
     "DEFAULT_SEEDS",
+    "MAX_CORES",
     "MachineSpec",
     "PolicySpec",
     "SCENARIO_SCHEMA_VERSION",

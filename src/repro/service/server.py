@@ -96,6 +96,10 @@ def resolve_scenario(session: Session, scenario: ScenarioSpec) -> ScenarioSpec:
     )
 
 
+class _ClientGone(Exception):
+    """A frame write failed or timed out: the client left or stopped reading."""
+
+
 def stream_request(
     session: Session,
     request: SweepRequest,
@@ -105,9 +109,10 @@ def stream_request(
 
     The streaming core of the service, factored out of the HTTP handler
     so its contract is testable without sockets. ``write`` receives one
-    encoded frame at a time; if it raises ``OSError`` (client gone), the
-    request's still-queued tickets are cancelled and the summary records
-    the disconnect. Returns a summary dict (``ended`` is one of ``"end"``,
+    encoded frame at a time; if it raises ``OSError`` (client gone, or a
+    write timed out because the client stopped reading), the request's
+    still-queued tickets are cancelled and the summary records the
+    disconnect. Returns a summary dict (``ended`` is one of ``"end"``,
     ``"deadline"``, ``"engine"``, ``"disconnect"``). A failure before the
     first cell is queued (resolving a scenario, building its cells, or
     submitting them to an engine that is closing) ends the stream with an
@@ -154,6 +159,14 @@ def stream_request(
     def _cancel_rest() -> int:
         return sum(1 for t in tickets if t.cancel())
 
+    def _send(frame: dict[str, Any]) -> None:
+        # A write that times out raises TimeoutError, as an expired
+        # deadline does; tell the two apart here.
+        try:
+            write(encode_frame(frame))
+        except OSError as exc:
+            raise _ClientGone from exc
+
     try:
         for ticket in engine.as_completed(tickets, timeout=request.deadline_s):
             if ticket.future.cancelled():
@@ -165,19 +178,19 @@ def stream_request(
             except Exception as exc:  # engine-side failure for this cell
                 _cancel_rest()
                 summary["ended"] = "engine"
-                write(encode_frame(error_frame(
-                    "engine", f"{type(exc).__name__}: {exc}"
-                )))
+                _send(error_frame("engine", f"{type(exc).__name__}: {exc}"))
                 return summary
             index = order[id(ticket)]
-            write(encode_frame(
-                cell_frame(index, pairs[index][0], outcome)
-            ))
+            _send(cell_frame(index, pairs[index][0], outcome))
             streamed += 1
             from_cache += int(outcome.from_cache)
             sources[outcome.source] = sources.get(outcome.source, 0) + 1
             summary["streamed"] = streamed
             summary["from_cache"] = from_cache
+        _send(end_frame(
+            cells=len(tickets), streamed=streamed, from_cache=from_cache,
+            sources=sources,
+        ))
     except TimeoutError:
         cancelled = _cancel_rest()
         summary["ended"] = "deadline"
@@ -189,16 +202,12 @@ def stream_request(
                 f"({cancelled} cancelled)",
             )))
         return summary
-    except OSError:
-        # The client went away mid-stream: withdraw its queued cells and
-        # leave everything other clients share with it untouched.
+    except _ClientGone:
+        # The client went away or stopped reading (before its end frame,
+        # at the latest): withdraw its queued cells and leave everything
+        # other clients share with it untouched.
         _cancel_rest()
         summary["ended"] = "disconnect"
-        return summary
-    write(encode_frame(end_frame(
-        cells=len(tickets), streamed=streamed, from_cache=from_cache,
-        sources=sources,
-    )))
     return summary
 
 

@@ -51,11 +51,15 @@ fingerprints, equal upcoming batch specs, and two bitwise-equal per-batch
 delta sets (Δtime, per-core Δenergy breakdowns, Δpolicy-counters, batch
 trace shape, minted-task templates) prove a steady state; the engine then
 *replays* the recorded delta arithmetically for every remaining identical
-batch instead of simulating it. Replay performs the same additions the full
-simulation would, in the same order, so on machines where the arithmetic is
-float-exact (see :func:`repro.machine.topology.dyadic_test_machine`) the
-:class:`SimResult` is bit-identical. Any bail-out — a policy returning
-``None`` from ``state_fingerprint()``, deep tracing or power-series
+batch instead of simulating it. Replay adds one per-batch sum to each
+accumulator where full simulation adds each interval separately. On
+machines whose arithmetic is float-exact (see
+:func:`repro.machine.topology.dyadic_test_machine`) the two agree and the
+:class:`SimResult` is bit-identical; that is what the parity tests prove.
+On other machines, the Opteron preset among them, the sums can round
+differently and a replayed result can differ in the last ulp, which is
+why ``fast_forward`` is part of every cell key. Any bail-out — a policy
+returning ``None`` from ``state_fingerprint()``, deep tracing or power-series
 recording, a mid-batch ``SetFrequency``, events pending at the boundary, a
 boundary batch that repeats neither neighbour (no snapshot is taken: it
 could join no chain), or any fingerprint/spec/delta mismatch — falls back
@@ -655,10 +659,12 @@ class Simulator:
     def _ff_replay(self, delta: tuple) -> bool:
         """Apply the steady-state delta for every remaining identical batch.
 
-        Performs the same additions, in the same order, that full
-        simulation would: accumulators grow by one per-batch delta at a
-        time (never a multiplication), traces and tasks are minted at
-        shifted times, and the barrier history gains one entry per batch.
+        Accumulators grow by one per-batch delta at a time (never a
+        multiplication), traces and tasks are minted at shifted times, and
+        the barrier history gains one entry per batch. Full simulation adds
+        each interval of a batch separately instead, so the two round
+        alike only on float-exact machines (the dyadic test machine); on
+        others a replayed result can differ in the last ulp.
         Returns True when the program was completed by replay; False when a
         differing batch interrupted it, in which case the caller resumes
         normal simulation at the updated ``_next_batch_pos``.
@@ -900,8 +906,8 @@ class Simulator:
         if type(action) is RunTask:
             self._start_task(core, action, observed)
         elif type(action) is Wait:
-            # The core spins at full power; the failed scan consumes time
-            # only in the sense that the core cannot react instantly.
+            # The core spins at full power; the failed scan itself takes
+            # no simulated time.
             self._idle.add(core_id)
             retry = action.retry_after
             if retry is not None:

@@ -29,6 +29,15 @@ _IPC = 1.0
 #: Clamp for the per-class drift random walk so workloads stay recognisable.
 _DRIFT_MIN, _DRIFT_MAX = 0.7, 1.4
 
+#: Version of the programs :func:`generate_program` makes. A generated
+#: cell's cache key hashes this, the workload spec, the batch count and
+#: the seed instead of the program itself, so bump it with any change
+#: that makes some (spec, batches, seed) generate a different program;
+#: otherwise cached results of the old programs are served for the new
+#: ones. ``tests/workloads/test_program_digests.py`` pins program digests
+#: and fails when one moves.
+GENERATOR_VERSION = 1
+
 
 def _task_spec(
     cls: TaskClassSpec,

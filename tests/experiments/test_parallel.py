@@ -5,17 +5,25 @@ import dataclasses
 import multiprocessing
 import shutil
 import threading
+import uuid
+from collections import OrderedDict
+
+import pytest
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
 from repro.experiments.outcome import modal_levels_from_result
-from repro.experiments.parallel import CellSpec, ResultCache, cell_key
+from repro.experiments.parallel import CellSpec, GeneratedProgram, ResultCache, cell_key
 from repro.experiments.sweep import SweepEngine
-from repro.machine.topology import opteron_8380_machine
+from repro.machine.topology import MachineConfig, opteron_8380_machine, small_test_machine
 from repro.runtime.task import Batch
 from repro.scenario import POLICIES, MachineSpec, ScenarioSpec, Session
+from repro.scenario.registry import MACHINES, WORKLOADS, register_machine, register_workload
 from repro.scenario.spec import DEFAULT_SEEDS
+from repro.service.protocol import parse_sweep_request
+from repro.service.server import stream_request
 from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.workloads.benchmarks import BENCHMARK_NAMES, benchmark_program
+from repro.workloads.spec import TaskClassSpec, WorkloadSpec
 
 BATCHES = 3
 
@@ -91,56 +99,53 @@ class TestCellKey:
             par.ENGINE_VERSION = original
 
 
-class TestBlobMemo:
+class TestMachineMemo:
     def test_memo_is_a_bounded_lru(self):
         from repro.experiments.parallel import (
-            _BLOB_MEMO_ENTRIES,
-            _blob_memo,
-            _memo_digest,
+            _MACHINE_MEMO_ENTRIES,
+            _machine_digest,
+            _machine_memo,
         )
 
-        held = [("blob-memo-probe", i) for i in range(_BLOB_MEMO_ENTRIES + 64)]
-        digests = [_memo_digest(value) for value in held]
-        assert len(_blob_memo) <= _BLOB_MEMO_ENTRIES
+        held = [
+            opteron_8380_machine(num_cores=n)
+            for n in range(1, _MACHINE_MEMO_ENTRIES + 65)
+        ]
+        digests = [_machine_digest(machine) for machine in held]
+        assert len(_machine_memo) <= _MACHINE_MEMO_ENTRIES
         # A live entry is still an identity-verified hit...
-        assert _memo_digest(held[-1]) == digests[-1]
+        assert _machine_digest(held[-1]) == digests[-1]
         # ...and recomputing an evicted one agrees with the original.
-        assert _memo_digest(held[0]) == digests[0]
+        assert _machine_digest(held[0]) == digests[0]
 
-    def test_list_program_does_not_grow_the_memo(self):
+    def test_a_preset_machine_is_digested_once(self, monkeypatch):
         from repro.experiments import parallel
 
-        machine = opteron_8380_machine()
-        program = list(benchmark_program("SHA-1", batches=BATCHES, seed=11))
-        key = cell_key(program, "cilk", machine, 11)  # warm machine digest
-        before = len(parallel._blob_memo)
-        for _ in range(5):
-            assert cell_key(program, "cilk", machine, 11) == key
-        # The tuple built per call has a one-shot id: it must not be
-        # memoised, and the key must match the pre-built-tuple path.
-        assert len(parallel._blob_memo) == before
-        assert cell_key(tuple(program), "cilk", machine, 11) == key
+        parallel._machine_memo.clear()
+        digested = []
+        digest = parallel.digest
 
+        def counting(values):
+            digested.extend(v for v in values if isinstance(v, MachineConfig))
+            return digest(values)
 
-    def test_memo_holds_no_more_programs_than_the_program_cache(self):
-        # A program the generation cache has dropped is never keyed by
-        # identity again, so the memo must not keep it alive either.
-        from repro.experiments import parallel
-
-        machine = opteron_8380_machine()
-        parallel._blob_memo.clear()
-        for seed in range(300):
-            program = parallel._generated_program("SHA-1", 1, seed)
-            cell_key(program, "cilk", machine, seed)
-        held = sum(isinstance(value, tuple) for value, _ in parallel._blob_memo.values())
-        assert held <= parallel._generated_program.cache_info().maxsize
+        monkeypatch.setattr(parallel, "digest", counting)
+        specs = [
+            ScenarioSpec(workload=name, policy="cilk", seeds=(seed,), batches=1)
+            for name in BENCHMARK_NAMES
+            for seed in (1, 2)
+        ]
+        with SweepEngine(workers=0, cache_dir=None) as engine:
+            engine.run_cells([CellSpec.from_scenario(s, s.seeds[0]) for s in specs])
+        assert len(digested) == 1
 
 
 class TestGridDigests:
-    def test_policy_major_grid_digests_each_program_once(self, monkeypatch):
-        # 280 cells on 140 programs, all inside the program caches. Each
-        # cell used to carry a machine of its own, whose digests filled
-        # the memo and evicted every program before its second policy.
+    def test_generated_grid_digests_no_program(self, monkeypatch):
+        # A generated cell is keyed by its workload spec and batch count,
+        # so a grid of 280 cells on 140 programs digests no program at
+        # all. Before, it digested each program once, and only while the
+        # programs fit an identity memo.
         from repro.experiments import parallel
 
         digested = []
@@ -152,8 +157,6 @@ class TestGridDigests:
                 digested.append(value)
             return digest(values)
 
-        parallel._blob_memo.clear()
-        parallel._generated_program.cache_clear()
         monkeypatch.setattr(parallel, "digest", counting)
         grid = [
             ScenarioSpec(workload=name, policy=policy, seeds=tuple(range(20)), batches=2)
@@ -163,8 +166,222 @@ class TestGridDigests:
         with Session() as session:
             session.run_grid(grid)
             assert session.stats.executed == 280
-        assert len(digested) == 140
-        assert len({id(program) for program in digested}) == 140
+        assert digested == []
+
+
+def _generated_key(spec, seed=11, batches=BATCHES):
+    return cell_key(
+        GeneratedProgram(spec, batches), "cilk", opteron_8380_machine(), seed
+    )
+
+
+#: A valid replacement value for every TaskClassSpec field.
+_CLASS_FIELD_CHANGES = {
+    "name": "renamed",
+    "count": 3,
+    "mean_seconds": 2e-3,
+    "jitter_sigma": 0.05,
+    "drift_sigma": 0.03,
+    "miss_intensity": 0.002,
+    "mem_stall_fraction": 0.1,
+    "phase_amplitude": 0.2,
+    "phase_period": 4,
+}
+
+#: A valid replacement value for every WorkloadSpec field but ``classes``.
+_WORKLOAD_FIELD_CHANGES = {
+    "name": "renamed",
+    "default_batches": 5,
+    "description": "another description",
+}
+
+
+class TestGeneratorKey:
+    """A generated cell is keyed by what generates its program: the
+    workload spec, the resolved batch count, the seed and the generator
+    version. Every one of them must reach the key."""
+
+    def setup_method(self):
+        self.spec = WORKLOADS.get("SHA-1").spec()
+
+    def test_every_field_is_covered(self):
+        assert set(_CLASS_FIELD_CHANGES) == {
+            f.name for f in dataclasses.fields(TaskClassSpec)
+        }
+        assert set(_WORKLOAD_FIELD_CHANGES) | {"classes"} == {
+            f.name for f in dataclasses.fields(WorkloadSpec)
+        }
+
+    @pytest.mark.parametrize("field, value", sorted(_WORKLOAD_FIELD_CHANGES.items()))
+    def test_workload_field_changes_key(self, field, value):
+        changed = dataclasses.replace(self.spec, **{field: value})
+        assert _generated_key(changed) != _generated_key(self.spec)
+
+    def test_task_classes_change_key(self):
+        fewer = dataclasses.replace(self.spec, classes=self.spec.classes[:1])
+        assert _generated_key(fewer) != _generated_key(self.spec)
+
+    @pytest.mark.parametrize("field, value", sorted(_CLASS_FIELD_CHANGES.items()))
+    def test_task_class_field_changes_key(self, field, value):
+        first = self.spec.classes[0]
+        assert getattr(first, field) != value
+        changed = dataclasses.replace(
+            self.spec,
+            classes=(dataclasses.replace(first, **{field: value}),)
+            + self.spec.classes[1:],
+        )
+        assert _generated_key(changed) != _generated_key(self.spec)
+
+    def test_batch_count_and_seed_change_key(self):
+        key = _generated_key(self.spec)
+        assert _generated_key(self.spec, batches=BATCHES + 1) != key
+        assert _generated_key(self.spec, seed=12) != key
+
+    def test_generator_version_changes_key(self, monkeypatch):
+        from repro.workloads import generators
+
+        key = _generated_key(self.spec)
+        monkeypatch.setattr(
+            generators, "GENERATOR_VERSION", generators.GENERATOR_VERSION + 1
+        )
+        assert _generated_key(self.spec) != key
+
+    def test_default_batch_count_keys_like_the_explicit_one(self):
+        default = CellSpec("SHA-1", "cilk", seed=11).program_source()
+        explicit = CellSpec(
+            "SHA-1", "cilk", seed=11, batches=self.spec.default_batches
+        ).program_source()
+        assert default == explicit == GeneratedProgram(
+            self.spec, self.spec.default_batches
+        )
+
+    def test_inline_spec_keys_like_the_registered_workload(self):
+        inline = WorkloadSpec(
+            name=self.spec.name, classes=tuple(self.spec.classes),
+            default_batches=self.spec.default_batches,
+            description=self.spec.description,
+        )
+        with SweepEngine(workers=0, cache_dir=None) as engine:
+            named = engine.submit(CellSpec("SHA-1", "cilk", seed=11, batches=BATCHES))
+            by_spec = engine.submit(
+                CellSpec("inline", "cilk", seed=11, batches=BATCHES, workload=inline)
+            )
+        assert named.key == by_spec.key
+
+    def test_explicit_program_keys_by_content(self):
+        program = tuple(benchmark_program("SHA-1", batches=BATCHES, seed=11))
+        machine = opteron_8380_machine()
+        by_content = cell_key(program, "cilk", machine, 11)
+        assert by_content == cell_key(list(program), "cilk", machine, 11)
+        assert by_content != _generated_key(self.spec)
+
+    def test_registering_a_name_again_changes_key_and_program(self):
+        name = f"rereg-{uuid.uuid4().hex[:12]}"
+        one = WorkloadSpec(name, (TaskClassSpec("a", count=4, mean_seconds=1e-3),))
+        two = WorkloadSpec(name, (TaskClassSpec("a", count=6, mean_seconds=1e-3),))
+        cell = CellSpec(name, "cilk", seed=3, batches=1)
+        try:
+            register_workload(name)(lambda: one)
+            with SweepEngine(workers=0, cache_dir=None) as engine:
+                first = engine.submit(cell).result()
+            del WORKLOADS._entries[name]
+            register_workload(name)(lambda: two)
+            with SweepEngine(workers=0, cache_dir=None) as engine:
+                second = engine.submit(cell).result()
+        finally:
+            WORKLOADS._entries.pop(name, None)
+        assert first.key != second.key
+        assert (first.result.tasks_executed, second.result.tasks_executed) == (4, 6)
+
+
+class TestWarmCells:
+    """What a warm cell pays for, counted: its key and its lookup."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from repro.workloads import generators
+
+        counts = {"programs": 0, "machines": 0}
+        generate = generators.generate_program
+        post_init = MachineConfig.__post_init__
+
+        def counting_generate(*args, **kwargs):
+            counts["programs"] += 1
+            return generate(*args, **kwargs)
+
+        def counting_post_init(self):
+            counts["machines"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(generators, "generate_program", counting_generate)
+        monkeypatch.setattr(MachineConfig, "__post_init__", counting_post_init)
+        return counts
+
+    @staticmethod
+    def _stream(session, scenarios):
+        frames = []
+        request = parse_sweep_request({"scenarios": scenarios})
+        summary = stream_request(session, request, frames.append)
+        assert summary["ended"] == "end"
+        return frames
+
+    def test_a_warm_hit_generates_no_program_and_builds_no_machine(
+        self, tmp_path, monkeypatch
+    ):
+        scenarios = [
+            {"workload": name, "policy": policy, "seeds": [5], "batches": 2}
+            for name in ("SHA-1", "MD5") for policy in ("cilk", "eewa")
+        ]
+        from repro.experiments import parallel
+
+        with Session(cache_dir=tmp_path / "c") as cold:
+            self._stream(cold, scenarios)
+        parallel._generated_program.cache_clear()  # no program to reuse
+        with Session(cache_dir=tmp_path / "c") as warm:
+            counts = self._count(monkeypatch)
+            self._stream(warm, scenarios)  # read back from disk
+            self._stream(warm, scenarios)  # served by the memo
+            assert warm.stats.cache_hits == 8 and warm.stats.memo_hits == 4
+        assert counts == {"programs": 0, "machines": 0}
+
+    def test_a_request_on_one_preset_builds_one_machine(self, monkeypatch):
+        from repro.scenario import spec as spec_module
+
+        monkeypatch.setattr(spec_module, "_preset_machines", OrderedDict())
+        scenarios = [
+            {"workload": name, "policy": "cilk", "seeds": [1, 2], "batches": 1,
+             "machine": {"num_cores": 8}}
+            for name in BENCHMARK_NAMES
+        ]
+        with Session(cache_dir=None) as session:
+            counts = self._count(monkeypatch)
+            self._stream(session, scenarios)
+            assert session.stats.executed == 14
+        assert counts["machines"] == 1
+
+
+class TestPresetMachines:
+    def test_a_preset_builds_one_shared_machine(self):
+        machine = MachineSpec(num_cores=12).build()
+        assert MachineSpec(num_cores=12).build() is machine
+        assert MachineSpec(num_cores=8).build() is not machine
+        assert MachineSpec().build() is MachineSpec().build()
+
+    def test_registering_a_preset_again_builds_its_new_machine(self):
+        name = f"rereg-{uuid.uuid4().hex[:12]}"
+        try:
+            register_machine(name)(lambda n: small_test_machine(num_cores=n or 2))
+            old = MachineSpec(preset=name).build()
+            old_four = MachineSpec(preset=name, num_cores=4).build()
+            assert MachineSpec(preset=name).build() is old
+            del MACHINES._entries[name]
+            register_machine(name)(lambda n: opteron_8380_machine(num_cores=n or 2))
+            new = MachineSpec(preset=name).build()
+            assert new is not old and new.scale != old.scale
+            new_four = MachineSpec(preset=name, num_cores=4).build()
+            assert new_four is not old_four and new_four.scale == new.scale
+        finally:
+            MACHINES._entries.pop(name, None)
 
 
 class TestResultCache:

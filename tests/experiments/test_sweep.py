@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
 from repro.experiments.fig1 import fig1_machine
-from repro.experiments.parallel import CellSpec, ResultCache
+from repro.experiments.parallel import CellSpec, GeneratedProgram, ResultCache
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
@@ -82,6 +82,30 @@ class TestInflightDedup:
         engine.run_cells([spec(seed=11), spec(seed=23)])
         assert engine.stats.executed == 2
         assert engine.stats.deduplicated == 0
+
+    @pytest.mark.parametrize("meanwhile", ["queued", "finished"])
+    def test_a_cell_that_appears_while_its_program_is_generated_runs_once(
+        self, engine, monkeypatch, meanwhile
+    ):
+        # A missed submit generates its program outside the engine lock,
+        # where another submit of the same cell can queue it or finish it;
+        # here that submit runs inside the generation, deterministically.
+        generate = GeneratedProgram.generate
+
+        def racing(source, seed):
+            monkeypatch.setattr(GeneratedProgram, "generate", generate)
+            ticket = engine.submit(spec())
+            if meanwhile == "finished":
+                ticket.result()
+            return generate(source, seed)
+
+        monkeypatch.setattr(GeneratedProgram, "generate", racing)
+        outcome = engine.submit(spec()).result()
+        assert engine.stats.executed == 1
+        if meanwhile == "queued":
+            assert engine.stats.deduplicated == 1 and not outcome.from_cache
+        else:
+            assert engine.stats.cache_hits == 1 and outcome.from_cache
 
 
 class TestCancellation:

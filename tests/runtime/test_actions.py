@@ -15,8 +15,8 @@ TASK = TaskFactory().make(TaskSpec("f", 1.0), 0)
 @pytest.mark.parametrize("action, fields", [
     (RunTask(TASK), {"task": TASK, "acquire_cycles": 0.0}),
     (SetFrequency(2), {"level": 2}),
-    (Wait(), {"scan_cycles": 0.0, "retry_after": None}),
-    (Wait(scan_cycles=5.0, retry_after=0.25), {"scan_cycles": 5.0, "retry_after": 0.25}),
+    (Wait(), {"retry_after": None}),
+    (Wait(retry_after=0.25), {"retry_after": 0.25}),
 ])
 def test_fields_and_defaults(action, fields):
     assert action._fields == tuple(fields)
@@ -41,6 +41,6 @@ def test_a_failed_scan_returns_the_wait_bound_once(policy):
     simulate(program, scheduler, machine)
     # Every pool is empty after the run, so both cores' scans fail.
     first = scheduler.next_action(0)
-    assert first == Wait(scan_cycles=machine.failed_scan_cycles)
+    assert first == Wait()
     assert type(first) is Wait
     assert scheduler.next_action(1) is first

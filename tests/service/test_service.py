@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import CellSpec, cell_key
 from repro.model.predict import predict_cell
 from repro.scenario.session import Session
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import MAX_CORES, ScenarioSpec
 from repro.service.client import ServiceError, SweepServiceClient
 from repro.service.protocol import (
     encode_frame,
@@ -207,6 +207,22 @@ class TestDisconnect:
             # ...but the coalesced survivor still resolves every cell.
             for ticket in other:
                 assert ticket.result().result.tasks_executed > 0
+
+    def test_a_client_gone_before_the_end_frame_is_a_disconnect(self):
+        # The end frame's write failure used to escape stream_request and
+        # kill the handler thread with a traceback.
+        request = parse_sweep_request({"scenarios": [scenario()]})
+        wrote = []
+
+        def write(frame: bytes) -> None:
+            if json.loads(frame)["frame"] == "end":
+                raise BrokenPipeError("client went away")
+            wrote.append(frame)
+
+        with Session(cache_dir=None) as session:
+            summary = stream_request(session, request, write)
+        assert summary["ended"] == "disconnect"
+        assert summary["streamed"] == len(wrote) == 1
 
     def test_server_keeps_serving_after_a_client_is_killed_mid_stream(
         self, server, client
@@ -429,6 +445,13 @@ class TestHostileRequests:
         ("workload", {"name": "w", "classes": [
             {"name": "a", "count": 2, "mean_ms": 1.0, "jitter_sigma": float("nan")}]},
          "jitter_sigma must be finite"),
+        # A machine this large used to be queued and simulated, at a cost
+        # that grows with its core count.
+        ("machine", {"num_cores": MAX_CORES + 1},
+         f"num_cores must lie between 1 and {MAX_CORES}"),
+        ("machine", {"preset": "big-little-test",
+                     "core_types": [["big", MAX_CORES], ["little", 1]]},
+         f"the limit is {MAX_CORES}"),
     ])
     def test_malformed_scenario_field_answers_400(
         self, server, field, value, detail
@@ -549,6 +572,108 @@ class TestHostileRequests:
             ours.close()
 
 
+def _small(workload, policy, seeds, batches):
+    return {
+        "workload": workload, "policy": policy, "seeds": list(seeds),
+        "batches": batches, "machine": {"preset": "small-test"},
+    }
+
+
+class TestStalledReader:
+    """A client that stops reading mid-stream: its frames fill the socket
+    buffers, the server's frame write times out after
+    ``HANDLER_TIMEOUT_S``, and its still-queued cells are cancelled, while
+    a client streaming beside it gets what it gets alone."""
+
+    #: Cached cells whose frames total about 1.3 MB (24 x 55 KB), far
+    #: beyond what a unix socket buffers (212,992 bytes by default).
+    WARM = _small("periodic", "eewa", range(1, 25), 400)
+    #: Cells the stalled request leaves queued behind its warm ones.
+    COLD = _small("SHA-1", "cilk", range(100, 164), 1)
+    #: The other client's request. It asks for priority -1: a queued cell
+    #: runs inside whichever stream waits for results, and the stalled
+    #: stream waits for none, so this keeps the stalled request's cells
+    #: queued long enough to be cancelled.
+    OTHER = [_small("MD5", "cilk", (7, 8, 9, 10), 1)]
+
+    @staticmethod
+    def _serve(path, cache_dir):
+        srv = serve(unix_socket=str(path), cache_dir=cache_dir)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        assert srv.wait_until_serving()
+        return srv, thread
+
+    def _other(self, path):
+        frames, end = SweepServiceClient(f"unix:{path}").run(self.OTHER, priority=-1)
+        return {frame["index"]: frame for frame in frames}, end
+
+    def test_write_times_out_and_cancels_only_that_clients_cells(
+        self, tmp_path, monkeypatch
+    ):
+        srv, thread = self._serve(tmp_path / "alone.sock", None)
+        try:
+            alone = self._other(tmp_path / "alone.sock")
+        finally:
+            srv.drain_and_close()
+            thread.join(timeout=10)
+
+        cache = tmp_path / "cache"
+        with Session(cache_dir=cache) as session:
+            session.run(ScenarioSpec.from_dict(self.WARM))
+        monkeypatch.setattr(server_module, "HANDLER_TIMEOUT_S", 1.0)
+        summaries, write_errors = [], []
+        real_stream = server_module.stream_request
+
+        def recording_stream(session, request, write):
+            def recording_write(frame):
+                try:
+                    write(frame)
+                except OSError as exc:
+                    write_errors.append(exc)
+                    raise
+            summaries.append(real_stream(session, request, recording_write))
+            return summaries[-1]
+
+        monkeypatch.setattr(server_module, "stream_request", recording_stream)
+        path = tmp_path / "serve.sock"
+        srv, thread = self._serve(path, cache)
+        stalled = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            stalled.connect(str(path))
+            body = json.dumps({"scenarios": [self.WARM, self.COLD]}).encode()
+            stalled.sendall(
+                b"POST /sweep HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+            )
+            engine = srv.session.engine
+            deadline = time.monotonic() + 10
+            while engine.stats.cells < 24 + 64 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert engine.stats.cells == 24 + 64  # stalled request submitted
+            assert not summaries  # and its stream still blocked
+            beside = self._other(path)
+            while len(summaries) < 2 and time.monotonic() < deadline + 10:
+                time.sleep(0.05)
+        finally:
+            stalled.close()
+            srv.drain_and_close()
+            thread.join(timeout=10)
+        (stalled_summary, other_summary) = sorted(
+            summaries, key=lambda summary: summary["cells"], reverse=True
+        )
+        assert stalled_summary["ended"] == "disconnect"
+        assert stalled_summary["streamed"] < 24
+        assert isinstance(write_errors[0], TimeoutError)
+        assert other_summary["ended"] == "end"
+        # Every stalled cold cell was either run (inside the other stream,
+        # in one of its chunks) or cancelled; at least some were queued.
+        stats = engine.stats
+        assert stats.cancelled > 0
+        assert stats.cancelled + stats.executed == 64 + 4
+        assert beside == alone
+
+
 class TestUnixSocket:
     def test_round_trip_over_unix_socket(self, tmp_path):
         path = str(tmp_path / "serve.sock")
@@ -594,7 +719,8 @@ class TestModelFidelity:
                 machine = spec.build_machine()
                 policy = spec.policy.name
                 # A model cell frame carries its cell's own key.
-                assert frame["key"] == cell_key(program, policy, machine, 11)
+                source = CellSpec.from_scenario(spec, 11).program_source()
+                assert frame["key"] == cell_key(source, policy, machine, 11)
                 predicted = predict_cell(program, policy, machine)
                 expected = json.loads(json.dumps(result_to_dict(predicted)))
                 assert frame["result"] == expected

@@ -5,8 +5,10 @@ it to the reference form: ``digest([x])`` must equal
 ``digest([canonical_value(x)])``, and its bytes must be the ones the
 two-pass encoding (build the :func:`canonical_value` tree, then write it
 with lists walked and everything else ``repr``-ed) produced. The pinned
-cell keys were computed by that two-pass encoding; if one moves, every
-result cache written before the change goes cold.
+cell keys were computed by that two-pass encoding (last when cache format
+2 keyed generated cells by their generator and the machine lost its
+unbilled failed-scan cost); if one moves, every result cache written
+before the change goes cold.
 """
 
 import copy
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.adjuster import OverheadModel
 from repro.core.eewa import EEWAConfig
 from repro.core.membound import MemoryBoundMode
-from repro.experiments.parallel import CellSpec, _resolve_program, cell_key
+from repro.experiments.parallel import CellSpec, cell_key
 from repro.faults.spec import FaultSpec
 from repro.machine.topology import big_little_test_machine, opteron_8380_machine
 from repro.scenario.registry import MACHINES, WORKLOADS, spread_levels_for
@@ -238,7 +240,7 @@ def test_schema_3_scenario_digest_matches_its_canonical_form():
     assert spec.digest() == reference
 
 
-# -- cell keys a cache written before the one-pass encoder holds -------------
+# -- pinned cell keys ---------------------------------------------------------
 
 OPTERON = opteron_8380_machine()
 
@@ -246,7 +248,7 @@ PINNED_CELLS = {
     "table2-sha1-eewa": (
         CellSpec(benchmark="SHA-1", policy="eewa", seed=7),
         OPTERON,
-        "a1215eeb6230ec65e52e3d6527d4fb390102325af59de23c5199c492517a4420",
+        "a63ec0465e502bb9432f38d52cecf49931e6e22a85426e42c8b872169692e1ab",
     ),
     "table2-bwc-wats": (
         CellSpec(
@@ -254,12 +256,12 @@ PINNED_CELLS = {
             core_levels=tuple(spread_levels_for(OPTERON)),
         ),
         OPTERON,
-        "94983b91f60ff3c43b373c214b9369b9bcb2971fe198250ebfa0c619397b8158",
+        "5e3252b09265c590d44224b4da3c43ea07bf08978c473d6c260ac8566a67a782",
     ),
     "periodic-eewa": (
         CellSpec(benchmark="periodic", policy="eewa", seed=3, batches=30),
         OPTERON,
-        "8e0fc07931917e713e0160d8e3cf2db6b29d37ac81e789a69a91bd65ec8d011e",
+        "a638ffb354d8db8e193c36b69ebb5927c7056b980380bd550a2fab7b9c3a2ac0",
     ),
     "big-little-cilk-d": (
         CellSpec(
@@ -267,7 +269,7 @@ PINNED_CELLS = {
             policy_params=(("idle_grace_s", 0.001),),
         ),
         big_little_test_machine(),
-        "4618f6a0408f14a0ebecd46a62a9e90d5611f8ed685ba167056070867e64a924",
+        "693a82ec67cc0bfb17f650953b705e99ad1fa25d7272f7349354038530e03245",
     ),
     "custom-eewa-config": (
         CellSpec(
@@ -282,7 +284,7 @@ PINNED_CELLS = {
             ),
         ),
         OPTERON,
-        "37f8443f5963b314c71d6fddcaa386c4a86adaa8643fd6fbcc987e372b0a67f8",
+        "855d439c7347528645ab352c8755bc9e277e7f80801a9e5355ac727fec38d797",
     ),
     "faults-cilk": (
         CellSpec(
@@ -293,7 +295,7 @@ PINNED_CELLS = {
             ),
         ),
         OPTERON,
-        "35c82e07a37c629a3365817597c2e260ef88ea832c4bf9f9a9a5248f42a48b98",
+        "c83a112eb3ccaa6df5172f7de9a9ef7272e9d0b2eb94c64515154bf668b1b804",
     ),
     "explicit-program-wats": (
         CellSpec(
@@ -302,7 +304,7 @@ PINNED_CELLS = {
             program=tuple(periodic_program(6, 2, 4)),
         ),
         opteron_8380_machine(num_cores=8),
-        "2d2edc4de4bee27f25c692cbf6c1e82e1ad19545696be78051a8c86fc41a13be",
+        "44bf18da07532af395f90076255235472345b8d014aaeb654348fc88d25fa14b",
     ),
 }
 
@@ -312,7 +314,7 @@ def test_pinned_cell_keys(name):
     """The key the sweep engine computes for each cell (fast-forward on)."""
     spec, machine, pinned = PINNED_CELLS[name]
     key = cell_key(
-        _resolve_program(spec), spec.policy, machine, spec.seed,
+        spec.program_source(), spec.policy, machine, spec.seed,
         core_levels=spec.core_levels, eewa_config=spec.eewa_config,
         policy_params=spec.policy_params, fast_forward=True, faults=spec.faults,
     )

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import cachectl
 from repro.scenario import ScenarioSpec, Session
+from repro.scenario.spec import MAX_CORES
 from repro.service.server import SweepServer, resolve_scenario, serve
 
 
@@ -198,6 +199,28 @@ class TestRunSpecScenario:
         })
         assert main(["run-spec", path]) == 2
         assert "invalid scenario seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("machine", [
+        {"num_cores": MAX_CORES + 1},
+        {"preset": "big-little-test", "core_types": [["big", MAX_CORES], ["little", 1]]},
+    ])
+    def test_more_than_max_cores_exits_2(self, tmp_path, capsys, machine):
+        # Such a cell used to run, at a cost that grows with the core
+        # count (100,000 cores: 3.3 s and 299 MB for one batch).
+        path = self._write(tmp_path, {
+            "workload": "SHA-1", "policy": "cilk", "seeds": [1], "batches": 1,
+            "machine": machine,
+        })
+        assert main(["run-spec", path]) == 2
+        assert f"{MAX_CORES}" in capsys.readouterr().err
+
+    def test_max_cores_runs(self, tmp_path, capsys):
+        path = self._write(tmp_path, {
+            "workload": "SHA-1", "policy": "cilk", "seeds": [1], "batches": 1,
+            "machine": {"num_cores": MAX_CORES},
+        })
+        assert main(["run-spec", path]) == 0
+        assert f"on {MAX_CORES} cores" in capsys.readouterr().out
 
 
 def _sweep_args(cache_dir, *extra):

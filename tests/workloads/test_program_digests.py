@@ -3,10 +3,13 @@
 The generator reuses a class's :class:`TaskSpec` while its work value
 repeats, and a batch's ``specs`` tuple when the batch before it holds the
 same objects; the canonical encoder writes a sequence it has already
-written by copying its bytes. Neither may move a program digest, since
-the digest is part of every cell key. The table pins
-``digest([tuple(program)])`` for every registered workload, computed at
-commit 6b45054, before either change existed.
+written by copying its bytes. Neither may move a program digest. The
+table pins ``digest([tuple(program)])`` for every registered workload,
+computed at commit 6b45054, before either change existed.
+
+A generated cell's cache key hashes ``GENERATOR_VERSION`` and the
+workload spec instead of the program, so a program that moves without a
+version bump would be served the cached results of the old one.
 """
 
 import operator
@@ -147,7 +150,12 @@ def test_program_digests_are_pinned(name):
         if digest([tuple(generate_program(spec, batches=batches, seed=seed))])
         != PINNED[name][(seed, batches)]
     ]
-    assert not moved, f"workload {name!r}: program digest moved at (seed, batches) {moved}"
+    assert not moved, (
+        f"workload {name!r}: program digest moved at (seed, batches) {moved}. "
+        "If the change is intended, bump GENERATOR_VERSION in "
+        "repro/workloads/generators.py, since cell keys hash it instead of "
+        "the program, and re-pin."
+    )
 
 
 def _distinct(objects):
