@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ScenarioError
 from repro.experiments import (
@@ -60,7 +60,20 @@ from repro.scenario.registry import (
 from repro.scenario.session import Session
 from repro.scenario.spec import MachineSpec, PolicySpec, ScenarioSpec
 
-EXHIBITS = ("fig1", "fig6", "fig7", "fig8", "fig9", "fig_hetero", "table3")
+#: Exhibit name -> the text ``repro figure NAME --seed SEED`` prints.
+EXHIBITS: dict[str, Callable[[int], str]] = {
+    "fig1": lambda seed: format_table(
+        ["schedule", "time (s)", "energy (J)"],
+        fig1_rows(0.1),
+        title="Fig. 1 — four dual-core schedules + simulated EEWA",
+    ),
+    "fig6": lambda seed: run_fig6(seeds=(seed,)).table(),
+    "fig7": lambda seed: run_fig7(seeds=(seed,)).table(),
+    "fig8": lambda seed: run_fig8(seed=seed).table(),
+    "fig9": lambda seed: run_fig9(seeds=(seed,)).table(),
+    "fig_hetero": lambda seed: run_fig_hetero(seeds=(seed,)).table(),
+    "table3": lambda seed: run_table3(seed=seed).table(),
+}
 
 
 def _add_machine_arg(cmd: argparse.ArgumentParser) -> None:
@@ -351,6 +364,29 @@ def _load_faults(path: Optional[str]):
     return FaultSpec.load(path)
 
 
+def _scenario(
+    args: argparse.Namespace, policy: Union[str, PolicySpec]
+) -> ScenarioSpec:
+    """The one-seed scenario that the flags of ``run``, ``compare`` and
+    ``predict`` describe, under ``policy``.
+
+    ``--per-socket-dvfs`` and ``--faults`` are read when the command has
+    them.
+    """
+    faults = _load_faults(getattr(args, "faults", None))
+    return ScenarioSpec(
+        workload=args.benchmark,
+        policy=policy,
+        machine=_machine_spec(
+            args.cores, preset=args.machine,
+            per_socket_dvfs=getattr(args, "per_socket_dvfs", False),
+        ),
+        seeds=(args.seed,),
+        batches=args.batches,
+        faults=faults,
+    )
+
+
 def _resolve_levels(
     session: Session, scenario: ScenarioSpec, explicit: Optional[Sequence[int]]
 ) -> ScenarioSpec:
@@ -382,18 +418,8 @@ def _resolve_levels(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    faults = _load_faults(args.faults)
-    scenario = ScenarioSpec(
-        workload=args.benchmark,
-        policy=args.policy,
-        machine=_machine_spec(
-            args.cores, preset=args.machine,
-            per_socket_dvfs=args.per_socket_dvfs,
-        ),
-        seeds=(args.seed,),
-        batches=args.batches,
-        faults=faults,
-    )
+    scenario = _scenario(args, args.policy)
+    faults = scenario.faults
     with Session() as session:
         scenario = _resolve_levels(session, scenario, args.core_levels)
         result = session.run_single(scenario, record_power_series=args.thermal)
@@ -446,17 +472,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    machine = _machine_spec(args.cores, preset=args.machine)
-    cores = machine.build().num_cores
-    faults = _load_faults(args.faults)
+    first = _scenario(args, args.policies[0])
+    cores = first.build_machine().num_cores
     with Session() as session:
         scenarios = [
             _resolve_levels(
                 session,
-                ScenarioSpec(
-                    workload=args.benchmark, policy=name, machine=machine,
-                    seeds=(args.seed,), batches=args.batches, faults=faults,
-                ),
+                first.with_policy(name),
                 args.core_levels if POLICIES.get(name).needs_core_levels else None,
             )
             for name in args.policies
@@ -473,7 +495,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         for o in outcomes
     ]
-    suffix = f", faults: {args.faults}" if faults is not None else ""
+    suffix = f", faults: {args.faults}" if first.faults is not None else ""
     print(
         format_table(
             ["policy", "time (ms)", "energy (J)", f"t/{base.policy}", f"E/{base.policy}"],
@@ -485,27 +507,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    seeds = (args.seed,)
-    if args.exhibit == "fig1":
-        print(
-            format_table(
-                ["schedule", "time (s)", "energy (J)"],
-                fig1_rows(0.1),
-                title="Fig. 1 — four dual-core schedules + simulated EEWA",
-            )
-        )
-    elif args.exhibit == "fig6":
-        print(run_fig6(seeds=seeds).table())
-    elif args.exhibit == "fig7":
-        print(run_fig7(seeds=seeds).table())
-    elif args.exhibit == "fig8":
-        print(run_fig8(seed=args.seed).table())
-    elif args.exhibit == "fig9":
-        print(run_fig9(seeds=seeds).table())
-    elif args.exhibit == "fig_hetero":
-        print(run_fig_hetero(seeds=seeds).table())
-    elif args.exhibit == "table3":
-        print(run_table3(seed=args.seed).table())
+    print(EXHIBITS[args.exhibit](args.seed))
     return 0
 
 
@@ -857,17 +859,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.model import MAX_RELATIVE_ERROR, classify_cell, predict_cell
 
-    scenario = ScenarioSpec(
-        workload=args.benchmark,
-        policy=PolicySpec(
+    scenario = _scenario(
+        args,
+        PolicySpec(
             args.policy,
             core_levels=(
                 None if args.core_levels is None else tuple(args.core_levels)
             ),
         ),
-        machine=_machine_spec(args.cores, preset=args.machine),
-        seeds=(args.seed,),
-        batches=args.batches,
     )
     machine = scenario.build_machine()
     program = tuple(scenario.program(args.seed))

@@ -11,14 +11,11 @@ linearly until they hit zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.eewa import EEWAScheduler
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig, opteron_8380_machine
-from repro.runtime.cilk import CilkScheduler
-from repro.sim.engine import simulate
-from repro.workloads.generators import generate_program
+from repro.scenario.session import Session
+from repro.scenario.spec import ScenarioSpec
 from repro.workloads.synthetic import imbalance_sweep_spec
 from repro.workloads.validation import diagnose
 
@@ -67,20 +64,26 @@ class ImbalanceSweepResult:
 def run_imbalance_sweep(
     *,
     anchors: Sequence[int] = DEFAULT_ANCHORS,
-    machine: Optional[MachineConfig] = None,
     batches: int = 10,
     seed: int = 5,
 ) -> ImbalanceSweepResult:
-    """Run the sweep and collect (slack -> savings) points."""
-    if machine is None:
-        machine = opteron_8380_machine()
+    """Run the sweep and collect (slack -> savings) points.
+
+    One scenario grid — (anchor count × {cilk, eewa}) on the paper's
+    machine — through a Session.
+    """
+    specs = [imbalance_sweep_spec(n) for n in anchors]
+    grid = [
+        ScenarioSpec(workload=spec, policy=policy, seeds=(seed,), batches=batches)
+        for spec in specs
+        for policy in ("cilk", "eewa")
+    ]
+    with Session() as session:
+        outcomes = session.run_grid(grid)
     points = []
-    for n in anchors:
-        spec = imbalance_sweep_spec(n)
-        d = diagnose(spec, machine.num_cores)
-        program = generate_program(spec, batches=batches, seed=seed)
-        cilk = simulate(program, CilkScheduler(), machine, seed=seed)
-        eewa = simulate(program, EEWAScheduler(), machine, seed=seed)
+    for i, (n, spec) in enumerate(zip(anchors, specs)):
+        d = diagnose(spec, grid[2 * i].build_machine().num_cores)
+        cilk, eewa = outcomes[2 * i].first, outcomes[2 * i + 1].first
         points.append(
             ImbalancePoint(
                 anchors=n,

@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 
 from repro.analysis.thermal import ThermalParams, socket_thermal_report, thermal_report
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig
 from repro.scenario.registry import baseline_policy_names
 from repro.scenario.session import Session
-from repro.scenario.spec import MachineSpec, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,12 @@ def run_thermal_study(
     *,
     benchmark: str = "SHA-1",
     batches: int | None = 30,
-    machine: Optional[MachineConfig] = None,
     seed: int = 11,
     params: Optional[ThermalParams] = None,
     policies: Optional[Sequence[str]] = None,
 ) -> ThermalStudyResult:
-    """Run ``benchmark`` under each policy and integrate the thermal model.
+    """Run ``benchmark`` under each policy on the paper's machine and
+    integrate the thermal model.
 
     Power-series recording bypasses the result cache (traces are
     observability extras the cache does not store), so this always
@@ -85,15 +84,11 @@ def run_thermal_study(
         policies = baseline_policy_names()
     if params is None:
         params = ThermalParams()
-    machine_spec = (
-        MachineSpec() if machine is None else MachineSpec.inline(machine)
-    )
     rows = []
     with Session() as session:
         for policy in policies:
             scenario = ScenarioSpec(
-                workload=benchmark, policy=policy, machine=machine_spec,
-                seeds=(seed,), batches=batches,
+                workload=benchmark, policy=policy, seeds=(seed,), batches=batches
             )
             result = session.run_single(scenario, record_power_series=True)
             report = thermal_report(result, params)

@@ -69,42 +69,21 @@ def analytic_schedules(t: float = 0.1) -> list[Schedule]:
     return [a, b, c, d]
 
 
-def run_fig1(
-    t: float = 0.1,
-    batches: int = 3,
-    seed: int = 0,
-    *,
-    parallel: bool = False,
-    cache_dir: str | None = None,
-) -> SimResult:
+def run_fig1(t: float = 0.1, batches: int = 3, seed: int = 0) -> SimResult:
     """Run EEWA on the two-task program; after profiling it should pick (b).
 
     The paper's example is an exact-fit idealisation — gamma_1 at the half
     frequency finishes precisely at ``T`` — so the jitter headroom is
     disabled here (the synthetic tasks have no jitter to guard against).
-
-    ``parallel=True`` routes the (single) run through the content-addressed
-    result cache; the result is identical.
+    The machine and program are Section II's hand-built ones, not a
+    registered preset and workload, so this one run calls the simulator
+    directly.
     """
     machine = fig1_machine()
     program = fig1_program(t, ref_frequency=machine.scale.fastest, batches=batches)
-    config = EEWAConfig(headroom=0.0)
-    if parallel:
-        from repro.experiments.parallel import DEFAULT_CACHE_DIR, CellSpec
-        from repro.experiments.sweep import SweepEngine
-
-        with SweepEngine(
-            machine=machine, workers=0,
-            cache_dir=cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
-        ) as engine:
-            outcome = engine.submit(
-                CellSpec(
-                    benchmark="fig1", policy="eewa", seed=seed,
-                    eewa_config=config, program=tuple(program),
-                )
-            ).result()
-        return outcome.result
-    return simulate(program, EEWAScheduler(config), machine, seed=seed)
+    return simulate(
+        program, EEWAScheduler(EEWAConfig(headroom=0.0)), machine, seed=seed
+    )
 
 
 def fig1_rows(t: float = 0.1) -> list[tuple[str, float, float]]:

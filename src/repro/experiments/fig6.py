@@ -10,19 +10,14 @@ within ~2%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.metrics import energy_reduction_percent
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig
 from repro.scenario.registry import baseline_policy_names
 from repro.scenario.session import Session
-from repro.scenario.spec import DEFAULT_SEEDS, MachineSpec, ScenarioSpec
+from repro.scenario.spec import DEFAULT_SEEDS, ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
-
-
-def _machine_spec(machine: Optional[MachineConfig]) -> MachineSpec:
-    return MachineSpec() if machine is None else MachineSpec.inline(machine)
 
 
 @dataclass(frozen=True)
@@ -85,35 +80,26 @@ class Fig6Result:
 
 def run_fig6(
     *,
-    machine: Optional[MachineConfig] = None,
     benchmarks: Sequence[str] = BENCHMARK_NAMES,
     batches: int | None = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: str | None = None,
 ) -> Fig6Result:
     """Regenerate Fig. 6's data.
 
-    The exhibit is one scenario grid — every benchmark crossed with the
-    baseline comparison set (:func:`baseline_policy_names`) — run through
-    a :class:`~repro.scenario.session.Session`. ``parallel=True`` fans the
-    cells across a process pool with the content-addressed result cache;
-    results are identical either way.
+    The exhibit is one scenario grid on the paper's machine — every
+    benchmark crossed with the baseline comparison set
+    (:func:`baseline_policy_names`) — run through a
+    :class:`~repro.scenario.session.Session`.
     """
     policies = baseline_policy_names()
-    machine_spec = _machine_spec(machine)
     grid = [
         ScenarioSpec(
-            workload=name, policy=policy, machine=machine_spec,
-            seeds=tuple(seeds), batches=batches,
+            workload=name, policy=policy, seeds=tuple(seeds), batches=batches,
         )
         for name in benchmarks
         for policy in policies
     ]
-    with Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    ) as session:
+    with Session() as session:
         outcomes = {
             (o.benchmark, o.policy): o for o in session.run_grid(grid)
         }

@@ -13,17 +13,11 @@ but no per-batch DVFS adaptation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig
 from repro.scenario.session import Session
-from repro.scenario.spec import (
-    DEFAULT_SEEDS,
-    MachineSpec,
-    PolicySpec,
-    ScenarioSpec,
-)
+from repro.scenario.spec import DEFAULT_SEEDS, PolicySpec, ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 
@@ -66,14 +60,10 @@ def _histogram(levels: Sequence[int]) -> str:
 
 def run_fig7(
     *,
-    machine: Optional[MachineConfig] = None,
     benchmarks: Sequence[str] = BENCHMARK_NAMES,
     batches: int | None = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     include_phased: bool = True,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: str | None = None,
 ) -> Fig7Result:
     """Regenerate Fig. 7's data.
 
@@ -83,26 +73,20 @@ def run_fig7(
     paper's WATS gap (1.05-1.24x) appears when the workload composition
     varies across batches, which the phased workload reproduces.
 
-    Two scenario waves through one Session: the EEWA runs (which also
-    yield each benchmark's modal configuration — the modal cell *is* the
-    first-seed EEWA cell, shared via the cache), then Cilk and WATS pinned
-    to those configurations. ``parallel=True`` fans each wave across a
-    process pool with result caching; results are identical either way.
+    Two scenario waves through one Session on the paper's machine: the
+    EEWA runs, with each benchmark's modal configuration read off its EEWA
+    run at the first default seed
+    (:meth:`~repro.scenario.session.Session.modal_eewa_levels`), then
+    Cilk and WATS pinned to those configurations.
     """
     names = list(benchmarks) + (["DMC-phased"] if include_phased else [])
-    machine_spec = (
-        MachineSpec() if machine is None else MachineSpec.inline(machine)
-    )
     eewa_grid = [
         ScenarioSpec(
-            workload=name, policy="eewa", machine=machine_spec,
-            seeds=tuple(seeds), batches=batches,
+            workload=name, policy="eewa", seeds=tuple(seeds), batches=batches,
         )
         for name in names
     ]
-    with Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    ) as session:
+    with Session() as session:
         levels_by_name = {
             name: tuple(session.modal_eewa_levels(spec))
             for name, spec in zip(names, eewa_grid)
@@ -113,7 +97,6 @@ def run_fig7(
                 ScenarioSpec(
                     workload=name,
                     policy=PolicySpec(policy, core_levels=levels_by_name[name]),
-                    machine=machine_spec,
                     seeds=tuple(seeds),
                     batches=batches,
                 )

@@ -9,10 +9,9 @@ vs Cilk with only 2.8% slowdown; more at 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig, opteron_8380_machine
 from repro.scenario.registry import baseline_policy_names
 from repro.scenario.session import Session
 from repro.scenario.spec import DEFAULT_SEEDS, MachineSpec, ScenarioSpec
@@ -62,36 +61,27 @@ def run_fig9(
     *,
     benchmark: str = "DMC",
     core_counts: Sequence[int] = DEFAULT_CORE_COUNTS,
-    base_machine: Optional[MachineConfig] = None,
     batches: int | None = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: str | None = None,
 ) -> Fig9Result:
     """Regenerate Fig. 9's core-count sweep.
 
-    One scenario grid — (core count × baseline policy) — through a
-    Session. ``parallel=True`` fans every cell across a process pool with
-    result caching; results are identical either way.
+    One scenario grid — (core count × baseline policy) on the paper's
+    machine — through a Session.
     """
-    if base_machine is None:
-        base_machine = opteron_8380_machine()
     policies = baseline_policy_names()
     grid = [
         ScenarioSpec(
             workload=benchmark,
             policy=policy,
-            machine=MachineSpec.inline(base_machine, num_cores=cores),
+            machine=MachineSpec(num_cores=cores),
             seeds=tuple(seeds),
             batches=batches,
         )
         for cores in core_counts
         for policy in policies
     ]
-    with Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    ) as session:
+    with Session() as session:
         outcomes = dict(
             zip(
                 [(cores, policy) for cores in core_counts for policy in policies],

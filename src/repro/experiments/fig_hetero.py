@@ -18,7 +18,7 @@ occupancy per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.report import format_table
 from repro.scenario.registry import spread_levels_for
@@ -74,17 +74,14 @@ def run_fig_hetero(
     big_cores: int = 4,
     little_cores: int = 4,
     include_phased: bool = True,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: Optional[str] = None,
 ) -> HeteroResult:
     """Run every policy over the benchmarks on a big.LITTLE machine.
 
-    One scenario wave through one Session (cache-shared and
-    digest-addressed like every other exhibit); rows are normalised to the
-    Cilk cell of the same benchmark. ``big_cores``/``little_cores`` skew
-    the partition — the scenario pins it through the schema-v3
-    ``core_types`` axis, so the cells cache under the exact machine shape.
+    One scenario wave through one Session, like every other exhibit; rows
+    are normalised to the Cilk cell of the same benchmark.
+    ``big_cores``/``little_cores`` skew the partition — the scenario pins
+    it through the schema-v3 ``core_types`` axis, so the cells are keyed
+    by the exact machine shape.
     """
     names = list(benchmarks) + (["DMC-phased"] if include_phased else [])
     machine_spec = MachineSpec(
@@ -107,9 +104,7 @@ def run_fig_hetero(
         for name in names
         for policy in HETERO_POLICIES
     ]
-    with Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    ) as session:
+    with Session() as session:
         outcomes = session.run_grid(grid)
     rows = []
     width = len(HETERO_POLICIES)

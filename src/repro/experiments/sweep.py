@@ -95,6 +95,10 @@ FIDELITIES = ("sim", "auto")
 #: Per-IPC-round-trip budget, in seconds, the adaptive chunk sizer aims for.
 CHUNK_TARGET_SECONDS = 0.25
 
+#: Seconds :meth:`SweepEngine.close` waits for the dispatcher thread to
+#: exit before declaring it wedged.
+DISPATCHER_JOIN_SECONDS = 5.0
+
 #: Hard cap on cells per dispatch chunk.
 MAX_CHUNK = 32
 
@@ -450,16 +454,11 @@ class SweepEngine:
 
     # -- lifecycle -------------------------------------------------------
 
-    #: Seconds :meth:`close` waits for the dispatcher thread to exit
-    #: before declaring it wedged (class attribute so tests and embedders
-    #: can tighten it per instance).
-    dispatcher_join_seconds: float = 5.0
-
     def close(self, *, wait: bool = True) -> None:
         """Cancel queued work and shut the pool down (idempotent).
 
         A dispatcher thread that fails to join within
-        :attr:`dispatcher_join_seconds` is reported with a
+        :data:`DISPATCHER_JOIN_SECONDS` is reported with a
         ``RuntimeWarning`` instead of leaking silently — a wedged
         dispatcher means a pool round-trip never returned and the engine
         should not be trusted for reuse in this process.
@@ -483,11 +482,11 @@ class SweepEngine:
             pool, self._pool = self._pool, None
             dispatcher, self._dispatcher = self._dispatcher, None
         if dispatcher is not None:
-            dispatcher.join(timeout=self.dispatcher_join_seconds)
+            dispatcher.join(timeout=DISPATCHER_JOIN_SECONDS)
             if dispatcher.is_alive():
                 warnings.warn(
                     "SweepEngine dispatcher thread failed to join within "
-                    f"{self.dispatcher_join_seconds:.1f} s and is leaked; "
+                    f"{DISPATCHER_JOIN_SECONDS:.1f} s and is leaked; "
                     "a pool round-trip is likely wedged",
                     RuntimeWarning,
                     stacklevel=2,

@@ -14,13 +14,11 @@ DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.eewa import EEWAConfig
 from repro.experiments.report import format_table
-from repro.machine.topology import MachineConfig
 from repro.scenario.session import Session
-from repro.scenario.spec import MachineSpec, PolicySpec, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
 
@@ -61,38 +59,23 @@ class Table3Result:
 
 def run_table3(
     *,
-    machine: Optional[MachineConfig] = None,
     benchmarks: Sequence[str] = BENCHMARK_NAMES,
     batches: int | None = None,
     seed: int = 11,
-    config: Optional[EEWAConfig] = None,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: str | None = None,
 ) -> Table3Result:
     """Regenerate Table III.
 
-    One single-seed EEWA scenario per benchmark, run through a Session's
-    detailed path — the per-cell outcome carries the adjuster wall-clock
-    bookkeeping. The simulated columns are identical with or without
-    ``parallel=True``; the *measured* wall-clock column is a real timing
-    and, when a cell is served from cache, reports the timing of the run
-    that populated the cache.
+    One single-seed EEWA scenario per benchmark on the paper's machine,
+    run through a Session's detailed path — the per-cell outcome carries
+    the adjuster wall-clock bookkeeping. The *measured* wall-clock column
+    is a real timing, so unlike the simulated columns it differs from run
+    to run.
     """
-    machine_spec = (
-        MachineSpec() if machine is None else MachineSpec.inline(machine)
-    )
-    with Session.for_experiment(
-        parallel=parallel, workers=workers, cache_dir=cache_dir
-    ) as session:
+    with Session() as session:
         grids = session.run_grid_detailed(
             [
                 ScenarioSpec(
-                    workload=name,
-                    policy=PolicySpec("eewa", config=config),
-                    machine=machine_spec,
-                    seeds=(seed,),
-                    batches=batches,
+                    workload=name, policy="eewa", seeds=(seed,), batches=batches
                 )
                 for name in benchmarks
             ]

@@ -6,8 +6,12 @@ modules, and ad-hoc API use — runs simulations the same way::
     from repro.scenario import ScenarioSpec, PolicySpec, Session
 
     spec = ScenarioSpec(workload="SHA-1", policy=PolicySpec("eewa"))
-    with Session(spec) as session:
-        outcome = session.run()                      # RunOutcome over seeds
+    with Session() as session:
+        outcome = session.run(spec)                  # RunOutcome over seeds
+
+A session holds no scenario: every method takes the scenarios it runs.
+Each exhibit builds its scenario grid and runs it on one default
+(in-process, uncached) session.
 
 Sweeps go through :meth:`Session.run_grid`, which submits every
 (scenario × seed) cell to the session's
@@ -33,7 +37,6 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.errors import ScenarioError
 from repro.scenario.spec import DEFAULT_SEEDS, ScenarioSpec
 from repro.sim.engine import SimResult, simulate
 
@@ -41,10 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.outcome import RunOutcome
     from repro.experiments.parallel import CellOutcome, SweepStats
     from repro.sim.record import CellResult
-
-#: The exhibit modules' shared on-disk cache default (mirrors
-#: ``repro.experiments.parallel.DEFAULT_CACHE_DIR``; asserted in tests).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _parallel():
@@ -61,10 +60,6 @@ class Session:
 
     Parameters
     ----------
-    spec:
-        Optional bound scenario, the default of :meth:`run`,
-        :meth:`run_single` and :meth:`modal_eewa_levels`; grid methods
-        take explicit specs.
     workers:
         Worker process count: ``0``/``1`` runs in-process (the default —
         deterministic and dependency-free), ``None`` uses the CPU count.
@@ -81,7 +76,6 @@ class Session:
 
     def __init__(
         self,
-        spec: Optional[ScenarioSpec] = None,
         *,
         workers: Optional[int] = 0,
         cache_dir: str | os.PathLike[str] | None = None,
@@ -90,36 +84,10 @@ class Session:
     ) -> None:
         from repro.experiments.sweep import SweepEngine  # see _parallel
 
-        self.spec = spec
         self._fast_forward = fast_forward
         #: The session's :class:`~repro.experiments.sweep.SweepEngine`.
         self.engine = SweepEngine(
             workers=workers, cache_dir=cache_dir, fast_forward=fast_forward,
-            fidelity=fidelity,
-        )
-
-    @classmethod
-    def for_experiment(
-        cls,
-        *,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        cache_dir: str | os.PathLike[str] | None = None,
-        fast_forward: bool = True,
-        fidelity: str = "sim",
-    ) -> "Session":
-        """The exhibit modules' convention: serial and uncached by default;
-        ``parallel=True`` fans out over processes with the shared on-disk
-        cache."""
-        if not parallel:
-            return cls(
-                workers=0, cache_dir=None, fast_forward=fast_forward,
-                fidelity=fidelity,
-            )
-        return cls(
-            workers=workers,
-            cache_dir=cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
-            fast_forward=fast_forward,
             fidelity=fidelity,
         )
 
@@ -137,18 +105,9 @@ class Session:
 
     # -- execution -------------------------------------------------------
 
-    def _bound(self, spec: Optional[ScenarioSpec]) -> ScenarioSpec:
-        resolved = spec if spec is not None else self.spec
-        if resolved is None:
-            raise ScenarioError(
-                "no scenario bound to this session; pass one or bind one "
-                "with Session(spec)"
-            )
-        return resolved
-
-    def run(self, spec: Optional[ScenarioSpec] = None) -> RunOutcome:
+    def run(self, spec: ScenarioSpec) -> RunOutcome:
         """Run one scenario over its seeds → a multi-seed RunOutcome."""
-        (outcome,) = self.run_grid([self._bound(spec)])
+        (outcome,) = self.run_grid([spec])
         return outcome
 
     def run_grid(self, specs: Sequence[ScenarioSpec]) -> list[RunOutcome]:
@@ -190,7 +149,7 @@ class Session:
 
     def run_single(
         self,
-        spec: Optional[ScenarioSpec] = None,
+        spec: ScenarioSpec,
         *,
         seed: Optional[int] = None,
         record_power_series: bool = False,
@@ -207,28 +166,27 @@ class Session:
         engine and cache, since power traces are observability extras the
         content-addressed cache does not store.
         """
-        resolved = self._bound(spec)
         if seed is None:
-            seed = resolved.seeds[0]
+            seed = spec.seeds[0]
         if record_power_series:
             # fast_forward is passed for uniformity; the engine disables it
             # anyway when recording power series.
             return simulate(
-                resolved.program(seed),
-                resolved.build_policy(),
-                resolved.build_machine(),
+                spec.program(seed),
+                spec.build_policy(),
+                spec.build_machine(),
                 seed=seed,
                 record_power_series=True,
                 fast_forward=self._fast_forward,
-                faults=resolved.faults,
+                faults=spec.faults,
             )
         outcome = self.engine.submit(
-            _parallel().CellSpec.from_scenario(resolved, seed), fidelity="sim"
+            _parallel().CellSpec.from_scenario(spec, seed), fidelity="sim"
         ).result()
         return outcome.result
 
     def modal_eewa_levels(
-        self, spec: Optional[ScenarioSpec] = None, *, seed: Optional[int] = None
+        self, spec: ScenarioSpec, *, seed: Optional[int] = None
     ) -> list[int]:
         """Per-core level vector of EEWA's most-used configuration.
 
@@ -237,7 +195,7 @@ class Session:
         configuration off the trace. Shares its cell — and any cache entry
         — with plain EEWA runs of the same scenario and seed.
         """
-        resolved = self._bound(spec).with_policy("eewa")
+        resolved = spec.with_policy("eewa")
         if seed is None:
             seed = DEFAULT_SEEDS[0]
         from repro.experiments.outcome import modal_levels_from_result

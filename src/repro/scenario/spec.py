@@ -68,8 +68,6 @@ _READABLE_SCHEMAS = frozenset({1, 2, SCENARIO_SCHEMA_VERSION})
 #: for the paper's 100 repeated hardware runs).
 DEFAULT_SEEDS = (11, 23, 37)
 
-_INLINE_PRESET = "<inline>"
-
 #: Most cores a :class:`MachineSpec` may ask for, as ``num_cores`` or as
 #: the total of its ``core_types``: 64 times the paper's 16-core machine.
 #: Building and simulating a machine costs time and memory in proportion
@@ -125,10 +123,9 @@ def _preset_machine(
 class MachineSpec:
     """Machine axis: a registered preset name plus overrides.
 
-    ``config`` is the escape hatch for API callers holding an arbitrary
-    :class:`MachineConfig` (e.g. unusual ladders in tests); inline machines
-    participate in digests but cannot be serialised to JSON. A spec asks
-    for at most :data:`MAX_CORES` cores.
+    A machine that does not ship with the package is registered first
+    (:func:`~repro.scenario.registry.register_machine`) and then named
+    here. A spec asks for at most :data:`MAX_CORES` cores.
     """
 
     preset: str = "opteron-8380"
@@ -136,18 +133,12 @@ class MachineSpec:
     #: Schema-v3 axis: ordered per-type core counts for heterogeneous
     #: presets (``supports_core_types``), e.g. ``(("big", 2), ("little", 6))``.
     core_types: Optional[tuple[tuple[str, int], ...]] = None
-    config: Optional[MachineConfig] = None
 
     def __post_init__(self) -> None:
-        if self.config is None:
-            object.__setattr__(self, "preset", MACHINES.canonical(self.preset))
+        object.__setattr__(self, "preset", MACHINES.canonical(self.preset))
         if self.num_cores is not None and not 1 <= self.num_cores <= MAX_CORES:
             raise ScenarioError(f"num_cores must lie between 1 and {MAX_CORES}")
         if self.core_types is not None:
-            if self.config is not None:
-                raise ScenarioError(
-                    "core_types cannot override an inline MachineConfig"
-                )
             normalised = tuple(
                 (str(name), int(count)) for name, count in self.core_types
             )
@@ -162,27 +153,12 @@ class MachineSpec:
                 )
             object.__setattr__(self, "core_types", normalised)
 
-    @classmethod
-    def inline(
-        cls, config: MachineConfig, *, num_cores: Optional[int] = None
-    ) -> "MachineSpec":
-        return cls(preset=_INLINE_PRESET, num_cores=num_cores, config=config)
-
     def build(self) -> MachineConfig:
         """The machine; a preset's is built once and shared (see
         :func:`_preset_machine`)."""
-        if self.config is not None:
-            if self.num_cores is not None:
-                return self.config.with_cores(self.num_cores)
-            return self.config
         return _preset_machine(self.preset, self.num_cores, self.core_types)
 
     def to_dict(self) -> dict[str, Any]:
-        if self.config is not None:
-            raise ScenarioError(
-                "an inline MachineConfig cannot be serialised; use a "
-                "registered preset"
-            )
         data: dict[str, Any] = {"preset": self.preset}
         if self.num_cores is not None:
             data["num_cores"] = self.num_cores

@@ -9,6 +9,7 @@ from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
+from repro.experiments.fig_hetero import run_fig_hetero
 from repro.experiments.report import format_percent, format_series, format_table
 from repro.experiments.table3 import run_table3
 from repro.errors import ConfigurationError
@@ -132,6 +133,17 @@ class TestFig9:
         result = run_fig9(core_counts=(4, 16), batches=6, seeds=SEEDS)
         for point in result.points:
             assert point.time_eewa < 1.1
+
+
+class TestFigHetero:
+    def test_one_row_per_benchmark_with_three_positive_ratios(self):
+        result = run_fig_hetero(benchmarks=("SHA-1",), batches=4, seeds=SEEDS)
+        assert [r.benchmark for r in result.rows] == ["SHA-1", "DMC-phased"]
+        for row in result.rows:
+            for ratios in (row.time_over_cilk, row.energy_over_cilk):
+                assert len(ratios) == 3
+                assert all(math.isfinite(r) and r > 0 for r in ratios)
+        assert "big.LITTLE 4+4" in result.table()
 
 
 class TestTable3:

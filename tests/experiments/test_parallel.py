@@ -1,5 +1,5 @@
 """Tests for cached, deduplicated cell execution through Session and
-SweepEngine: cell keys, the result cache, and the exhibits' parallel paths."""
+SweepEngine: cell keys, the result cache, and pooled sessions."""
 
 import dataclasses
 import multiprocessing
@@ -498,56 +498,9 @@ class TestParallelRunner:
 
 
 class TestFigureParallelPaths:
-    def test_fig6_parallel_identical(self, tmp_path):
-        from repro.experiments.fig6 import run_fig6
-
-        kwargs = dict(benchmarks=("SHA-1",), batches=BATCHES)
-        assert run_fig6(**kwargs) == run_fig6(
-            **kwargs, parallel=True, workers=0, cache_dir=str(tmp_path / "c")
-        )
-
-    def test_fig7_parallel_identical(self, tmp_path):
-        from repro.experiments.fig7 import run_fig7
-
-        kwargs = dict(benchmarks=("SHA-1",), batches=BATCHES, include_phased=False)
-        assert run_fig7(**kwargs) == run_fig7(
-            **kwargs, parallel=True, workers=0, cache_dir=str(tmp_path / "c")
-        )
-
-    def test_fig9_parallel_identical(self, tmp_path):
-        from repro.experiments.fig9 import run_fig9
-
-        kwargs = dict(core_counts=(4, 8), batches=BATCHES)
-        assert run_fig9(**kwargs) == run_fig9(
-            **kwargs, parallel=True, workers=0, cache_dir=str(tmp_path / "c")
-        )
-
-    def test_table3_parallel_identical_simulated_columns(self, tmp_path):
-        from repro.experiments.table3 import run_table3
-
-        kwargs = dict(benchmarks=("SHA-1",), batches=BATCHES)
-        serial = run_table3(**kwargs)
-        parallel = run_table3(
-            **kwargs, parallel=True, workers=0, cache_dir=str(tmp_path / "c")
-        )
-        for a, b in zip(serial.rows, parallel.rows):
-            # wall-clock column is a real measurement; compare the rest
-            assert dataclasses.replace(
-                a, measured_wallclock_ms=0.0
-            ) == dataclasses.replace(b, measured_wallclock_ms=0.0)
-
-    def test_fig8_parallel_identical(self, tmp_path):
-        from repro.experiments.fig8 import run_fig8
-
-        a = run_fig8(batches=BATCHES)
-        b = run_fig8(
-            batches=BATCHES, parallel=True, cache_dir=str(tmp_path / "c")
-        )
-        assert a.histograms == b.histograms
-        assert a.result.total_joules == b.result.total_joules
-
     def test_parallel_exhibit_closes_its_pool(self, tmp_path):
-        from repro.experiments.fig6 import run_fig6
+        """A pooled, cached session leaves no worker process and no
+        dispatcher thread behind once its ``with`` block ends."""
 
         def dispatchers():
             return {
@@ -556,9 +509,10 @@ class TestFigureParallelPaths:
 
         children = set(multiprocessing.active_children())
         threads = dispatchers()
-        run_fig6(
-            benchmarks=("SHA-1",), batches=BATCHES, seeds=(11,),
-            parallel=True, workers=2, cache_dir=str(tmp_path / "c"),
-        )
+        with Session(workers=2, cache_dir=tmp_path / "c") as session:
+            outcomes = session.run_grid(
+                [_scenario("SHA-1", policy, seeds=(11,)) for policy in ("cilk", "eewa")]
+            )
+        assert [o.policy for o in outcomes] == ["cilk", "eewa"]
         assert set(multiprocessing.active_children()) <= children
         assert dispatchers() <= threads

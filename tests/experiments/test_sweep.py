@@ -323,13 +323,15 @@ class TestAsCompletedTickets:
 
 
 class TestCloseDispatcherJoin:
-    def test_wedged_dispatcher_join_warns_instead_of_leaking_silently(self):
+    def test_wedged_dispatcher_join_warns_instead_of_leaking_silently(
+        self, monkeypatch
+    ):
         eng = SweepEngine(workers=0, cache_dir=None)
         release = threading.Event()
         wedged = threading.Thread(target=release.wait, name="wedged-dispatcher")
         wedged.start()
         eng._dispatcher = wedged
-        eng.dispatcher_join_seconds = 0.05
+        monkeypatch.setattr(sweep_mod, "DISPATCHER_JOIN_SECONDS", 0.05)
         try:
             with pytest.warns(RuntimeWarning, match="failed to join"):
                 eng.close()

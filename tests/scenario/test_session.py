@@ -4,7 +4,6 @@ import uuid
 
 import pytest
 
-from repro.errors import ScenarioError
 from repro.machine.topology import small_test_machine
 from repro.scenario import (
     POLICIES,
@@ -15,7 +14,6 @@ from repro.scenario import (
     Session,
     register_workload,
 )
-from repro.scenario import session as session_mod
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.sweep import SweepEngine
 from repro.sim.engine import simulate
@@ -55,17 +53,11 @@ def _spec(policy="cilk", seeds=(3, 5), **kwargs):
     )
 
 
-def test_default_cache_dir_mirrors_parallel():
-    # session.py duplicates the constant to break an import cycle; keep
-    # the two spellings in lock-step.
-    assert session_mod.DEFAULT_CACHE_DIR == parallel_mod.DEFAULT_CACHE_DIR
-
-
 class TestSingleScenario:
     def test_bound_spec_run_matches_direct_simulation(self):
         spec = _spec()
-        with Session(spec) as session:
-            outcome = session.run()
+        with Session() as session:
+            outcome = session.run(spec)
         machine = small_test_machine(num_cores=4, levels=(2.0e9, 1.5e9, 1.0e9))
         direct = [
             simulate(
@@ -84,14 +76,11 @@ class TestSingleScenario:
         assert (outcome.benchmark, outcome.policy) == ("SHA-1", "cilk")
         assert len(outcome.results) == 1
 
-    def test_unbound_session_raises(self):
-        with pytest.raises(ScenarioError, match="no scenario bound"):
-            Session().run()
-
     def test_run_single_defaults_to_first_seed(self):
-        session = Session(_spec(seeds=(3, 5)))
-        assert _fingerprint(session.run_single()) == _fingerprint(
-            session.run_single(seed=3)
+        spec = _spec(seeds=(3, 5))
+        session = Session()
+        assert _fingerprint(session.run_single(spec)) == _fingerprint(
+            session.run_single(spec, seed=3)
         )
 
     def test_run_grid_detailed_carries_provenance(self):
@@ -119,22 +108,13 @@ class TestGrid:
 class TestCaching:
     def test_second_session_hits_the_cache(self, tmp_path):
         spec = _spec(seeds=(3,))
-        first = Session(spec, cache_dir=tmp_path)
-        a = first.run()
+        first = Session(cache_dir=tmp_path)
+        a = first.run(spec)
         assert first.stats.executed == 1 and first.stats.cache_hits == 0
-        second = Session(spec, cache_dir=tmp_path)
-        b = second.run()
+        second = Session(cache_dir=tmp_path)
+        b = second.run(spec)
         assert second.stats.executed == 0 and second.stats.cache_hits == 1
         assert _same_outcome(a, b)
-
-    def test_for_experiment_serial_is_uncached(self):
-        with Session.for_experiment(parallel=False) as session:
-            assert session.engine.cache is None
-
-    def test_for_experiment_parallel_uses_shared_cache(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with Session.for_experiment(parallel=True, workers=0) as session:
-            assert str(session.engine.cache.root) == session_mod.DEFAULT_CACHE_DIR
 
 
 class TestModalLevels:

@@ -9,7 +9,6 @@ or — worse — aliases cache entries.
 import pytest
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.machine.topology import small_test_machine
 from repro.scenario import (
     DEFAULT_SEEDS,
     SCENARIO_SCHEMA_VERSION,
@@ -148,14 +147,6 @@ class TestValidation:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ScenarioError, match="at least one seed"):
             ScenarioSpec(workload="SHA-1", policy="cilk", seeds=())
-
-    def test_inline_machine_not_serialisable(self):
-        machine = small_test_machine(num_cores=4, levels=(2.0e9, 1.5e9, 1.0e9))
-        spec = ScenarioSpec(
-            workload="SHA-1", policy="cilk", machine=MachineSpec.inline(machine)
-        )
-        with pytest.raises(ScenarioError, match="cannot be serialised"):
-            spec.to_dict()
 
     def test_inline_policy_config_not_serialisable(self):
         from repro.core.eewa import EEWAConfig

@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.parallel import CellSpec, cell_key
 from repro.model.predict import predict_cell
 from repro.scenario.session import Session
@@ -812,14 +813,13 @@ class TestClientRetrySemantics:
 
 
 class TestShutdownLog:
-    def test_drain_surfaces_wedged_dispatcher_warning(self, tmp_path):
+    def test_drain_surfaces_wedged_dispatcher_warning(self, tmp_path, monkeypatch):
         srv = serve(port=0, cache_dir=None)
         release = threading.Event()
         wedged = threading.Thread(target=release.wait, name="wedged-dispatcher")
         wedged.start()
-        engine = srv.session.engine
-        engine._dispatcher = wedged
-        engine.dispatcher_join_seconds = 0.05
+        srv.session.engine._dispatcher = wedged
+        monkeypatch.setattr(sweep_mod, "DISPATCHER_JOIN_SECONDS", 0.05)
         try:
             lines = srv.drain_and_close(call_shutdown=False)
         finally:

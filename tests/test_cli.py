@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXHIBITS, main
 from repro.experiments import cachectl
 from repro.scenario import ScenarioSpec, Session
 from repro.scenario.spec import MAX_CORES
@@ -57,6 +57,16 @@ class TestCli:
     def test_figure_table3(self, capsys):
         assert main(["figure", "table3"]) == 0
         assert "Table III" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("exhibit", list(EXHIBITS))
+    def test_figure_prints_every_exhibit(self, exhibit, capsys):
+        title = {
+            "fig1": "Fig. 1", "fig6": "Fig. 6", "fig7": "Fig. 7",
+            "fig8": "Fig. 8", "fig9": "Fig. 9", "fig_hetero": "big.LITTLE",
+            "table3": "Table III",
+        }[exhibit]
+        assert main(["figure", exhibit, "--seed", "23"]) == 0
+        assert title in capsys.readouterr().out
 
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--repeats", "1"]) == 0
