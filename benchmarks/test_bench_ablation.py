@@ -15,10 +15,11 @@ from conftest import save_exhibit
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
 from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
 from repro.runtime.cilk import CilkScheduler
 from repro.runtime.wats import WATSScheduler
-from repro.scenario import ScenarioSpec, Session
+from repro.scenario import ScenarioSpec
 from repro.sim.engine import simulate
 from repro.workloads.benchmarks import benchmark_program
 
@@ -128,8 +129,8 @@ def test_bench_ablation_preference_stealing(benchmark, results_dir):
 
     def run_all():
         machine = opteron_8380_machine()
-        with Session() as session:
-            levels = session.modal_eewa_levels(
+        with SweepEngine() as engine:
+            levels = engine.modal_eewa_levels(
                 ScenarioSpec(workload=BENCH, policy="eewa", batches=BATCHES),
                 seed=SEED,
             )

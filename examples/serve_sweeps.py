@@ -20,7 +20,7 @@ import subprocess
 import sys
 import tempfile
 
-from repro.scenario.session import Session
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.service.client import SweepServiceClient
 from repro.sim.export import result_to_dict
@@ -66,11 +66,11 @@ def main() -> int:
             # Bit-identity: the streamed payloads must equal a local run of
             # the same grid, field for field. JSON round-trips floats
             # exactly, so dict equality is the bit-level check.
-            with Session(cache_dir=os.path.join(tmp, "local")) as session:
+            with SweepEngine(cache_dir=os.path.join(tmp, "local")) as engine:
                 specs = [ScenarioSpec.from_dict(s) for s in GRID]
                 local = {
                     (o.spec.benchmark, o.spec.policy, o.spec.seed): o.result
-                    for group in session.run_grid_detailed(specs)
+                    for group in engine.run_grid_detailed(specs)
                     for o in group
                 }
             for frame in cells:

@@ -27,7 +27,7 @@
 
 Every command resolves workloads, policies, and machines through the
 scenario registries (:mod:`repro.scenario.registry`) and runs simulations
-through one :class:`~repro.scenario.session.Session`, so a policy or
+on one :class:`~repro.experiments.sweep.SweepEngine`, so a policy or
 workload registered by a plugin is immediately available everywhere.
 """
 
@@ -50,14 +50,13 @@ from repro.experiments import (
     run_fig_hetero,
     run_table3,
 )
-from repro.experiments.sweep import FIDELITIES
+from repro.experiments.sweep import FIDELITIES, MAX_PENDING, SweepEngine
 from repro.scenario.registry import (
     MACHINES,
     POLICIES,
     baseline_policy_names,
     workload_names,
 )
-from repro.scenario.session import Session
 from repro.scenario.spec import MachineSpec, PolicySpec, ScenarioSpec
 
 #: Exhibit name -> the text ``repro figure NAME --seed SEED`` prints.
@@ -255,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default cell fidelity for requests that don't pick their own",
     )
     srv.add_argument(
-        "--max-pending", type=int, default=None,
-        help="admission bound on queued cells (full queue answers HTTP 429)",
+        "--max-pending", type=int, default=MAX_PENDING,
+        help="the engine's bound on queued cells: a request that would "
+        "overfill it answers HTTP 429 (default %(default)s)",
     )
     srv.add_argument(
         "--verbose", action="store_true",
@@ -388,7 +388,7 @@ def _scenario(
 
 
 def _resolve_levels(
-    session: Session, scenario: ScenarioSpec, explicit: Optional[Sequence[int]]
+    engine: SweepEngine, scenario: ScenarioSpec, explicit: Optional[Sequence[int]]
 ) -> ScenarioSpec:
     """Fill in fixed core levels for policies that require them.
 
@@ -408,7 +408,7 @@ def _resolve_levels(
         return scenario.with_policy(
             PolicySpec(scenario.policy.name, core_levels=tuple(explicit))
         )
-    resolved = resolve_scenario(session, scenario)
+    resolved = resolve_scenario(engine, scenario)
     if resolved is not scenario:
         print(
             f"  note: {scenario.policy.name} runs on EEWA's modal configuration "
@@ -420,9 +420,9 @@ def _resolve_levels(
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario(args, args.policy)
     faults = scenario.faults
-    with Session() as session:
-        scenario = _resolve_levels(session, scenario, args.core_levels)
-        result = session.run_single(scenario, record_power_series=args.thermal)
+    with SweepEngine() as engine:
+        scenario = _resolve_levels(engine, scenario, args.core_levels)
+        result = engine.run_single(scenario, record_power_series=args.thermal)
     cores = scenario.build_machine().num_cores
     print(
         f"{args.benchmark} / {args.policy} on {cores} cores: "
@@ -474,16 +474,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     first = _scenario(args, args.policies[0])
     cores = first.build_machine().num_cores
-    with Session() as session:
+    with SweepEngine() as engine:
         scenarios = [
             _resolve_levels(
-                session,
+                engine,
                 first.with_policy(name),
                 args.core_levels if POLICIES.get(name).needs_core_levels else None,
             )
             for name in args.policies
         ]
-        outcomes = session.run_grid(scenarios)
+        outcomes = engine.run_grid(scenarios)
     base = outcomes[0]
     rows = [
         (
@@ -549,13 +549,13 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
     from repro.workloads.validation import diagnose
 
     scenario = _load_run_spec_scenario(args)
-    with Session() as session:
-        scenario = _resolve_levels(session, scenario, None)
+    with SweepEngine() as engine:
+        scenario = _resolve_levels(engine, scenario, None)
         cores = scenario.build_machine().num_cores
         if args.diagnose:
             print(diagnose(scenario.resolve_workload(), cores).summary())
             print()
-        outcome = session.run(scenario)
+        outcome = engine.run(scenario)
     result = outcome.first
     seeds = list(scenario.seeds)
     suffix = f" (mean over seeds {seeds})" if len(seeds) > 1 else ""
@@ -773,7 +773,7 @@ class _SweepReport:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """``repro sweep``: one request, streamed from a local session (through
+    """``repro sweep``: one request, streamed from a local engine (through
     the service's own stream core) or from ``repro serve`` (``--remote``).
 
     Core levels for policies that need them are filled in where the cells
@@ -817,13 +817,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.service.protocol import decode_frame
     from repro.service.server import stream_request
 
-    with Session(
+    with SweepEngine(
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
         fast_forward=not args.no_fast_forward,
-    ) as session:
-        stream_request(session, request, lambda line: report.take(decode_frame(line)))
-    return report.finish(session.stats)
+    ) as engine:
+        stream_request(engine, request, lambda line: report.take(decode_frame(line)))
+    return report.finish(engine.stats)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -901,8 +901,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         print(f"  outside the calibrated envelope: {verdict.reason}")
     if args.compare:
-        with Session() as session:
-            sim = session.run_single(scenario)
+        with SweepEngine() as engine:
+            sim = engine.run_single(scenario)
         time_err = abs(result.total_time - sim.total_time) / sim.total_time
         joule_err = abs(result.total_joules - sim.total_joules) / sim.total_joules
         print(
@@ -996,7 +996,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # Sessions and servers are context-managed, so the unwind that got
+        # Engines and servers are context-managed, so the unwind that got
         # us here already closed them; 130 = 128 + SIGINT, the shell
         # convention for death-by-Ctrl-C.
         print("interrupted", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.report import format_table
-from repro.scenario.session import Session
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.synthetic import imbalance_sweep_spec
 from repro.workloads.validation import diagnose
@@ -70,7 +70,7 @@ def run_imbalance_sweep(
     """Run the sweep and collect (slack -> savings) points.
 
     One scenario grid — (anchor count × {cilk, eewa}) on the paper's
-    machine — through a Session.
+    machine — on a SweepEngine.
     """
     specs = [imbalance_sweep_spec(n) for n in anchors]
     grid = [
@@ -78,8 +78,8 @@ def run_imbalance_sweep(
         for spec in specs
         for policy in ("cilk", "eewa")
     ]
-    with Session() as session:
-        outcomes = session.run_grid(grid)
+    with SweepEngine() as engine:
+        outcomes = engine.run_grid(grid)
     points = []
     for i, (n, spec) in enumerate(zip(anchors, specs)):
         d = diagnose(spec, grid[2 * i].build_machine().num_cores)

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.thermal import ThermalParams, socket_thermal_report, thermal_report
 from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.registry import baseline_policy_names
-from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 
 
@@ -78,19 +78,19 @@ def run_thermal_study(
 
     Power-series recording bypasses the result cache (traces are
     observability extras the cache does not store), so this always
-    simulates in-process via :meth:`Session.run_single`.
+    simulates in-process via :meth:`SweepEngine.run_single`.
     """
     if policies is None:
         policies = baseline_policy_names()
     if params is None:
         params = ThermalParams()
     rows = []
-    with Session() as session:
+    with SweepEngine() as engine:
         for policy in policies:
             scenario = ScenarioSpec(
                 workload=benchmark, policy=policy, seeds=(seed,), batches=batches
             )
-            result = session.run_single(scenario, record_power_series=True)
+            result = engine.run_single(scenario, record_power_series=True)
             report = thermal_report(result, params)
             sockets = socket_thermal_report(result)
             peaks = [c.peak_c for c in report.cores]

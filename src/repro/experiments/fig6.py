@@ -14,8 +14,8 @@ from typing import Sequence
 
 from repro.analysis.metrics import energy_reduction_percent
 from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.registry import baseline_policy_names
-from repro.scenario.session import Session
 from repro.scenario.spec import DEFAULT_SEEDS, ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
@@ -89,7 +89,7 @@ def run_fig6(
     The exhibit is one scenario grid on the paper's machine — every
     benchmark crossed with the baseline comparison set
     (:func:`baseline_policy_names`) — run through a
-    :class:`~repro.scenario.session.Session`.
+    :class:`~repro.experiments.sweep.SweepEngine`.
     """
     policies = baseline_policy_names()
     grid = [
@@ -99,9 +99,9 @@ def run_fig6(
         for name in benchmarks
         for policy in policies
     ]
-    with Session() as session:
+    with SweepEngine() as engine:
         outcomes = {
-            (o.benchmark, o.policy): o for o in session.run_grid(grid)
+            (o.benchmark, o.policy): o for o in engine.run_grid(grid)
         }
     rows = []
     for name in benchmarks:

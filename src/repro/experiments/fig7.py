@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.experiments.outcome import modal_levels_from_result
 from repro.experiments.report import format_table
-from repro.scenario.session import Session
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import DEFAULT_SEEDS, PolicySpec, ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
@@ -73,31 +74,38 @@ def run_fig7(
     paper's WATS gap (1.05-1.24x) appears when the workload composition
     varies across batches, which the phased workload reproduces.
 
-    Two scenario waves through one Session on the paper's machine: the
-    EEWA runs, with each benchmark's modal configuration read off its EEWA
-    run at the first default seed
-    (:meth:`~repro.scenario.session.Session.modal_eewa_levels`), then
-    Cilk and WATS pinned to those configurations.
+    Two scenario waves on one engine on the paper's machine: the EEWA
+    runs, with each benchmark's modal configuration read off its EEWA run
+    at the first default seed, then Cilk and WATS pinned to those
+    configurations. When the EEWA wave ran that seed, the configuration
+    comes from the wave's own cell; otherwise
+    :meth:`~repro.experiments.sweep.SweepEngine.modal_eewa_levels` runs it.
     """
     names = list(benchmarks) + (["DMC-phased"] if include_phased else [])
+    seeds = tuple(seeds)
     eewa_grid = [
-        ScenarioSpec(
-            workload=name, policy="eewa", seeds=tuple(seeds), batches=batches,
-        )
+        ScenarioSpec(workload=name, policy="eewa", seeds=seeds, batches=batches)
         for name in names
     ]
-    with Session() as session:
-        levels_by_name = {
-            name: tuple(session.modal_eewa_levels(spec))
-            for name, spec in zip(names, eewa_grid)
-        }
-        eewa_outcomes = session.run_grid(eewa_grid)
-        fixed = session.run_grid(
+    with SweepEngine() as engine:
+        eewa_outcomes = engine.run_grid(eewa_grid)
+        levels_by_name = {}
+        for name, spec, eewa in zip(names, eewa_grid, eewa_outcomes):
+            if DEFAULT_SEEDS[0] in seeds:
+                machine = spec.build_machine()
+                levels = modal_levels_from_result(
+                    eewa.results[seeds.index(DEFAULT_SEEDS[0])],
+                    machine.num_cores, machine,
+                )
+            else:
+                levels = engine.modal_eewa_levels(spec)
+            levels_by_name[name] = tuple(levels)
+        fixed = engine.run_grid(
             [
                 ScenarioSpec(
                     workload=name,
                     policy=PolicySpec(policy, core_levels=levels_by_name[name]),
-                    seeds=tuple(seeds),
+                    seeds=seeds,
                     batches=batches,
                 )
                 for name in names

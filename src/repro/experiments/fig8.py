@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.report import format_table
-from repro.scenario.session import Session
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.record import CellResult
 
@@ -41,13 +41,13 @@ def run_fig8(
 ) -> Fig8Result:
     """Regenerate Fig. 8's per-batch frequency histogram series.
 
-    One EEWA scenario on the paper's machine, one seed, through a Session.
+    One EEWA scenario on the paper's machine, one seed, on a SweepEngine.
     """
     spec = ScenarioSpec(
         workload=benchmark, policy="eewa", seeds=(seed,), batches=batches
     )
-    with Session() as session:
-        result = session.run_single(spec)
+    with SweepEngine() as engine:
+        result = engine.run_single(spec)
     return Fig8Result(
         benchmark=benchmark,
         histograms=tuple(result.trace.level_histograms()),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.registry import baseline_policy_names
-from repro.scenario.session import Session
 from repro.scenario.spec import DEFAULT_SEEDS, MachineSpec, ScenarioSpec
 
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16)
@@ -67,7 +67,7 @@ def run_fig9(
     """Regenerate Fig. 9's core-count sweep.
 
     One scenario grid — (core count × baseline policy) on the paper's
-    machine — through a Session.
+    machine — on a SweepEngine.
     """
     policies = baseline_policy_names()
     grid = [
@@ -81,11 +81,11 @@ def run_fig9(
         for cores in core_counts
         for policy in policies
     ]
-    with Session() as session:
+    with SweepEngine() as engine:
         outcomes = dict(
             zip(
                 [(cores, policy) for cores in core_counts for policy in policies],
-                session.run_grid(grid),
+                engine.run_grid(grid),
             )
         )
     points = []

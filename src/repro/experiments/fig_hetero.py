@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.registry import spread_levels_for
-from repro.scenario.session import Session
 from repro.scenario.spec import (
     DEFAULT_SEEDS,
     MachineSpec,
@@ -77,7 +77,7 @@ def run_fig_hetero(
 ) -> HeteroResult:
     """Run every policy over the benchmarks on a big.LITTLE machine.
 
-    One scenario wave through one Session, like every other exhibit; rows
+    One scenario wave on one SweepEngine, like every other exhibit; rows
     are normalised to the Cilk cell of the same benchmark.
     ``big_cores``/``little_cores`` skew the partition — the scenario pins
     it through the schema-v3 ``core_types`` axis, so the cells are keyed
@@ -104,8 +104,8 @@ def run_fig_hetero(
         for name in names
         for policy in HETERO_POLICIES
     ]
-    with Session() as session:
-        outcomes = session.run_grid(grid)
+    with SweepEngine() as engine:
+        outcomes = engine.run_grid(grid)
     rows = []
     width = len(HETERO_POLICIES)
     for i, name in enumerate(names):

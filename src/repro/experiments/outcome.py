@@ -1,7 +1,7 @@
-"""Result containers shared by Session and the exhibit modules.
+"""Result containers shared by the sweep engine and the exhibit modules.
 
-Kept free of experiment-layer imports so both the scenario layer and the
-exhibits can depend on it without cycles.
+Kept free of other experiment-layer imports so the engine and the
+exhibits can both depend on it without cycles.
 """
 
 from __future__ import annotations

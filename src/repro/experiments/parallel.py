@@ -30,8 +30,7 @@ vocabulary the sweep engine (:mod:`repro.experiments.sweep`) builds on:
   and misses. Entries written under an older layout are therefore never
   served.
 
-Cells run through :class:`repro.experiments.sweep.SweepEngine`, directly
-or through :class:`repro.scenario.session.Session`.
+Cells run through :class:`repro.experiments.sweep.SweepEngine`.
 
 Determinism note: results are byte-identical whether a cell is computed
 in-process, in a worker, or served from cache — the simulation itself is

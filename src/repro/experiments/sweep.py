@@ -44,6 +44,26 @@ immediately and :meth:`SweepEngine.as_completed` yields tickets in
 completion order. :meth:`SweepEngine.run_cells` returns the whole list
 in submission order.
 
+Every consumer — the CLI commands, the exhibit modules, ``repro serve``
+and ad-hoc API use — runs scenarios on an engine::
+
+    from repro.experiments.sweep import SweepEngine
+    from repro.scenario import PolicySpec, ScenarioSpec
+
+    spec = ScenarioSpec(workload="SHA-1", policy=PolicySpec("eewa"))
+    with SweepEngine() as engine:
+        outcome = engine.run(spec)                   # RunOutcome over seeds
+
+:meth:`SweepEngine.run_grid` submits every (scenario × seed) cell in one
+batch; :meth:`SweepEngine.run_grid_detailed` returns the per-seed
+:class:`~repro.experiments.parallel.CellOutcome` records instead (cache
+provenance, adjuster wall-clock bookkeeping). The default engine is
+in-process and uncached; a pooled engine holds worker processes and a
+dispatcher thread until it is closed, so use it as a context manager::
+
+    with SweepEngine(workers=2, cache_dir=".repro-cache") as engine:
+        outcomes = engine.run_grid(specs)
+
 Determinism contract: the engine changes *where and when* cells run,
 never *what* they compute — every simulation remains a pure seeded
 function of its ``cell_key`` inputs, so results are bit-identical
@@ -71,8 +91,8 @@ from concurrent.futures import wait as _futures_wait
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.experiments.outcome import RunOutcome, modal_levels_from_result
 from repro.experiments.parallel import (
-    DEFAULT_CACHE_DIR,
     CellOutcome,
     CellSpec,
     GeneratedProgram,
@@ -84,7 +104,9 @@ from repro.experiments.parallel import (
 from repro.machine.topology import MachineConfig
 from repro.model.bounds import classify_cell
 from repro.model.predict import predict_cell
-from repro.scenario.spec import MachineSpec
+from repro.scenario.spec import DEFAULT_SEEDS, MachineSpec, ScenarioSpec
+from repro.sim.engine import SimResult, simulate
+from repro.sim.record import CellResult
 
 #: Job lifecycle states.
 _QUEUED, _DISPATCHED, _DONE, _CANCELLED = range(4)
@@ -104,6 +126,9 @@ MAX_CHUNK = 32
 
 #: Size of the in-memory LRU of payloads read back from disk.
 MEMO_ENTRIES = 1024
+
+#: Default backpressure bound on queued-but-undispatched cells.
+MAX_PENDING = 10_000
 
 
 def _warm_worker() -> None:
@@ -200,32 +225,34 @@ class SweepEngine:
 
     Parameters
     ----------
-    machine:
-        Default machine for cells that do not carry their own.
     workers:
-        Worker process count; ``0``/``1`` runs in-process (synchronous,
-        thread-free), ``None`` uses ``os.cpu_count()``.
+        Worker process count; ``0``/``1`` runs in-process (the default:
+        synchronous, thread-free and deterministic), ``None`` uses
+        ``os.cpu_count()``.
     cache_dir:
-        Sharded result-cache root; ``None`` disables the on-disk cache
-        *and* the in-memory memo (every distinct cell then simulates).
+        Sharded result-cache root; ``None`` (default) disables the on-disk
+        cache *and* the in-memory memo (every distinct cell then
+        simulates).
     fast_forward:
         Engine steady-state fast-forward (part of every cell key).
     max_pending:
-        Backpressure bound on queued-but-undispatched cells.
+        Backpressure bound on queued-but-undispatched cells; ``repro
+        serve`` admits a request only while it fits under this bound.
     fidelity:
         ``"sim"`` (default) simulates every cell; ``"auto"`` serves
         cells inside the calibrated envelope from the analytic predictor
         and simulates the rest.
+
+    A cell that carries no machine runs on the default preset's.
     """
 
     def __init__(
         self,
         *,
-        machine: Optional[MachineConfig] = None,
-        workers: Optional[int] = None,
-        cache_dir: str | os.PathLike[str] | None = DEFAULT_CACHE_DIR,
+        workers: Optional[int] = 0,
+        cache_dir: str | os.PathLike[str] | None = None,
         fast_forward: bool = True,
-        max_pending: int = 10_000,
+        max_pending: int = MAX_PENDING,
         fidelity: str = "sim",
     ) -> None:
         if workers is not None and workers < 0:
@@ -236,7 +263,7 @@ class SweepEngine:
             )
         if max_pending < 1:
             raise ConfigurationError("max_pending must be positive")
-        self.machine = machine if machine is not None else MachineSpec().build()
+        self._machine = MachineSpec().build()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.fidelity = fidelity
@@ -281,7 +308,7 @@ class SweepEngine:
         task rows, without the energy meter or ``Task`` objects (a full
         :class:`~repro.sim.engine.SimResult` comes only from
         :func:`~repro.sim.engine.simulate`, e.g. through
-        ``Session.run_single(record_power_series=True)``).
+        ``run_single(record_power_series=True)``).
         ``fidelity`` overrides the engine default for this one cell —
         consumers that need the per-batch trace or task rows pass
         ``"sim"`` to bypass the model tier, whose records carry neither.
@@ -291,7 +318,7 @@ class SweepEngine:
                 f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
             )
         cell_fidelity = fidelity if fidelity is not None else self.fidelity
-        machine = spec.machine if spec.machine is not None else self.machine
+        machine = spec.machine if spec.machine is not None else self._machine
         source = spec.program_source()
         key = cell_key(
             source, spec.policy, machine, spec.seed,
@@ -406,6 +433,98 @@ class SweepEngine:
         """All cells, results in submission order (the classic contract)."""
         tickets = self.submit_many(specs)
         return [ticket.result() for ticket in tickets]
+
+    # -- scenarios -------------------------------------------------------
+
+    def run(self, spec: ScenarioSpec) -> RunOutcome:
+        """Run one scenario over its seeds → a multi-seed RunOutcome."""
+        (outcome,) = self.run_grid([spec])
+        return outcome
+
+    def run_grid(self, specs: Sequence[ScenarioSpec]) -> list[RunOutcome]:
+        """Run many scenarios in one fan-out, one RunOutcome per spec."""
+        return [
+            RunOutcome(
+                benchmark=spec.workload_name,
+                policy=spec.policy.name,
+                results=tuple(cell.result for cell in cells),
+            )
+            for spec, cells in zip(specs, self.run_grid_detailed(specs))
+        ]
+
+    def run_grid_detailed(
+        self, specs: Sequence[ScenarioSpec]
+    ) -> list[list[CellOutcome]]:
+        """Run many scenarios in one fan-out, grouped per spec.
+
+        All cells go through a single :meth:`run_cells` call, so identical
+        cells across scenarios are simulated once and the process pool
+        sees the whole sweep at once.
+        """
+        cells = []
+        counts: list[int] = []
+        for spec in specs:
+            counts.append(len(spec.seeds))
+            cells.extend(CellSpec.from_scenario_seeds(spec))
+        outcomes = self.run_cells(cells)
+        grouped: list[list[CellOutcome]] = []
+        pos = 0
+        for count in counts:
+            grouped.append(outcomes[pos : pos + count])
+            pos += count
+        return grouped
+
+    def run_single(
+        self,
+        spec: ScenarioSpec,
+        *,
+        seed: Optional[int] = None,
+        record_power_series: bool = False,
+    ) -> SimResult | CellResult:
+        """One seed's simulated result (default: the first seed).
+
+        Always simulates regardless of the engine's ``fidelity``: the
+        per-batch trace and task rows are the contract, and the analytic
+        model does not produce them. The cell runs through the engine and
+        its cache, so the result is a :class:`~repro.sim.record.CellResult`
+        record, which has no energy meter and no ``Task`` objects.
+        ``record_power_series=True`` is the path that returns a full
+        :class:`~repro.sim.engine.SimResult`: it runs outside the queue
+        and cache, since power traces are observability extras the
+        content-addressed cache does not store (and the simulator turns
+        fast-forward off to record them).
+        """
+        if seed is None:
+            seed = spec.seeds[0]
+        if record_power_series:
+            return simulate(
+                spec.program(seed),
+                spec.build_policy(),
+                spec.build_machine(),
+                seed=seed,
+                record_power_series=True,
+                faults=spec.faults,
+            )
+        return self.submit(
+            CellSpec.from_scenario(spec, seed), fidelity="sim"
+        ).result().result
+
+    def modal_eewa_levels(
+        self, spec: ScenarioSpec, *, seed: Optional[int] = None
+    ) -> list[int]:
+        """Per-core level vector of EEWA's most-used configuration.
+
+        Runs the scenario under EEWA for one seed (default
+        ``DEFAULT_SEEDS[0]``, the Fig. 7 convention) and reads the modal
+        configuration off the trace. Shares its cell — and any cache entry
+        — with plain EEWA runs of the same scenario and seed.
+        """
+        resolved = spec.with_policy("eewa")
+        result = self.run_single(
+            resolved, seed=DEFAULT_SEEDS[0] if seed is None else seed
+        )
+        machine = resolved.build_machine()
+        return modal_levels_from_result(result, machine.num_cores, machine)
 
     def as_completed(
         self, tickets: Sequence[SweepTicket], *, timeout: Optional[float] = None
@@ -802,4 +921,4 @@ class SweepEngine:
             self._work.notify_all()
 
 
-__all__ = ["FIDELITIES", "SweepEngine", "SweepTicket"]
+__all__ = ["FIDELITIES", "MAX_PENDING", "SweepEngine", "SweepTicket"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.report import format_table
-from repro.scenario.session import Session
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 
@@ -66,13 +66,13 @@ def run_table3(
     """Regenerate Table III.
 
     One single-seed EEWA scenario per benchmark on the paper's machine,
-    run through a Session's detailed path — the per-cell outcome carries
+    run through the engine's detailed path — the per-cell outcome carries
     the adjuster wall-clock bookkeeping. The *measured* wall-clock column
     is a real timing, so unlike the simulated columns it differs from run
     to run.
     """
-    with Session() as session:
-        grids = session.run_grid_detailed(
+    with SweepEngine() as engine:
+        grids = engine.run_grid_detailed(
             [
                 ScenarioSpec(
                     workload=name, policy="eewa", seeds=(seed,), batches=batches

@@ -63,17 +63,6 @@ MODEL_POLICIES = frozenset({"cilk", "cilk-d", "eewa"})
 # ----------------------------------------------------------------------
 
 
-def _resolve_eewa_config(eewa_config, policy_params):
-    from repro.core.eewa import EEWAConfig
-    from repro.scenario.registry import eewa_config_from_params
-
-    if eewa_config is not None:
-        return eewa_config
-    if policy_params:
-        return eewa_config_from_params(dict(policy_params))
-    return EEWAConfig()
-
-
 def decline_reason(
     program: Sequence[Batch],
     policy: str,
@@ -92,7 +81,7 @@ def decline_reason(
     falls back to full simulation.
     """
     from repro.errors import ScenarioError
-    from repro.scenario.registry import POLICIES
+    from repro.scenario.registry import POLICIES, resolve_eewa_config
 
     try:
         name = POLICIES.canonical(policy)
@@ -122,7 +111,9 @@ def decline_reason(
         from repro.core.membound import MemoryBoundMode
 
         try:
-            config = _resolve_eewa_config(eewa_config, policy_params)
+            config = resolve_eewa_config(
+                params=dict(policy_params or ()), config=eewa_config
+            )
         except ScenarioError as exc:
             return f"eewa params rejected: {exc}"
         if config.memory_bound_mode is MemoryBoundMode.REGRESSION:
@@ -709,7 +700,7 @@ def predict_cell(
     )
     if reason is not None:
         return None
-    from repro.scenario.registry import POLICIES
+    from repro.scenario.registry import POLICIES, resolve_eewa_config
 
     name = POLICIES.canonical(policy)
     if name == "cilk":
@@ -720,7 +711,9 @@ def predict_cell(
         params = dict(policy_params or ())
         grace = float(params.get("idle_grace_s", DEFAULT_IDLE_GRACE_S))
         return _predict_cilk_d(program, machine, grace)
-    config = _resolve_eewa_config(eewa_config, policy_params)
+    config = resolve_eewa_config(
+        params=dict(policy_params or ()), config=eewa_config
+    )
     return _predict_eewa(program, machine, config)
 
 

@@ -1,13 +1,16 @@
-"""Scenario layer: typed specs, plugin registries, one Session facade.
+"""Scenario layer: typed specs and plugin registries.
 
-The three pieces, bottom-up:
+The two pieces, bottom-up:
 
 * :mod:`repro.scenario.registry` — plugin registries for policies,
   machine presets, and workloads (``@register_policy`` & friends);
 * :mod:`repro.scenario.spec` — the frozen, JSON-round-trippable
-  :class:`ScenarioSpec` with a schema-versioned content digest;
-* :mod:`repro.scenario.session` — :class:`Session`, the one entry point
-  the CLI, exhibits, and checks use to turn scenarios into results.
+  :class:`ScenarioSpec`, one point of the evaluation space.
+
+Scenarios run on the sweep engine (``SweepEngine``, in the experiments
+layer), which the CLI, the exhibits and ``repro serve`` all use to turn
+them into results; this package imports nothing from the layers that run
+it.
 """
 
 from repro.scenario.registry import (
@@ -33,7 +36,6 @@ from repro.scenario.spec import (
     PolicySpec,
     ScenarioSpec,
 )
-from repro.scenario.session import Session
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -47,7 +49,6 @@ __all__ = [
     "Registry",
     "SCENARIO_SCHEMA_VERSION",
     "ScenarioSpec",
-    "Session",
     "WORKLOADS",
     "WorkloadEntry",
     "baseline_policy_names",

@@ -391,14 +391,16 @@ def eewa_config_from_params(params: Mapping[str, Any]):
     return EEWAConfig(**kwargs)
 
 
-@register_policy(
-    "eewa",
-    description="the paper's energy-efficient workload-aware scheduler: "
-    "per-batch profiling, CC table, k-tuple DVFS search, c-group stealing",
-    compare_baseline=True,
-)
-def _build_eewa(*, core_levels=None, params=None, config=None) -> SchedulerPolicy:
-    from repro.core.eewa import EEWAConfig, EEWAScheduler
+def resolve_eewa_config(
+    *, params: Optional[Mapping[str, Any]] = None, config: Any = None
+):
+    """The :class:`~repro.core.eewa.EEWAConfig` an eewa cell runs with.
+
+    The one rule the simulator and the analytic model share: JSON-scalar
+    ``params`` or an ``EEWAConfig`` object, never both; neither means the
+    default configuration.
+    """
+    from repro.core.eewa import EEWAConfig
 
     if config is not None and params:
         raise ScenarioError("eewa: give either params or a config object, not both")
@@ -407,10 +409,22 @@ def _build_eewa(*, core_levels=None, params=None, config=None) -> SchedulerPolic
             raise ScenarioError(
                 f"eewa config must be an EEWAConfig, got {type(config).__name__}"
             )
-        return EEWAScheduler(config)
+        return config
     if params:
-        return EEWAScheduler(eewa_config_from_params(params))
-    return EEWAScheduler()
+        return eewa_config_from_params(params)
+    return EEWAConfig()
+
+
+@register_policy(
+    "eewa",
+    description="the paper's energy-efficient workload-aware scheduler: "
+    "per-batch profiling, CC table, k-tuple DVFS search, c-group stealing",
+    compare_baseline=True,
+)
+def _build_eewa(*, core_levels=None, params=None, config=None) -> SchedulerPolicy:
+    from repro.core.eewa import EEWAScheduler
+
+    return EEWAScheduler(resolve_eewa_config(params=params, config=config))
 
 
 # ----------------------------------------------------------------------
@@ -557,6 +571,7 @@ __all__ = [
     "register_machine",
     "register_policy",
     "register_workload",
+    "resolve_eewa_config",
     "spread_levels",
     "spread_levels_for",
     "workload_names",

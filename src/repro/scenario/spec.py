@@ -6,11 +6,10 @@ Every entry point — the CLI, the figure modules, the parallel cached
 runner, the checks — consumes these specs instead of re-wiring machines,
 seeds, and policy construction by hand.
 
-Specs are frozen, JSON-round-trippable (with schema versioning and
-unknown-field rejection), and carry a stable content digest
-(:meth:`ScenarioSpec.digest`) computed over the *resolved* machine,
-workload, and policy content — the digest that keys the result cache in
-:mod:`repro.experiments.parallel`.
+Specs are frozen and JSON-round-trippable (with schema versioning and
+unknown-field rejection). The result cache keys each of a spec's cells
+by its ``cell_key`` (in the experiments layer), over the *resolved*
+machine, workload, and policy content.
 
 JSON form (``repro run-spec scenario.json``)::
 
@@ -47,11 +46,10 @@ from repro.machine.topology import MachineConfig
 from repro.runtime.policy import SchedulerPolicy
 from repro.runtime.task import Batch
 from repro.scenario.registry import MACHINES, POLICIES, WORKLOADS, MachinePresetEntry
-from repro.sim.fingerprint import digest
 from repro.workloads.io import spec_from_dict, spec_to_dict
 from repro.workloads.spec import WorkloadSpec
 
-#: Version of the scenario JSON schema *and* of the digest layout. Bump on
+#: Version of the scenario JSON schema, part of every cell key. Bump on
 #: any change to the spec fields or their canonical encoding: the bump
 #: invalidates every result-cache entry written under the old layout.
 #: v2 added the optional ``faults`` axis. v3 added the machine
@@ -205,7 +203,7 @@ class PolicySpec:
     ``params`` holds JSON-scalar tunables (stored as sorted key/value
     pairs so the spec stays hashable and order-insensitive); ``config`` is
     the escape hatch for an in-memory config object (e.g.
-    :class:`~repro.core.eewa.EEWAConfig`), which participates in digests
+    :class:`~repro.core.eewa.EEWAConfig`), which participates in cell keys
     but cannot be serialised to JSON.
     """
 
@@ -463,31 +461,6 @@ class ScenarioSpec:
         except OSError as exc:
             raise ScenarioError(f"cannot load scenario from {path}: {exc}") from exc
         return cls.from_json(text)
-
-    # -- identity --------------------------------------------------------
-
-    def digest(self) -> str:
-        """Stable content digest of the *resolved* scenario.
-
-        Hashes the resolved workload spec, machine config, and policy
-        configuration (not just their names), so two specs digest equal
-        iff they describe identical simulations. Versioned by
-        :data:`SCENARIO_SCHEMA_VERSION`.
-        """
-        return digest(
-            [
-                "scenario-spec", SCENARIO_SCHEMA_VERSION,
-                "workload", self.resolve_workload(),
-                "machine", self.build_machine(),
-                "policy", self.policy.name,
-                "core_levels", self.policy.core_levels,
-                "params", self.policy.params,
-                "config", self.policy.config,
-                "seeds", self.seeds,
-                "batches", self.batches,
-                "faults", self.faults,
-            ]
-        )
 
 
 __all__ = [

@@ -11,13 +11,13 @@ front of it, stdlib-only:
   path of ``repro run-spec``) plus fidelity/priority/deadline; responses
   are newline-delimited ``cell`` / ``error`` / ``end`` frames;
 * :mod:`repro.service.server` — ``repro serve``: a
-  ``ThreadingHTTPServer`` (TCP or unix socket) sharing one
-  :class:`~repro.scenario.session.Session` across all clients, so
+  ``ThreadingHTTPServer`` (TCP or unix socket) holding one
+  :class:`~repro.experiments.sweep.SweepEngine` shared by all clients, so
   identical cells submitted by different clients coalesce in flight and
-  share cache entries. Queue-full backpressure surfaces as HTTP 429 with
-  ``Retry-After``; per-request deadlines end the stream with a terminal
-  error frame; shutdown drains in-flight streams before the engine
-  closes;
+  share cache entries. A request that would overfill the engine's queue
+  bound surfaces as HTTP 429 with ``Retry-After``; per-request deadlines
+  end the stream with a terminal error frame; shutdown drains in-flight
+  streams before the engine closes;
 * :mod:`repro.service.client` — ``repro sweep --remote``: a streaming
   client with bounded exponential-backoff retries (seeded jitter).
   Retries are idempotent because submissions are content-addressed cell

@@ -38,11 +38,15 @@ from repro.errors import ScenarioError
 from repro.scenario.spec import ScenarioSpec
 from repro.service.protocol import build_sweep_request, decode_frame
 
-#: Default retry budget and backoff shape.
+#: Default retry budget and jitter seed.
 DEFAULT_RETRIES = 4
-DEFAULT_BACKOFF_BASE = 0.25
-DEFAULT_BACKOFF_CAP = 4.0
 DEFAULT_JITTER_SEED = 0x5EED
+
+#: Exponential backoff shape, in seconds: attempt *n* sleeps
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**n)`` plus jitter uniform in
+#: ``[0, BACKOFF_BASE)``.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 4.0
 
 
 class ServiceError(RuntimeError):
@@ -105,10 +109,9 @@ class SweepServiceClient:
         ``http://host:port``, bare ``host:port``, or ``unix:/path.sock``.
     retries:
         Transient-failure attempts *beyond* the first (0 disables retry).
-    backoff_base / backoff_cap:
-        Exponential backoff shape: attempt *n* sleeps
-        ``min(cap, base * 2**n) + jitter`` with jitter uniform in
-        ``[0, base)`` from a generator seeded with ``jitter_seed``.
+        Attempt *n* sleeps per :data:`BACKOFF_BASE` and :data:`BACKOFF_CAP`.
+    jitter_seed:
+        Seed of the generator that draws each sleep's jitter.
     timeout:
         Socket timeout per connection (``None``: block indefinitely).
     """
@@ -118,16 +121,12 @@ class SweepServiceClient:
         url: str,
         *,
         retries: int = DEFAULT_RETRIES,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         jitter_seed: int = DEFAULT_JITTER_SEED,
         timeout: Optional[float] = None,
     ) -> None:
         self.url = url
         self._kind, self._address = _parse_url(url)
         self._retries = max(0, retries)
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._rng = random.Random(jitter_seed)
         self._timeout = timeout
         #: Sleeps taken by the retry loop (observability/testing).
@@ -141,8 +140,8 @@ class SweepServiceClient:
         return http.client.HTTPConnection(self._address, timeout=self._timeout)
 
     def _sleep(self, attempt: int, retry_after: float) -> None:
-        delay = min(self._backoff_cap, self._backoff_base * (2 ** attempt))
-        delay += self._rng.uniform(0.0, self._backoff_base)
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
+        delay += self._rng.uniform(0.0, BACKOFF_BASE)
         delay = max(delay, retry_after)
         self.backoff_log.append(delay)
         time.sleep(delay)
@@ -295,8 +294,8 @@ class SweepServiceClient:
 
 
 __all__ = [
-    "DEFAULT_BACKOFF_BASE",
-    "DEFAULT_BACKOFF_CAP",
+    "BACKOFF_BASE",
+    "BACKOFF_CAP",
     "DEFAULT_JITTER_SEED",
     "DEFAULT_RETRIES",
     "ServiceError",

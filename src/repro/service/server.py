@@ -1,17 +1,17 @@
 """``repro serve`` — the sweep engine behind an HTTP/unix-socket front-end.
 
-One :class:`~repro.scenario.session.Session` (and therefore one
-:class:`~repro.experiments.sweep.SweepEngine`) is shared by every client:
-identical cells submitted by different clients coalesce onto one in-flight
-simulation, and every result lands in the shared content-addressed cache.
-The server adds the four service-level behaviours the engine cannot see
-from inside:
+The server holds one :class:`~repro.experiments.sweep.SweepEngine`, shared
+by every client: identical cells submitted by different clients coalesce
+onto one in-flight simulation, and every result lands in the shared
+content-addressed cache. The server adds the service-level behaviours the
+engine cannot see from inside:
 
 * **admission control** — a request whose cells would push the queue past
-  the backpressure bound is refused up front with HTTP 429 and a
-  ``Retry-After`` estimate derived from the engine's observed per-cell
-  cost, instead of blocking the client inside ``submit``; a request with
-  more cells than the bound could ever admit gets a final 413;
+  the engine's backpressure bound (``max_pending``) is refused up front
+  with HTTP 429 and a ``Retry-After`` estimate derived from the engine's
+  observed per-cell cost, instead of blocking the client inside
+  ``submit``; a request with more cells than the bound could ever admit
+  gets a final 413;
 * **per-request deadlines** — ``deadline_s`` bounds the whole stream;
   expiry cancels the request's still-queued tickets (coalesced tickets
   cancel independently, so other clients' cells are untouched) and
@@ -48,9 +48,9 @@ from concurrent.futures import CancelledError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional, Sequence
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
+from repro.experiments.sweep import MAX_PENDING, SweepEngine
 from repro.scenario.registry import POLICIES
-from repro.scenario.session import Session
 from repro.scenario.spec import PolicySpec, ScenarioSpec
 from repro.service.protocol import (
     SweepRequest,
@@ -76,13 +76,13 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 HANDLER_TIMEOUT_S = 10.0
 
 
-def resolve_scenario(session: Session, scenario: ScenarioSpec) -> ScenarioSpec:
+def resolve_scenario(engine: SweepEngine, scenario: ScenarioSpec) -> ScenarioSpec:
     """Fill fixed core levels for a policy that needs them.
 
     A policy that *needs* core levels but carries none runs on EEWA's
-    modal configuration for the scenario's workload — derived through the
-    session's engine, so the derivation cell is deduplicated and cached
-    across clients like any other cell. This is the one implementation of
+    modal configuration for the scenario's workload — derived on
+    ``engine``, so the derivation cell is deduplicated and cached across
+    clients like any other cell. This is the one implementation of
     the rule: :func:`stream_request` applies it to every request, and the
     CLI to every scenario run without ``--core-levels``. A scenario with
     nothing to fill is returned as is (the same object).
@@ -90,7 +90,7 @@ def resolve_scenario(session: Session, scenario: ScenarioSpec) -> ScenarioSpec:
     entry = POLICIES.get(scenario.policy.name)
     if not entry.needs_core_levels or scenario.policy.core_levels is not None:
         return scenario
-    levels = tuple(session.modal_eewa_levels(scenario))
+    levels = tuple(engine.modal_eewa_levels(scenario))
     return scenario.with_policy(
         PolicySpec(scenario.policy.name, core_levels=levels)
     )
@@ -101,7 +101,7 @@ class _ClientGone(Exception):
 
 
 def stream_request(
-    session: Session,
+    engine: SweepEngine,
     request: SweepRequest,
     write: Callable[[bytes], None],
 ) -> dict[str, Any]:
@@ -118,7 +118,6 @@ def stream_request(
     submitting them to an engine that is closing) ends the stream with an
     ``engine`` error frame: the handler has already sent its ``200``.
     """
-    engine = session.engine
     sources: dict[str, int] = {}
     summary = {
         "cells": 0,
@@ -133,7 +132,7 @@ def stream_request(
         by_id: dict[int, ScenarioSpec] = {}
         for scenario in request.scenarios:
             if id(scenario) not in by_id:
-                by_id[id(scenario)] = resolve_scenario(session, scenario)
+                by_id[id(scenario)] = resolve_scenario(engine, scenario)
         resolved = SweepRequest(
             scenarios=tuple(by_id[id(s)] for s in request.scenarios),
             fidelity=request.fidelity,
@@ -300,11 +299,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         n_cells = sum(len(s.seeds) for s in request.scenarios)
-        if n_cells > self.server.max_pending:
+        engine = self.server.engine
+        if n_cells > engine.max_pending:
             self._send_json(413, error_frame(
                 "bad-request",
                 f"request of {n_cells} cells exceeds the server's "
-                f"{self.server.max_pending}-cell admission limit",
+                f"{engine.max_pending}-cell admission limit",
             ))
             return
         retry_after = self.server.admission_delay(n_cells)
@@ -313,8 +313,8 @@ class _Handler(BaseHTTPRequestHandler):
                 429,
                 error_frame(
                     "backpressure",
-                    f"queue full ({self.server.session.engine.queue_depth} "
-                    f"pending); retry after {retry_after} s",
+                    f"queue full ({engine.queue_depth} pending); "
+                    f"retry after {retry_after} s",
                 ),
                 headers=[("Retry-After", str(retry_after))],
             )
@@ -335,7 +335,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         self.server.request_started()
         try:
-            summary = stream_request(self.server.session, request, _write)
+            summary = stream_request(engine, request, _write)
         finally:
             self.server.request_finished()
         self.server.log(
@@ -345,7 +345,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class SweepServer(ThreadingHTTPServer):
-    """Threading HTTP server sharing one :class:`Session` across clients.
+    """Threading HTTP server sharing one :class:`SweepEngine` across clients.
 
     Handler threads are non-daemon and joined on ``server_close()``, so
     :meth:`drain_and_close` cannot close the engine under a live stream.
@@ -358,25 +358,14 @@ class SweepServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        session: Session,
+        engine: SweepEngine,
         *,
-        max_pending: Optional[int] = None,
         verbose: bool = False,
-        log_file: Any = None,
     ) -> None:
-        self.session = session
-        #: Admission bound on queued cells; defaults to the engine's own
-        #: backpressure bound so an admitted request never blocks in submit.
-        self.max_pending = (
-            max_pending if max_pending is not None
-            else session.engine.max_pending
-        )
-        if self.max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be positive, got {self.max_pending}"
-            )
+        #: The shared engine. Its ``max_pending`` is the admission bound,
+        #: so an admitted request never blocks in ``submit``.
+        self.engine = engine
         self.verbose = verbose
-        self.log_file = log_file if log_file is not None else sys.stderr
         self.draining = False
         self.started_at = time.monotonic()
         self._active = 0
@@ -389,7 +378,7 @@ class SweepServer(ThreadingHTTPServer):
 
     def log(self, message: str) -> None:
         if self.verbose:
-            print(f"[repro serve] {message}", file=self.log_file, flush=True)
+            print(f"[repro serve] {message}", file=sys.stderr, flush=True)
 
     def request_started(self) -> None:
         with self._active_lock:
@@ -411,16 +400,16 @@ class SweepServer(ThreadingHTTPServer):
         The estimate is how long the engine needs to drain the current
         backlog at its observed per-cell cost (bounded to [1, 60] s).
         """
-        engine = self.session.engine
+        engine = self.engine
         depth = engine.queue_depth
-        if depth + new_cells <= self.max_pending:
+        if depth + new_cells <= engine.max_pending:
             return None
         per_cell = engine.ema_cell_seconds or 0.1
         return max(1, min(60, int(depth * per_cell) + 1))
 
     def stats_payload(self) -> dict[str, Any]:
         """The ``GET /stats`` body: engine + cache + server observability."""
-        engine = self.session.engine
+        engine = self.engine
         stats = engine.stats
         payload: dict[str, Any] = {
             "engine": {
@@ -440,7 +429,7 @@ class SweepServer(ThreadingHTTPServer):
                 "active_streams": self.active_streams,
                 "requests": self._requests,
                 "uptime_s": time.monotonic() - self.started_at,
-                "max_pending": self.max_pending,
+                "max_pending": engine.max_pending,
                 "draining": self.draining,
             },
         }
@@ -482,7 +471,7 @@ class SweepServer(ThreadingHTTPServer):
         messages = ["drained in-flight streams"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            self.session.close()
+            self.engine.close()
         for entry in caught:
             if issubclass(entry.category, RuntimeWarning):
                 messages.append(f"warning: {entry.message}")
@@ -497,11 +486,11 @@ class UnixSweepServer(SweepServer):
 
     address_family = socket.AF_UNIX
 
-    def __init__(self, socket_path: str, session: Session, **kwargs: Any) -> None:
+    def __init__(self, socket_path: str, engine: SweepEngine, **kwargs: Any) -> None:
         self.socket_path = socket_path
         with contextlib.suppress(OSError):
             os.unlink(socket_path)  # stale socket from a crashed server
-        super().__init__(socket_path, session, **kwargs)  # type: ignore[arg-type]
+        super().__init__(socket_path, engine, **kwargs)  # type: ignore[arg-type]
 
     def server_bind(self) -> None:
         # HTTPServer.server_bind assumes a (host, port) address and calls
@@ -526,32 +515,27 @@ def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     unix_socket: Optional[str] = None,
-    session: Optional[Session] = None,
     workers: Optional[int] = 0,
     cache_dir: str | os.PathLike[str] | None = None,
     fast_forward: bool = True,
     fidelity: str = "sim",
-    max_pending: Optional[int] = None,
+    max_pending: int = MAX_PENDING,
     verbose: bool = False,
 ) -> SweepServer:
     """Build a ready-to-run server (TCP by default, unix socket if given).
 
-    Constructs the shared :class:`Session` unless one is passed in; the
-    caller runs ``serve_forever()`` and ``drain_and_close()``. ``port=0``
-    binds an ephemeral port (see ``server_port`` after construction).
+    Builds the shared :class:`SweepEngine` from the engine settings; the
+    caller runs ``serve_forever()`` and ``drain_and_close()``, which closes
+    the engine. ``port=0`` binds an ephemeral port (see ``server_port``
+    after construction).
     """
-    if session is None:
-        session = Session(
-            workers=workers, cache_dir=cache_dir, fast_forward=fast_forward,
-            fidelity=fidelity,
-        )
-    if unix_socket is not None:
-        return UnixSweepServer(
-            unix_socket, session, max_pending=max_pending, verbose=verbose
-        )
-    return SweepServer(
-        (host, port), session, max_pending=max_pending, verbose=verbose
+    engine = SweepEngine(
+        workers=workers, cache_dir=cache_dir, fast_forward=fast_forward,
+        max_pending=max_pending, fidelity=fidelity,
     )
+    if unix_socket is not None:
+        return UnixSweepServer(unix_socket, engine, verbose=verbose)
+    return SweepServer((host, port), engine, verbose=verbose)
 
 
 __all__ = [

@@ -99,7 +99,8 @@ from repro.sim.trace import (
 )
 
 #: Hard cap on processed events — a runaway-policy backstop, far above any
-#: legitimate run (each task costs a handful of events).
+#: legitimate run (each task costs a handful of events). Read when a run
+#: starts.
 DEFAULT_MAX_EVENTS = 50_000_000
 
 #: Version tag of the engine's observable behaviour. Part of the parallel
@@ -153,14 +154,6 @@ class SimResult:
             return 0.0
         return self.total_joules / self.total_time
 
-    def energy_vs(self, other: "SimResult") -> float:
-        """Energy of this run relative to ``other`` (1.0 = equal)."""
-        return self.total_joules / other.total_joules
-
-    def time_vs(self, other: "SimResult") -> float:
-        """Time of this run relative to ``other`` (1.0 = equal)."""
-        return self.total_time / other.total_time
-
 
 @dataclass
 class _BoundarySnapshot:
@@ -195,8 +188,6 @@ class Simulator:
         policy: SchedulerPolicy,
         *,
         seed: int = 0,
-        keep_tasks: bool = True,
-        max_events: int = DEFAULT_MAX_EVENTS,
         record_power_series: bool = False,
         record_task_events: bool = False,
         fast_forward: bool = True,
@@ -205,8 +196,6 @@ class Simulator:
         self._machine = machine
         self._policy = policy
         self._rng = RngStreams(seed)
-        self._keep_tasks = keep_tasks
-        self._max_events = max_events
         self._record_task_events = record_task_events
         # Deep traces and power series record *inside* batches, which delta
         # replay cannot reproduce — those modes force full simulation.
@@ -390,7 +379,7 @@ class Simulator:
         handle_core_ready = self._handle_core_ready
         launch_next_batch = self._launch_next_batch
         heap = self._queue._heap
-        max_events = self._max_events
+        max_events = DEFAULT_MAX_EVENTS
 
         events = 0
         while heap and not self._done:
@@ -687,7 +676,6 @@ class Simulator:
         template_specs = batches[pos - 1].specs
         t = self._queue._now
         trace = self._trace
-        keep = self._keep_tasks
         accounts = self._meter.accounts
         stats = self._policy.stats
         history = self._barrier._history
@@ -715,20 +703,19 @@ class Simulator:
                     )
                 )
             base = self._factory.next_id
-            if keep:
-                for rel_id, spec, stolen, rel_s, rel_f, on, level in task_templates:
-                    self._finished_tasks.append(
-                        Task(
-                            task_id=base + rel_id,
-                            spec=spec,
-                            batch_index=batch.index,
-                            stolen=stolen,
-                            start_time=t + rel_s,
-                            finish_time=t + rel_f,
-                            executed_on=on,
-                            executed_level=level,
-                        )
+            for rel_id, spec, stolen, rel_s, rel_f, on, level in task_templates:
+                self._finished_tasks.append(
+                    Task(
+                        task_id=base + rel_id,
+                        spec=spec,
+                        batch_index=batch.index,
+                        stolen=stolen,
+                        start_time=t + rel_s,
+                        finish_time=t + rel_f,
+                        executed_on=on,
+                        executed_level=level,
                     )
+                )
             self._factory.advance_to(base + d_created)
             history.append((batch.index, tasks_completed, t_launch, duration))
             for account, (dj, ds, djs, dss, dsl) in zip(accounts, core_deltas):
@@ -813,8 +800,7 @@ class Simulator:
         if self._record_task_events:
             self._record_lifecycle(TaskEventKind.DONE, core_id, task_id)
         self._tasks_executed += 1
-        if self._keep_tasks:
-            self._finished_tasks.append(task)
+        self._finished_tasks.append(task)
         if self._injector is not None:
             corrupted = self._injector.corrupt_counters(task.spec.counters)
             if corrupted is not None:
@@ -1260,7 +1246,6 @@ def simulate(
     machine: MachineConfig,
     *,
     seed: int = 0,
-    keep_tasks: bool = True,
     record_power_series: bool = False,
     record_task_events: bool = False,
     fast_forward: bool = True,
@@ -1271,7 +1256,6 @@ def simulate(
         machine,
         policy,
         seed=seed,
-        keep_tasks=keep_tasks,
         record_power_series=record_power_series,
         record_task_events=record_task_events,
         fast_forward=fast_forward,

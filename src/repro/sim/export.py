@@ -99,7 +99,7 @@ def batches_to_csv(result: SimResult | CellResult) -> str:
 
 
 def tasks_to_csv(result: SimResult | CellResult) -> str:
-    """CSV of per-task execution records (requires ``keep_tasks=True``)."""
+    """CSV of per-task execution records."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(

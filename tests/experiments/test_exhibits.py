@@ -13,7 +13,8 @@ from repro.experiments.fig_hetero import run_fig_hetero
 from repro.experiments.report import format_percent, format_series, format_table
 from repro.experiments.table3 import run_table3
 from repro.errors import ConfigurationError
-from repro.scenario import POLICIES, ScenarioSpec, Session
+from repro.experiments.sweep import SweepEngine
+from repro.scenario import POLICIES, ScenarioSpec
 
 SEEDS = (11,)
 
@@ -34,16 +35,16 @@ class TestRunner:
             POLICIES.get("eewa").build(core_levels=[0])
 
     def test_run_benchmark_pairs_programs(self):
-        with Session() as session:
-            a, b = session.run_grid([
+        with SweepEngine() as engine:
+            a, b = engine.run_grid([
                 ScenarioSpec(workload="MD5", policy=policy, batches=3, seeds=(5,))
                 for policy in ("cilk", "eewa")
             ])
         assert a.first.tasks_executed == b.first.tasks_executed
 
     def test_modal_levels_shape(self):
-        with Session() as session:
-            levels = session.modal_eewa_levels(
+        with SweepEngine() as engine:
+            levels = engine.modal_eewa_levels(
                 ScenarioSpec(workload="SHA-1", policy="eewa", batches=4)
             )
         assert len(levels) == 16
@@ -102,6 +103,36 @@ class TestFig7:
     def test_phased_row_included_by_default(self):
         result = run_fig7(benchmarks=(), seeds=SEEDS)
         assert [r.benchmark for r in result.rows] == ["DMC-phased"]
+
+    @staticmethod
+    def _run_counting(monkeypatch, seeds):
+        """``run_fig7`` on SHA-1 with the policy of every simulated cell."""
+        from repro.experiments import parallel
+
+        simulated = []
+        simulate = parallel.simulate
+
+        def counting(program, policy, *args, **kwargs):
+            simulated.append(policy.name)
+            return simulate(program, policy, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate", counting)
+        result = run_fig7(
+            benchmarks=("SHA-1",), seeds=seeds, include_phased=False, batches=4
+        )
+        return result, simulated
+
+    def test_each_cell_simulates_once(self, monkeypatch):
+        # The modal configuration is read off the EEWA wave's own seed-11
+        # cell, so the three distinct cells simulate three times.
+        _, simulated = self._run_counting(monkeypatch, (11,))
+        assert sorted(simulated) == ["cilk", "eewa", "wats"]
+
+    def test_modal_cell_outside_the_seeds_runs_once_more(self, monkeypatch):
+        with_seed, _ = self._run_counting(monkeypatch, (11,))
+        without, simulated = self._run_counting(monkeypatch, (23,))
+        assert sorted(simulated) == ["cilk", "eewa", "eewa", "wats"]
+        assert without.rows[0].fixed_levels == with_seed.rows[0].fixed_levels
 
 
 class TestFig8:

@@ -1,5 +1,5 @@
-"""Tests for cached, deduplicated cell execution through Session and
-SweepEngine: cell keys, the result cache, and pooled sessions."""
+"""Tests for cached, deduplicated cell execution through SweepEngine:
+cell keys, the result cache, and pooled engines."""
 
 import dataclasses
 import multiprocessing
@@ -14,9 +14,10 @@ from repro.core.eewa import EEWAConfig, EEWAScheduler
 from repro.experiments.outcome import modal_levels_from_result
 from repro.experiments.parallel import CellSpec, GeneratedProgram, ResultCache, cell_key
 from repro.experiments.sweep import SweepEngine
+from repro.faults.spec import FaultSpec
 from repro.machine.topology import MachineConfig, opteron_8380_machine, small_test_machine
 from repro.runtime.task import Batch
-from repro.scenario import POLICIES, MachineSpec, ScenarioSpec, Session
+from repro.scenario import POLICIES, MachineSpec, PolicySpec, ScenarioSpec
 from repro.scenario.registry import MACHINES, WORKLOADS, register_machine, register_workload
 from repro.scenario.spec import DEFAULT_SEEDS
 from repro.service.protocol import parse_sweep_request
@@ -84,6 +85,33 @@ class TestCellKey:
     def test_policy_config_changes_key(self):
         assert self.key() != self.key(eewa_config=EEWAConfig(headroom=0.2))
         assert self.key() != self.key(core_levels=(0,) * 16)
+
+    # A scenario's cells reach the key through CellSpec.from_scenario, as
+    # the engine builds them: each axis of the scenario must move the key.
+
+    @staticmethod
+    def scenario_key(**overrides):
+        kwargs = dict(workload="SHA-1", policy="eewa", seeds=(11,), batches=BATCHES)
+        kwargs.update(overrides)
+        cell = CellSpec.from_scenario(ScenarioSpec(**kwargs), 11)
+        return cell_key(
+            cell.program_source(), cell.policy, cell.machine, cell.seed,
+            core_levels=cell.core_levels, eewa_config=cell.eewa_config,
+            policy_params=cell.policy_params, faults=cell.faults,
+        )
+
+    def test_policy_param_changes_key(self):
+        tuned = PolicySpec("eewa", params={"headroom": 0.2})
+        assert self.scenario_key() != self.scenario_key(policy=tuned)
+
+    def test_faults_change_key(self):
+        faults = FaultSpec(stall_rate=0.1, stall_duration_s=1e-3)
+        assert self.scenario_key() != self.scenario_key(faults=faults)
+
+    def test_core_count_changes_key(self):
+        assert self.scenario_key() != self.scenario_key(
+            machine=MachineSpec(num_cores=8)
+        )
 
     def test_engine_version_in_key(self):
         # The version tag must gate the cache: identical inputs under a
@@ -163,9 +191,9 @@ class TestGridDigests:
             for policy in ("cilk", "eewa")
             for name in BENCHMARK_NAMES
         ]
-        with Session() as session:
-            session.run_grid(grid)
-            assert session.stats.executed == 280
+        with SweepEngine() as engine:
+            engine.run_grid(grid)
+            assert engine.stats.executed == 280
         assert digested == []
 
 
@@ -318,10 +346,10 @@ class TestWarmCells:
         return counts
 
     @staticmethod
-    def _stream(session, scenarios):
+    def _stream(engine, scenarios):
         frames = []
         request = parse_sweep_request({"scenarios": scenarios})
-        summary = stream_request(session, request, frames.append)
+        summary = stream_request(engine, request, frames.append)
         assert summary["ended"] == "end"
         return frames
 
@@ -334,10 +362,10 @@ class TestWarmCells:
         ]
         from repro.experiments import parallel
 
-        with Session(cache_dir=tmp_path / "c") as cold:
+        with SweepEngine(cache_dir=tmp_path / "c") as cold:
             self._stream(cold, scenarios)
         parallel._generated_program.cache_clear()  # no program to reuse
-        with Session(cache_dir=tmp_path / "c") as warm:
+        with SweepEngine(cache_dir=tmp_path / "c") as warm:
             counts = self._count(monkeypatch)
             self._stream(warm, scenarios)  # read back from disk
             self._stream(warm, scenarios)  # served by the memo
@@ -353,10 +381,10 @@ class TestWarmCells:
              "machine": {"num_cores": 8}}
             for name in BENCHMARK_NAMES
         ]
-        with Session(cache_dir=None) as session:
+        with SweepEngine(cache_dir=None) as engine:
             counts = self._count(monkeypatch)
-            self._stream(session, scenarios)
-            assert session.stats.executed == 14
+            self._stream(engine, scenarios)
+            assert engine.stats.executed == 14
         assert counts["machines"] == 1
 
 
@@ -416,23 +444,23 @@ class TestResultCache:
 
 
 class TestParallelRunner:
-    """The cached, deduplicated fan-out, run through Session and SweepEngine.
+    """The cached, deduplicated fan-out, run through SweepEngine.
 
     The class and test names predate the deletion of the runner classes;
     they are kept so each test keeps its ID.
     """
 
     def test_matches_serial_runner(self):
-        with Session() as session:
-            out = session.run(_scenario("SHA-1", "eewa"))
+        with SweepEngine() as engine:
+            out = engine.run(_scenario("SHA-1", "eewa"))
         assert _scalars(out.results) == _scalars(_direct("SHA-1", "eewa"))
 
     def test_second_sweep_fully_cached(self, tmp_path):
         spec = _scenario("BWC", "cilk")
-        with Session(cache_dir=tmp_path / "c") as first:
+        with SweepEngine(cache_dir=tmp_path / "c") as first:
             a = first.run(spec)
             assert first.stats.executed == 3
-        with Session(cache_dir=tmp_path / "c") as second:
+        with SweepEngine(cache_dir=tmp_path / "c") as second:
             b = second.run(spec)
             assert second.stats.executed == 0
             assert second.stats.cache_hits == 3
@@ -440,14 +468,14 @@ class TestParallelRunner:
         assert _scalars(b.results) == _scalars(_direct("BWC", "cilk"))
 
     def test_any_input_change_misses(self, tmp_path):
-        with Session(cache_dir=tmp_path / "c") as warm:
+        with SweepEngine(cache_dir=tmp_path / "c") as warm:
             warm.run(_scenario("BWC", "cilk"))
         for kwargs in (
             {"batches": BATCHES + 1},               # program spec changes
             {"seeds": (99,)},                       # seed changes
             {"machine": MachineSpec(num_cores=8)},  # machine changes
         ):
-            with Session(cache_dir=tmp_path / "c") as probe:
+            with SweepEngine(cache_dir=tmp_path / "c") as probe:
                 probe.run(_scenario("BWC", "cilk", **kwargs))
                 assert probe.stats.cache_hits == 0, kwargs
 
@@ -462,12 +490,12 @@ class TestParallelRunner:
 
     def test_modal_levels_match_serial_and_share_cache(self, tmp_path):
         spec = _scenario("SHA-1", "eewa")
-        with Session(cache_dir=tmp_path / "c") as session:
-            session.run(spec)
-            executed = session.stats.executed
-            levels = session.modal_eewa_levels(spec)
+        with SweepEngine(cache_dir=tmp_path / "c") as engine:
+            engine.run(spec)
+            executed = engine.stats.executed
+            levels = engine.modal_eewa_levels(spec)
             # The modal cell is the first-seed EEWA cell — already cached.
-            assert session.stats.executed == executed
+            assert engine.stats.executed == executed
         seed = DEFAULT_SEEDS[0]
         machine = opteron_8380_machine()
         reference = simulate(
@@ -480,15 +508,15 @@ class TestParallelRunner:
 
     def test_cache_disabled(self):
         spec = _scenario("BWC", "cilk", seeds=(11,))
-        with Session(cache_dir=None) as session:
-            session.run(spec)
-            session.run(spec)
-            assert session.stats.executed == 2
-            assert session.stats.cache_hits == 0
+        with SweepEngine(cache_dir=None) as engine:
+            engine.run(spec)
+            engine.run(spec)
+            assert engine.stats.executed == 2
+            assert engine.stats.cache_hits == 0
 
     def test_process_pool_matches_in_process(self):
         spec = _scenario("SHA-1", "cilk-d", seeds=(11, 23))
-        with Session(workers=2) as pooled, Session(workers=0) as inproc:
+        with SweepEngine(workers=2) as pooled, SweepEngine(workers=0) as inproc:
             a = pooled.run(spec)
             b = inproc.run(spec)
         assert _scalars(a.results) == _scalars(b.results)
@@ -499,7 +527,7 @@ class TestParallelRunner:
 
 class TestFigureParallelPaths:
     def test_parallel_exhibit_closes_its_pool(self, tmp_path):
-        """A pooled, cached session leaves no worker process and no
+        """A pooled, cached engine leaves no worker process and no
         dispatcher thread behind once its ``with`` block ends."""
 
         def dispatchers():
@@ -509,8 +537,8 @@ class TestFigureParallelPaths:
 
         children = set(multiprocessing.active_children())
         threads = dispatchers()
-        with Session(workers=2, cache_dir=tmp_path / "c") as session:
-            outcomes = session.run_grid(
+        with SweepEngine(workers=2, cache_dir=tmp_path / "c") as engine:
+            outcomes = engine.run_grid(
                 [_scenario("SHA-1", policy, seeds=(11,)) for policy in ("cilk", "eewa")]
             )
         assert [o.policy for o in outcomes] == ["cilk", "eewa"]

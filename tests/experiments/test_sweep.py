@@ -233,6 +233,13 @@ class TestBackpressureAndChunking:
         assert second.result().result.tasks_executed > 0
         assert first.result().result.tasks_executed > 0
 
+    def test_default_engine_is_in_process_and_uncached(self):
+        with SweepEngine() as eng:
+            assert eng.cache is None
+            eng.run_cells([spec(seed=11)])
+            assert eng.stats.executed == 1
+            assert eng._pool is None and eng._dispatcher is None
+
     def test_invalid_parameters_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             SweepEngine(workers=-1)

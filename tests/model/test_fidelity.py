@@ -17,9 +17,11 @@ The contracts the conformance/acceptance gates rely on:
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.eewa import EEWAConfig
+from repro.errors import ConfigurationError, ScenarioError
 from repro.experiments.parallel import CellSpec, ResultCache
 from repro.experiments.sweep import FIDELITIES, SweepEngine
+from repro.scenario import PolicySpec, ScenarioSpec
 from repro.sim.fingerprint import trace_fingerprint
 
 BATCHES = 3
@@ -77,6 +79,26 @@ class TestAutoTier:
             via_sim.result
         )
         assert via_auto.result.total_joules == via_sim.result.total_joules
+
+    def test_auto_refuses_the_cell_sim_refuses(self):
+        # An eewa policy with both JSON params and a config object: the
+        # simulator refuses it, so the model may not serve it either.
+        scenario = ScenarioSpec(
+            workload="SHA-1",
+            policy=PolicySpec("eewa", params={"headroom": 0.2}, config=EEWAConfig()),
+            seeds=(11,),
+            batches=4,
+        )
+        cell = CellSpec.from_scenario(scenario, 11)
+        refusals = {}
+        for fidelity in ("auto", "sim"):
+            with SweepEngine(fidelity=fidelity) as eng:
+                with pytest.raises(ScenarioError) as excinfo:
+                    eng.submit(cell).result()
+            assert eng.stats.model_cells == 0
+            refusals[fidelity] = str(excinfo.value)
+        assert refusals["auto"] == refusals["sim"]
+        assert "either params or a config object" in refusals["sim"]
 
     def test_model_outcome_matches_sim_within_bounds(self):
         from repro.model.bounds import MAX_RELATIVE_ERROR
@@ -189,21 +211,17 @@ class TestPerSubmitOverride:
 
 
 class TestSessionFidelity:
-    def test_run_single_always_simulates(self):
-        from repro.scenario import ScenarioSpec, Session
-        from repro.scenario.spec import PolicySpec
+    """The engine's scenario methods under ``fidelity="auto"``."""
 
+    def test_run_single_always_simulates(self):
         scenario = ScenarioSpec(
             workload="SHA-1", policy=PolicySpec("cilk"), batches=BATCHES
         )
-        with Session(fidelity="auto") as session:
-            result = session.run_single(scenario)
+        with SweepEngine(fidelity="auto") as engine:
+            result = engine.run_single(scenario)
         assert result.trace.batches  # full simulation despite auto
 
     def test_grid_serves_model_cells(self):
-        from repro.scenario import ScenarioSpec, Session
-        from repro.scenario.spec import PolicySpec
-
         # Every cell of this grid lies inside the envelope, so the model
         # serves all of them and nothing simulates.
         scenarios = [
@@ -213,7 +231,7 @@ class TestSessionFidelity:
             )
             for policy in ("cilk", "cilk-d", "eewa")
         ]
-        with Session(fidelity="auto") as session:
-            cells = session.run_grid_detailed(scenarios)
-            assert session.engine.stats.executed == 0
+        with SweepEngine(fidelity="auto") as engine:
+            cells = engine.run_grid_detailed(scenarios)
+            assert engine.stats.executed == 0
         assert [o.source for group in cells for o in group] == ["model"] * 6

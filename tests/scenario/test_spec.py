@@ -1,9 +1,9 @@
-"""ScenarioSpec serialisation, validation, and content digests.
+"""ScenarioSpec serialisation and validation.
 
-The digest pins at the bottom are load-bearing: the result cache keys on
-this digest layout (via ``SCENARIO_SCHEMA_VERSION``), so an accidental
-change to the canonical encoding shows up here before it silently orphans
-or — worse — aliases cache entries.
+What keys a scenario's cells in the result cache is
+:func:`repro.experiments.parallel.cell_key`; its tests are in
+``tests/experiments/test_parallel.py`` and its pins in
+``tests/sim/test_canonical_encoding.py``.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.scenario import (
     PolicySpec,
     ScenarioSpec,
     WORKLOADS,
-    spread_levels,
 )
 
 
@@ -56,7 +55,7 @@ class TestRoundTrip:
         spec = ScenarioSpec(workload=inline, policy="cilk", seeds=(3,))
         restored = ScenarioSpec.from_dict(spec.to_dict())
         assert restored.resolve_workload() == inline
-        assert restored.digest() == spec.digest()
+        assert restored == spec
 
     def test_core_levels_round_trip(self):
         spec = ScenarioSpec(
@@ -234,80 +233,3 @@ class TestDerivation:
 
     def test_default_seeds(self):
         assert ScenarioSpec(workload="SHA-1", policy="cilk").seeds == DEFAULT_SEEDS
-
-
-#: Pinned content digests for the four shipped policies on the default
-#: Opteron 8380 preset (SHA-1, default seeds, 3 batches). The digest hashes
-#: the same machine and workload content the cell keys do, so a change
-#: here means every existing result-cache entry is orphaned — that must be
-#: a deliberate decision, never a side effect. (Last re-pinned when the
-#: machine lost its unbilled ``failed_scan_cycles`` field, in the change
-#: that also bumped the cell keys' cache format to 2.)
-PINNED_DIGESTS = {
-    "cilk": "90bf8337e0f37456c37ae6f379e6c302421b803f053705d6650037db3c499879",
-    "cilk-d": "9705c5700c5e95bf96d813a8ef2f0d075d0d4fdd2fe77cb7d1c0747d817d19c0",
-    "wats": "8f45a776a34c5f31de42b38b76aa43c71b0c32f9eb684f94596ea6ea3bc4d31d",
-    "eewa": "c7bfa0f76f8f224bb3dbbb635f8efd923a9b1de0a4341236eb18706bc75721cc",
-}
-
-
-def _pinned_scenario(policy_name):
-    levels = (
-        tuple(spread_levels(16, 4)) if policy_name == "wats" else None
-    )
-    return ScenarioSpec(
-        workload="SHA-1",
-        policy=PolicySpec(policy_name, core_levels=levels),
-        batches=3,
-    )
-
-
-class TestDigest:
-    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-    def test_pinned_digests(self, name):
-        assert _pinned_scenario(name).digest() == PINNED_DIGESTS[name]
-
-    def test_digest_is_stable_across_instances(self):
-        assert _pinned_scenario("eewa").digest() == _pinned_scenario("eewa").digest()
-
-    def test_digest_survives_json_round_trip(self):
-        spec = _pinned_scenario("cilk")
-        assert ScenarioSpec.from_json(spec.to_json()).digest() == spec.digest()
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            lambda s: s.with_seeds((99,)),
-            lambda s: s.with_policy("cilk-d"),
-            lambda s: ScenarioSpec(
-                workload="MD5", policy=s.policy, seeds=s.seeds, batches=s.batches
-            ),
-            lambda s: ScenarioSpec(
-                workload=s.workload, policy=s.policy, seeds=s.seeds, batches=5
-            ),
-            lambda s: ScenarioSpec(
-                workload=s.workload,
-                policy=s.policy,
-                machine=MachineSpec(num_cores=8),
-                seeds=s.seeds,
-                batches=s.batches,
-            ),
-        ],
-    )
-    def test_any_field_change_changes_the_digest(self, change):
-        base = _pinned_scenario("cilk")
-        assert change(base).digest() != base.digest()
-
-    def test_faults_change_the_digest(self):
-        from repro.faults import FaultSpec
-
-        base = _pinned_scenario("cilk")
-        faulted = base.with_faults(FaultSpec(stall_rate=0.1, stall_duration_s=1e-3))
-        assert faulted.digest() != base.digest()
-
-    def test_policy_params_change_the_digest(self):
-        base = ScenarioSpec(workload="SHA-1", policy=PolicySpec("eewa"))
-        tuned = ScenarioSpec(
-            workload="SHA-1", policy=PolicySpec("eewa", params={"headroom": 0.2})
-        )
-        assert base.digest() != tuned.digest()

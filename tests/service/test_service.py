@@ -18,9 +18,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.parallel import CellSpec, cell_key
+from repro.experiments.sweep import SweepEngine
 from repro.model.predict import predict_cell
-from repro.scenario.session import Session
 from repro.scenario.spec import MAX_CORES, ScenarioSpec
+from repro.service import client as client_module
 from repro.service.client import ServiceError, SweepServiceClient
 from repro.service.protocol import (
     encode_frame,
@@ -60,17 +61,21 @@ def server(tmp_path):
 
 
 @pytest.fixture()
-def client(server):
-    return SweepServiceClient(
-        f"http://127.0.0.1:{server.server_port}",
-        backoff_base=0.01, backoff_cap=0.05,
-    )
+def fast_backoff(monkeypatch):
+    """Retry sleeps of tens of milliseconds instead of seconds."""
+    monkeypatch.setattr(client_module, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(client_module, "BACKOFF_CAP", 0.05)
+
+
+@pytest.fixture()
+def client(server, fast_backoff):
+    return SweepServiceClient(f"http://127.0.0.1:{server.server_port}")
 
 
 class TestGoldenBitIdentity:
     def test_eight_cell_grid_matches_local_run_exactly(self, server, client, tmp_path):
         # The acceptance grid: 2 benchmarks x 2 policies x 2 seeds through
-        # HTTP must equal a local Session.run_grid bit for bit. Floats
+        # HTTP must equal a local SweepEngine.run_grid bit for bit. Floats
         # survive a json round-trip exactly, so dict equality is the
         # bit-identity check.
         grid = [
@@ -83,11 +88,11 @@ class TestGoldenBitIdentity:
         assert end["streamed"] == 8
         assert len(cells) == 8
 
-        with Session(cache_dir=tmp_path / "local-cache") as session:
+        with SweepEngine(cache_dir=tmp_path / "local-cache") as engine:
             specs = [ScenarioSpec.from_dict(s) for s in grid]
             local = {
                 (o.spec.benchmark, o.spec.policy, o.spec.seed): o.result
-                for group in session.run_grid_detailed(specs)
+                for group in engine.run_grid_detailed(specs)
                 for o in group
             }
         for frame in cells:
@@ -186,9 +191,7 @@ class TestDeadline:
 
 class TestDisconnect:
     def test_disconnect_cancels_only_that_clients_queued_tickets(self, tmp_path):
-        session = Session(cache_dir=None)
-        with session:
-            engine = session.engine
+        with SweepEngine(cache_dir=None) as engine:
             # Another client's tickets for the same cells, already queued.
             other = [engine.submit(cell(seed=s)) for s in (11, 23, 37)]
             request = parse_sweep_request(
@@ -200,7 +203,7 @@ class TestDisconnect:
                 wrote.append(frame)
                 raise OSError("client went away")
 
-            summary = stream_request(session, request, failing_write)
+            summary = stream_request(engine, request, failing_write)
             assert summary["ended"] == "disconnect"
             assert len(wrote) == 1  # died on the first frame
             # The disconnected request's remaining tickets are withdrawn...
@@ -220,8 +223,8 @@ class TestDisconnect:
                 raise BrokenPipeError("client went away")
             wrote.append(frame)
 
-        with Session(cache_dir=None) as session:
-            summary = stream_request(session, request, write)
+        with SweepEngine(cache_dir=None) as engine:
+            summary = stream_request(engine, request, write)
         assert summary["ended"] == "disconnect"
         assert summary["streamed"] == len(wrote) == 1
 
@@ -263,11 +266,11 @@ class TestStreamSetUp:
         # The handler has sent its 200 before stream_request runs, so a
         # failure while the cells are submitted must still reach the
         # client as a frame, not kill the handler thread.
-        with Session(cache_dir=None) as session:
-            monkeypatch.setattr(session.engine, "submit_many", self._closed)
+        with SweepEngine(cache_dir=None) as engine:
+            monkeypatch.setattr(engine, "submit_many", self._closed)
             request = parse_sweep_request({"scenarios": [scenario(seeds=(11, 23))]})
             wrote = []
-            summary = stream_request(session, request, wrote.append)
+            summary = stream_request(engine, request, wrote.append)
         assert summary["ended"] == "engine"
         assert summary["cells"] == summary["streamed"] == 0
         frames = [json.loads(frame) for frame in wrote]
@@ -278,20 +281,20 @@ class TestStreamSetUp:
         def gone(frame: bytes) -> None:
             raise OSError("client went away")
 
-        with Session(cache_dir=None) as session:
-            monkeypatch.setattr(session.engine, "submit_many", self._closed)
+        with SweepEngine(cache_dir=None) as engine:
+            monkeypatch.setattr(engine, "submit_many", self._closed)
             request = parse_sweep_request({"scenarios": [scenario()]})
-            assert stream_request(session, request, gone)["ended"] == "engine"
+            assert stream_request(engine, request, gone)["ended"] == "engine"
 
 
 class TestBackpressure:
-    def test_queue_full_answers_429_with_retry_after(self, tmp_path):
+    def test_queue_full_answers_429_with_retry_after(self, tmp_path, monkeypatch):
         srv = serve(port=0, cache_dir=None, max_pending=2)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         assert srv.wait_until_serving()
         try:
-            engine = srv.session.engine
+            engine = srv.engine
             parked = [engine.submit(cell(seed=s)) for s in (201, 202, 203)]
             conn = http.client.HTTPConnection(
                 "127.0.0.1", srv.server_port, timeout=30
@@ -317,9 +320,10 @@ class TestBackpressure:
 
             drainer = threading.Thread(target=drain)
             drainer.start()
+            monkeypatch.setattr(client_module, "BACKOFF_BASE", 0.05)
+            monkeypatch.setattr(client_module, "BACKOFF_CAP", 0.2)
             client = SweepServiceClient(
-                f"http://127.0.0.1:{srv.server_port}",
-                retries=8, backoff_base=0.05, backoff_cap=0.2,
+                f"http://127.0.0.1:{srv.server_port}", retries=8
             )
             cells, end = client.run([scenario(seeds=(11,))])
             drainer.join(timeout=60)
@@ -329,18 +333,17 @@ class TestBackpressure:
             srv.drain_and_close()
             thread.join(timeout=10)
 
-    def test_retry_budget_exhaustion_raises(self, tmp_path):
+    def test_retry_budget_exhaustion_raises(self, tmp_path, fast_backoff):
         srv = serve(port=0, cache_dir=None, max_pending=1)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         assert srv.wait_until_serving()
         try:
             parked = [
-                srv.session.engine.submit(cell(seed=s)) for s in (301, 302)
+                srv.engine.submit(cell(seed=s)) for s in (301, 302)
             ]
             client = SweepServiceClient(
-                f"http://127.0.0.1:{srv.server_port}",
-                retries=1, backoff_base=0.01, backoff_cap=0.02,
+                f"http://127.0.0.1:{srv.server_port}", retries=1
             )
             with pytest.raises(ServiceError, match="retries exhausted"):
                 client.run([scenario(seeds=(11,))])
@@ -469,7 +472,7 @@ class TestHostileRequests:
             conn.close()
         assert frame["frame"] == "error" and frame["code"] == "bad-request"
         assert detail in frame["detail"]
-        assert server.session.engine.stats.cells == 0
+        assert server.engine.stats.cells == 0
 
     def test_nan_deadline_answers_400_before_any_cell(self, server):
         # Python's json reads the NaN literal; a NaN wait never expires.
@@ -485,9 +488,9 @@ class TestHostileRequests:
             conn.close()
         assert frame["frame"] == "error" and frame["code"] == "bad-request"
         assert "deadline_s" in frame["detail"]
-        assert server.session.engine.stats.cells == 0
+        assert server.engine.stats.cells == 0
 
-    def test_request_larger_than_max_pending_answers_413(self):
+    def test_request_larger_than_max_pending_answers_413(self, fast_backoff):
         # It could never be admitted: a 429 would have the client retry
         # against an idle server until its retries ran out.
         srv = serve(port=0, cache_dir=None, max_pending=2)
@@ -495,16 +498,13 @@ class TestHostileRequests:
         thread.start()
         assert srv.wait_until_serving()
         try:
-            client = SweepServiceClient(
-                f"http://127.0.0.1:{srv.server_port}",
-                backoff_base=0.01, backoff_cap=0.05,
-            )
+            client = SweepServiceClient(f"http://127.0.0.1:{srv.server_port}")
             with pytest.raises(ServiceError, match="2-cell admission limit") as excinfo:
                 client.run([scenario(seeds=(11, 23, 37))])
             assert excinfo.value.code == "bad-request"
             assert "HTTP 413" in str(excinfo.value)
             assert not client.backoff_log  # final, never retried
-            assert srv.session.engine.stats.cells == 0  # nothing submitted
+            assert srv.engine.stats.cells == 0  # nothing submitted
             cells, _ = client.run([scenario(seeds=(11, 23))])  # at the limit
             assert len(cells) == 2
         finally:
@@ -513,12 +513,8 @@ class TestHostileRequests:
 
     @pytest.mark.parametrize("max_pending", [0, -5])
     def test_max_pending_below_one_is_refused(self, max_pending):
-        session = Session()
-        try:
-            with pytest.raises(ConfigurationError, match="max_pending"):
-                serve(port=0, session=session, max_pending=max_pending)
-        finally:
-            session.close()
+        with pytest.raises(ConfigurationError, match="max_pending"):
+            serve(port=0, max_pending=max_pending)
 
     @pytest.fixture()
     def quick_timeout(self, monkeypatch):
@@ -620,20 +616,20 @@ class TestStalledReader:
             thread.join(timeout=10)
 
         cache = tmp_path / "cache"
-        with Session(cache_dir=cache) as session:
-            session.run(ScenarioSpec.from_dict(self.WARM))
+        with SweepEngine(cache_dir=cache) as engine:
+            engine.run(ScenarioSpec.from_dict(self.WARM))
         monkeypatch.setattr(server_module, "HANDLER_TIMEOUT_S", 1.0)
         summaries, write_errors = [], []
         real_stream = server_module.stream_request
 
-        def recording_stream(session, request, write):
+        def recording_stream(engine, request, write):
             def recording_write(frame):
                 try:
                     write(frame)
                 except OSError as exc:
                     write_errors.append(exc)
                     raise
-            summaries.append(real_stream(session, request, recording_write))
+            summaries.append(real_stream(engine, request, recording_write))
             return summaries[-1]
 
         monkeypatch.setattr(server_module, "stream_request", recording_stream)
@@ -647,7 +643,7 @@ class TestStalledReader:
                 b"POST /sweep HTTP/1.1\r\nHost: localhost\r\n"
                 b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
             )
-            engine = srv.session.engine
+            engine = srv.engine
             deadline = time.monotonic() + 10
             while engine.stats.cells < 24 + 64 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -736,7 +732,7 @@ class TestModelFidelity:
             client.run([scenario()], fidelity="model")
         assert excinfo.value.code == "bad-request"
         assert not client.backoff_log
-        assert server.session.engine.stats.cells == 0
+        assert server.engine.stats.cells == 0
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
@@ -767,15 +763,14 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 
 class TestClientRetrySemantics:
-    def test_mid_stream_eof_retries_and_dedups_by_index(self, tmp_path):
+    def test_mid_stream_eof_retries_and_dedups_by_index(self, tmp_path, fast_backoff):
         _FlakyHandler.attempts = 0
         srv = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
             client = SweepServiceClient(
-                f"http://127.0.0.1:{srv.server_port}",
-                retries=2, backoff_base=0.01, backoff_cap=0.02,
+                f"http://127.0.0.1:{srv.server_port}", retries=2
             )
             frames = list(client.stream([scenario(seeds=(11,))]))
             assert _FlakyHandler.attempts == 2
@@ -797,7 +792,7 @@ class TestClientRetrySemantics:
             b._rng.uniform(0, 1) for _ in range(5)
         ]
 
-    def test_connection_refused_exhausts_retries(self, tmp_path):
+    def test_connection_refused_exhausts_retries(self, tmp_path, fast_backoff):
         # Bind-then-close guarantees the port is unoccupied.
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -805,7 +800,7 @@ class TestClientRetrySemantics:
         probe.close()
         client = SweepServiceClient(
             f"http://127.0.0.1:{port}",
-            retries=1, backoff_base=0.01, backoff_cap=0.02, timeout=1,
+            retries=1, timeout=1,
         )
         with pytest.raises(ServiceError, match="retries exhausted"):
             list(client.stream([scenario(seeds=(11,))]))
@@ -818,7 +813,7 @@ class TestShutdownLog:
         release = threading.Event()
         wedged = threading.Thread(target=release.wait, name="wedged-dispatcher")
         wedged.start()
-        srv.session.engine._dispatcher = wedged
+        srv.engine._dispatcher = wedged
         monkeypatch.setattr(sweep_mod, "DISPATCHER_JOIN_SECONDS", 0.05)
         try:
             lines = srv.drain_and_close(call_shutdown=False)

@@ -11,6 +11,7 @@ from repro.machine.topology import opteron_8380_machine, small_test_machine
 from repro.runtime.cilk import CilkScheduler
 from repro.runtime.policy import RunTask, SchedulerPolicy, SetFrequency, Wait
 from repro.runtime.task import TaskSpec, flat_batch
+from repro.sim import engine as engine_module
 from repro.sim.engine import Simulator, simulate
 from repro.workloads.benchmarks import benchmark_program
 
@@ -134,7 +135,7 @@ class TestDeterminism:
 
 
 class TestLivelockGuard:
-    def test_runaway_policy_detected(self):
+    def test_runaway_policy_detected(self, monkeypatch):
         class BadPolicy(SchedulerPolicy):
             name = "bad"
 
@@ -145,8 +146,9 @@ class TestLivelockGuard:
                 # Never hands out work, but keeps asking for instant retries.
                 return Wait(retry_after=0.0)
 
+        monkeypatch.setattr(engine_module, "DEFAULT_MAX_EVENTS", 5000)
         machine = small_test_machine(num_cores=1)
-        sim = Simulator(machine, BadPolicy(), max_events=5000)
+        sim = Simulator(machine, BadPolicy())
         with pytest.raises(SimulationError, match="livelock|outstanding"):
             sim.run([batch_of(0, 0.1)])
 

@@ -76,14 +76,6 @@ class TestParity:
         assert_bit_identical(fast, full)
         assert fast.batches_fast_forwarded >= 90
 
-    def test_keep_tasks_false_parity(self):
-        fast, full = run_pair(
-            periodic_program(30, 4, 8), "eewa", keep_tasks=False
-        )
-        assert not fast.tasks and not full.tasks
-        assert_bit_identical(fast, full)
-        assert fast.batches_fast_forwarded > 0
-
     def test_resume_after_odd_batch(self):
         """A one-off divergent batch mid-program breaks the chain; the
         engine must resume full simulation there and re-engage after."""

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import EXHIBITS, main
 from repro.experiments import cachectl
-from repro.scenario import ScenarioSpec, Session
+from repro.experiments.sweep import SweepEngine
+from repro.scenario import ScenarioSpec
 from repro.scenario.spec import MAX_CORES
 from repro.service.server import SweepServer, resolve_scenario, serve
 
@@ -353,14 +354,14 @@ class TestSweepReport:
         assert main(_grid_args(*LOCAL, "--quiet")) == 0
         out = capsys.readouterr().out
         assert "sweep means — 2 benchmarks x 2 policies x 2 seeds" in out
-        with Session() as session:
+        with SweepEngine() as engine:
             for benchmark in GRID_BENCHMARKS:
                 for policy in GRID_POLICIES:
-                    spec = resolve_scenario(session, ScenarioSpec(
+                    spec = resolve_scenario(engine, ScenarioSpec(
                         workload=benchmark, policy=policy, seeds=(11, 23),
                         batches=2,
                     ))
-                    (outcome,) = session.run_grid([spec])
+                    (outcome,) = engine.run_grid([spec])
                     row = (
                         rf"\n{re.escape(benchmark)}\s+{policy}\s+"
                         rf"{outcome.time_mean * 1e3:.3f}\s+"

@@ -65,7 +65,7 @@ SIM = {"SimResult", "Simulator", "simulate", "result_to_json", "batches_to_csv"}
 
 SCENARIO = {
     "MACHINES", "MachineSpec", "POLICIES", "PolicySpec",
-    "SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "Session", "WORKLOADS",
+    "SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "WORKLOADS",
     "baseline_policy_names", "register_machine", "register_policy",
     "register_workload", "spread_levels", "workload_names",
 }
