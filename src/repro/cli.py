@@ -50,7 +50,8 @@ from repro.experiments import (
     run_fig_hetero,
     run_table3,
 )
-from repro.experiments.sweep import FIDELITIES, MAX_PENDING, SweepEngine
+from repro.experiments.outcome import RunOutcome
+from repro.experiments.sweep import FIDELITIES, MAX_PENDING, SweepEngine, SweepTicket
 from repro.scenario.registry import (
     MACHINES,
     POLICIES,
@@ -107,10 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "derived from EEWA's modal configuration when omitted)",
     )
     run.add_argument("--trace", action="store_true", help="print per-batch traces")
-    run.add_argument(
-        "--per-socket-dvfs", action="store_true",
-        help="quad-core shared frequency planes (the physical Opteron 8380)",
-    )
     run.add_argument("--json", metavar="PATH", help="write a JSON result summary")
     run.add_argument("--csv", metavar="PATH", help="write per-batch metrics as CSV")
     run.add_argument(
@@ -340,18 +337,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _machine_spec(
-    cores: Optional[int],
-    *,
-    preset: Optional[str] = None,
-    per_socket_dvfs: bool = False,
-) -> MachineSpec:
-    if per_socket_dvfs:
-        if preset not in (None, "opteron-8380"):
-            raise ScenarioError(
-                "--per-socket-dvfs applies to the opteron-8380 preset only"
-            )
-        preset = "opteron-8380-socket"
+def _machine_spec(cores: Optional[int], preset: Optional[str]) -> MachineSpec:
     return MachineSpec(preset=preset or "opteron-8380", num_cores=cores)
 
 
@@ -370,59 +356,72 @@ def _scenario(
     """The one-seed scenario that the flags of ``run``, ``compare`` and
     ``predict`` describe, under ``policy``.
 
-    ``--per-socket-dvfs`` and ``--faults`` are read when the command has
-    them.
+    ``--faults`` is read when the command has it.
     """
     faults = _load_faults(getattr(args, "faults", None))
     return ScenarioSpec(
         workload=args.benchmark,
         policy=policy,
-        machine=_machine_spec(
-            args.cores, preset=args.machine,
-            per_socket_dvfs=getattr(args, "per_socket_dvfs", False),
-        ),
+        machine=_machine_spec(args.cores, args.machine),
         seeds=(args.seed,),
         batches=args.batches,
         faults=faults,
     )
 
 
-def _resolve_levels(
-    engine: SweepEngine, scenario: ScenarioSpec, explicit: Optional[Sequence[int]]
+def _with_levels(
+    scenario: ScenarioSpec, explicit: Optional[Sequence[int]]
 ) -> ScenarioSpec:
-    """Fill in fixed core levels for policies that require them.
+    """The scenario on the ``--core-levels`` given, if any."""
+    if explicit is None:
+        return scenario
+    entry = POLICIES.get(scenario.policy.name)
+    if not (entry.needs_core_levels or entry.accepts_core_levels):
+        raise ScenarioError(f"{entry.name} does not take fixed core levels")
+    return scenario.with_policy(
+        PolicySpec(scenario.policy.name, core_levels=tuple(explicit))
+    )
 
-    ``--core-levels`` wins. Without it, the service's rule
-    (:func:`repro.service.server.resolve_scenario`) runs the policy on
-    EEWA's modal configuration for the scenario's workload (the Fig. 7
-    convention), and the CLI says so.
-    """
-    from repro.service.server import resolve_scenario
 
-    if explicit is not None:
-        entry = POLICIES.get(scenario.policy.name)
-        if not (entry.needs_core_levels or entry.accepts_core_levels):
-            raise ScenarioError(
-                f"{entry.name} does not take fixed core levels"
+def _submit(
+    engine: SweepEngine, scenarios: Sequence[ScenarioSpec]
+) -> tuple[list[ScenarioSpec], list[list[SweepTicket]]]:
+    """Submit the scenarios' cells as the service does
+    (:func:`repro.service.server.submit_scenarios`): a policy that needs
+    core levels and was given no ``--core-levels`` runs on EEWA's modal
+    configuration for the scenario's workload (the Fig. 7 convention),
+    and the CLI says so."""
+    from repro.service.server import submit_scenarios
+
+    resolved, tickets = submit_scenarios(engine, scenarios)
+    for before, after in zip(scenarios, resolved):
+        if after is not before:
+            print(
+                f"  note: {before.policy.name} runs on EEWA's modal configuration "
+                f"{list(after.policy.core_levels)} (pass --core-levels to override)"
             )
-        return scenario.with_policy(
-            PolicySpec(scenario.policy.name, core_levels=tuple(explicit))
-        )
-    resolved = resolve_scenario(engine, scenario)
-    if resolved is not scenario:
-        print(
-            f"  note: {scenario.policy.name} runs on EEWA's modal configuration "
-            f"{list(resolved.policy.core_levels)} (pass --core-levels to override)"
-        )
-    return resolved
+    return resolved, tickets
+
+
+def _run_outcome(scenario: ScenarioSpec, tickets: Sequence[SweepTicket]) -> RunOutcome:
+    return RunOutcome(
+        benchmark=scenario.workload_name,
+        policy=scenario.policy.name,
+        results=tuple(ticket.result().result for ticket in tickets),
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario(args, args.policy)
+    scenario = _with_levels(_scenario(args, args.policy), args.core_levels)
     faults = scenario.faults
     with SweepEngine() as engine:
-        scenario = _resolve_levels(engine, scenario, args.core_levels)
-        result = engine.run_single(scenario, record_power_series=args.thermal)
+        (scenario,), ((ticket,),) = _submit(engine, [scenario])
+        if args.thermal:
+            # Power traces are recorded outside the queue and the cache.
+            ticket.cancel()
+            result = engine.run_single(scenario, record_power_series=True)
+        else:
+            result = ticket.result().result
     cores = scenario.build_machine().num_cores
     print(
         f"{args.benchmark} / {args.policy} on {cores} cores: "
@@ -474,16 +473,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     first = _scenario(args, args.policies[0])
     cores = first.build_machine().num_cores
+    scenarios = [
+        _with_levels(
+            first.with_policy(name),
+            args.core_levels if POLICIES.get(name).needs_core_levels else None,
+        )
+        for name in args.policies
+    ]
     with SweepEngine() as engine:
-        scenarios = [
-            _resolve_levels(
-                engine,
-                first.with_policy(name),
-                args.core_levels if POLICIES.get(name).needs_core_levels else None,
-            )
-            for name in args.policies
-        ]
-        outcomes = engine.run_grid(scenarios)
+        resolved, tickets = _submit(engine, scenarios)
+        outcomes = [_run_outcome(s, t) for s, t in zip(resolved, tickets)]
     base = outcomes[0]
     rows = [
         (
@@ -549,13 +548,13 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
     from repro.workloads.validation import diagnose
 
     scenario = _load_run_spec_scenario(args)
+    cores = scenario.build_machine().num_cores
+    if args.diagnose:
+        print(diagnose(scenario.resolve_workload(), cores).summary())
+        print()
     with SweepEngine() as engine:
-        scenario = _resolve_levels(engine, scenario, None)
-        cores = scenario.build_machine().num_cores
-        if args.diagnose:
-            print(diagnose(scenario.resolve_workload(), cores).summary())
-            print()
-        outcome = engine.run(scenario)
+        (scenario,), (tickets,) = _submit(engine, [scenario])
+        outcome = _run_outcome(scenario, tickets)
     result = outcome.first
     seeds = list(scenario.seeds)
     suffix = f" (mean over seeds {seeds})" if len(seeds) > 1 else ""
@@ -783,7 +782,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.repeat < 1:
         raise ScenarioError(f"--repeat must be >= 1, got {args.repeat}")
-    machine = _machine_spec(args.cores, preset=args.machine)
+    machine = _machine_spec(args.cores, args.machine)
     faults = _load_faults(args.faults)
     grid = [
         ScenarioSpec(
@@ -857,6 +856,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.experiments.parallel import CellSpec
     from repro.model import MAX_RELATIVE_ERROR, classify_cell, predict_cell
 
     scenario = _scenario(
@@ -868,16 +868,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             ),
         ),
     )
-    machine = scenario.build_machine()
-    program = tuple(scenario.program(args.seed))
-    verdict = classify_cell(
-        program, args.policy, machine,
-        core_levels=scenario.policy.core_levels,
-    )
-    result = predict_cell(
-        program, args.policy, machine, args.seed,
-        core_levels=scenario.policy.core_levels,
-    )
+    cell = CellSpec.from_scenario(scenario, args.seed)
+    machine = cell.machine
+    program = cell.build_program()
+    verdict = classify_cell(cell, program)
+    result = predict_cell(cell, program)
     if result is None:
         reason = verdict.reason or "seed-dependent (rotation-sensitive) schedule"
         print(f"{args.benchmark} / {args.policy}: no analytic form — {reason}")

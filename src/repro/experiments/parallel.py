@@ -7,7 +7,11 @@ machine, seed, engine version)* — so this module provides the shared
 vocabulary the sweep engine (:mod:`repro.experiments.sweep`) builds on:
 
 * **cell model** — :class:`CellSpec` / :class:`CellOutcome` /
-  :func:`cell_key`, the content-addressed identity of one simulation;
+  :func:`cell_key`, the content-addressed identity of one simulation. A
+  :class:`CellSpec` is the one description of a cell below the scenario
+  layer: the key, the worker (:func:`_simulate_cell`) and the analytic
+  model (:mod:`repro.model`) all take it, and it builds its own machine,
+  policy and program;
 * **content-addressed caching** — each cell's inputs are canonically
   encoded (:mod:`repro.sim.fingerprint`) and SHA-256 hashed into a cache
   key; each finished cell's :class:`~repro.sim.record.CellResult` (the
@@ -19,8 +23,8 @@ vocabulary the sweep engine (:mod:`repro.experiments.sweep`) builds on:
   so an entry names its own layout: one holding anything else (such as a
   whole ``SimResult``, as earlier versions wrote) is a miss, deleted and
   re-simulated. A generated cell is keyed by what generates its program
-  (:class:`GeneratedProgram`), so a cached one is found without
-  generating it. A repeated sweep with unchanged inputs executes zero
+  (the workload spec and the batch count), so a cached one is found
+  without generating it. A repeated sweep with unchanged inputs executes zero
   simulations; changing *any* input — a workload or task-class field,
   the batch count, a policy tunable, the machine, the seed, the engine
   version tag (:data:`repro.sim.engine.ENGINE_VERSION`), the generator
@@ -51,7 +55,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.eewa import EEWAConfig
 from repro.errors import ConfigurationError
@@ -59,9 +63,10 @@ from repro.faults.spec import FaultSpec
 from repro.machine.operating_point import OperatingPoint, OperatingPointSpace
 from repro.machine.power import PowerModel, VoltageCurve
 from repro.machine.topology import MachineConfig
+from repro.runtime.policy import SchedulerPolicy
 from repro.runtime.task import Batch
 from repro.scenario.registry import POLICIES
-from repro.scenario.spec import SCENARIO_SCHEMA_VERSION, ScenarioSpec
+from repro.scenario.spec import SCENARIO_SCHEMA_VERSION, MachineSpec, ScenarioSpec
 from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.sim.fingerprint import digest
 from repro.sim.record import CellResult
@@ -74,9 +79,9 @@ from repro.workloads.spec import WorkloadSpec
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Version of the key layout :func:`cell_key` hashes, part of every key.
-#: 2 since a generated cell is keyed by its generator
-#: (:class:`GeneratedProgram`) instead of its program's digest, so no
-#: entry written under 1 is served. The stored format needs no bump: an
+#: 2 since a generated cell is keyed by its generator (the workload spec
+#: and the batch count) instead of its program's digest, so no entry
+#: written under 1 is served. The stored format needs no bump: an
 #: entry names its own layout through the classes it pickles, and
 #: :data:`_ENTRY_CLASSES` admits only the current one. (Simulated
 #: behaviour is versioned by ``ENGINE_VERSION``, generated programs by
@@ -119,78 +124,6 @@ def _workload_digest(workload: WorkloadSpec) -> str:
     return digest([workload])
 
 
-@dataclasses.dataclass(frozen=True)
-class GeneratedProgram:
-    """A cell's program named by what generates it.
-
-    The program is ``generate_program(workload, batches=batches,
-    seed=seed)`` for the cell's seed: a pure function of the spec, the
-    batch count, the seed and the generator code, which
-    ``GENERATOR_VERSION`` versions. So the cell key digests those instead
-    of the program, and a cached cell is found without generating it.
-    ``batches`` is resolved: a cell asking for the workload's default
-    batch count keys like one that names it.
-    """
-
-    workload: WorkloadSpec
-    batches: int
-
-    def generate(self, seed: int) -> tuple[Batch, ...]:
-        return _generated_program(self, seed)
-
-
-ProgramSource = Union[Sequence[Batch], GeneratedProgram]
-
-
-def cell_key(
-    program: ProgramSource,
-    policy: str,
-    machine: MachineConfig,
-    seed: int,
-    *,
-    core_levels: Optional[Sequence[int]] = None,
-    eewa_config: Optional[EEWAConfig] = None,
-    policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
-    fast_forward: bool = True,
-    faults: Optional[FaultSpec] = None,
-) -> str:
-    """Content hash of one simulation's complete input set.
-
-    ``program`` is a :class:`GeneratedProgram`, keyed by
-    ``GENERATOR_VERSION``, its workload spec and its batch count, or an
-    explicit program (a sequence of batches), keyed by the digest of its
-    content. This is the resolved-scenario digest: the policy name must
-    be registered, and the layout is versioned by ``_CACHE_FORMAT`` and
-    ``SCENARIO_SCHEMA_VERSION`` — bumping either orphans every entry
-    written under the old layout. ``fast_forward`` is part of the key: on
-    machines whose arithmetic is not float-exact a fast-forwarded result
-    may differ from a full one in last-ulp positions, so the two modes
-    must never share cache entries.
-    """
-    if isinstance(program, GeneratedProgram):
-        program_id: Any = (
-            "generated", generators.GENERATOR_VERSION,
-            _workload_digest(program.workload), program.batches,
-        )
-    else:
-        program_id = digest([tuple(program)])
-    return digest(
-        [
-            "schema", SCENARIO_SCHEMA_VERSION,
-            "engine", ENGINE_VERSION, _CACHE_FORMAT,
-            "machine", _machine_digest(machine),
-            "program", program_id,
-            "policy", POLICIES.canonical(policy),
-            "core_levels", None if core_levels is None else tuple(core_levels),
-            "eewa_config", eewa_config,
-            "policy_params", policy_params,
-            "seed", seed,
-            "fast_forward", fast_forward,
-            "faults", faults,
-        ]
-    )
-
-
 # ----------------------------------------------------------------------
 # cell model
 # ----------------------------------------------------------------------
@@ -198,15 +131,17 @@ def cell_key(
 
 @dataclasses.dataclass(frozen=True)
 class CellSpec:
-    """One (workload × policy × seed) simulation request.
+    """One (workload × policy × seed) simulation on one machine.
 
     ``benchmark`` names a registered workload; ``workload`` carries an
     inline :class:`~repro.workloads.spec.WorkloadSpec` instead (the cache
     key hashes the workload spec's *content*, not its name, so an inline
     spec and the registered workload it equals share cache entries).
     ``program`` overrides generation entirely and is keyed by its own
-    content; ``machine`` overrides the engine's default machine (Fig. 9's
-    core-count sweep). ``policy_params`` are the JSON-scalar tunables of a
+    content. ``machine`` is never ``None``: a cell built without one runs
+    on the default preset's shared machine
+    (:meth:`~repro.scenario.spec.MachineSpec.build`). ``policy_params``
+    are the JSON-scalar tunables of a
     :class:`~repro.scenario.spec.PolicySpec`.
     """
 
@@ -216,25 +151,42 @@ class CellSpec:
     batches: Optional[int] = None
     core_levels: Optional[tuple[int, ...]] = None
     eewa_config: Optional[EEWAConfig] = None
-    machine: Optional[MachineConfig] = None
+    machine: MachineConfig = None  # type: ignore[assignment]  # see __post_init__
     program: Optional[tuple[Batch, ...]] = None
     workload: Optional[WorkloadSpec] = None
     policy_params: Optional[tuple[tuple[str, Any], ...]] = None
     faults: Optional[FaultSpec] = None
 
-    def program_source(self) -> ProgramSource:
-        """What the cell key names this cell's program by: the explicit
-        ``program``, or the generator of the inline ``workload`` or of the
-        registered ``benchmark``."""
-        if self.program is not None:
-            return self.program
+    def __post_init__(self) -> None:
+        if self.machine is None:
+            object.__setattr__(self, "machine", MachineSpec().build())
+
+    def generator(self) -> tuple[WorkloadSpec, int]:
+        """The workload spec and resolved batch count that generate this
+        cell's program (a cell with an explicit ``program`` has none)."""
         workload = (
             self.workload if self.workload is not None
             else benchmark_spec(self.benchmark)
         )
-        return GeneratedProgram(
+        return (
             workload,
             workload.default_batches if self.batches is None else self.batches,
+        )
+
+    def build_program(self) -> tuple[Batch, ...]:
+        """The explicit ``program``, or the generated one (memoised
+        process-wide by :func:`_generated_program`)."""
+        if self.program is not None:
+            return self.program
+        return _generated_program(*self.generator(), self.seed)
+
+    def build_policy(self) -> SchedulerPolicy:
+        """A fresh policy through the registry (policies are stateful and
+        single-use)."""
+        return POLICIES.get(self.policy).build(
+            core_levels=self.core_levels,
+            params=dict(self.policy_params) if self.policy_params else None,
+            config=self.eewa_config,
         )
 
     @classmethod
@@ -282,6 +234,47 @@ class CellSpec:
             )
             for seed in (scenario.seeds if seeds is None else seeds)
         ]
+
+
+def cell_key(cell: CellSpec, *, fast_forward: bool) -> str:
+    """Content hash of one simulation's complete input set.
+
+    A generated cell is keyed by ``GENERATOR_VERSION``, its workload spec
+    and its batch count (:meth:`CellSpec.generator`), so a cached cell is
+    found without generating its program; a cell with an explicit
+    ``program`` is keyed by the digest of its content. This is the
+    resolved-scenario digest: the policy name must be registered, and the
+    layout is versioned by ``_CACHE_FORMAT`` and
+    ``SCENARIO_SCHEMA_VERSION`` — bumping either orphans every entry
+    written under the old layout. ``fast_forward`` is part of the key: on
+    machines whose arithmetic is not float-exact a fast-forwarded result
+    may differ from a full one in last-ulp positions, so the two modes
+    must never share cache entries.
+    """
+    if cell.program is None:
+        workload, batches = cell.generator()
+        program_id: Any = (
+            "generated", generators.GENERATOR_VERSION,
+            _workload_digest(workload), batches,
+        )
+    else:
+        program_id = digest([tuple(cell.program)])
+    core_levels = cell.core_levels
+    return digest(
+        [
+            "schema", SCENARIO_SCHEMA_VERSION,
+            "engine", ENGINE_VERSION, _CACHE_FORMAT,
+            "machine", _machine_digest(cell.machine),
+            "program", program_id,
+            "policy", POLICIES.canonical(cell.policy),
+            "core_levels", None if core_levels is None else tuple(core_levels),
+            "eewa_config", cell.eewa_config,
+            "policy_params", cell.policy_params,
+            "seed", cell.seed,
+            "fast_forward", fast_forward,
+            "faults", cell.faults,
+        ]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -467,39 +460,28 @@ class ResultCache:
 
 
 @functools.lru_cache(maxsize=_PROGRAM_CACHE_ENTRIES)
-def _generated_program(source: GeneratedProgram, seed: int) -> tuple[Batch, ...]:
+def _generated_program(
+    workload: WorkloadSpec, batches: int, seed: int
+) -> tuple[Batch, ...]:
     """Memoised generation, keyed by the workload spec's value (never by
     its name, which may be registered again with other content)."""
-    return tuple(generators.generate_program(
-        source.workload, batches=source.batches, seed=seed
-    ))
+    return tuple(generators.generate_program(workload, batches=batches, seed=seed))
 
 
 def _simulate_cell(
-    program: tuple[Batch, ...],
-    policy_name: str,
-    machine: MachineConfig,
-    seed: int,
-    core_levels: Optional[tuple[int, ...]],
-    eewa_config: Optional[EEWAConfig],
-    policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
-    fast_forward: bool = True,
-    faults: Optional[FaultSpec] = None,
+    cell: CellSpec, program: tuple[Batch, ...], fast_forward: bool
 ) -> dict[str, Any]:
-    """Run one cell; module-level so worker processes can unpickle it.
+    """Run one cell on its (already built) program; module-level so worker
+    processes can unpickle it.
 
     The payload holds the run's :class:`CellResult`, built here so a
     worker ships the record, not the meter and ``Task`` objects, to the
     parent.
     """
-    policy = POLICIES.get(policy_name).build(
-        core_levels=core_levels,
-        params=dict(policy_params) if policy_params else None,
-        config=eewa_config,
-    )
+    policy = cell.build_policy()
     result = simulate(
-        program, policy, machine, seed=seed, fast_forward=fast_forward,
-        faults=faults,
+        program, policy, cell.machine, seed=cell.seed,
+        fast_forward=fast_forward, faults=cell.faults,
     )
     wallclock = getattr(policy, "total_adjuster_wallclock", None)
     decisions = getattr(policy, "decisions", None)

@@ -33,7 +33,8 @@ Five mechanisms carry the load:
   and again is loaded once; a freshly simulated payload is written to
   disk only.
 * **analytic model tier** — with ``fidelity="auto"`` a cell inside the
-  calibrated envelope (:func:`repro.model.bounds.classify_cell`) is
+  calibrated envelope (:func:`repro.model.bounds.envelope_reason`, then
+  the structural test inside :func:`repro.model.predict.predict_cell`) is
   served in O(1) by the analytic predictor instead of being queued at
   all. Predictions carry ``CellOutcome.source == "model"`` and the cell's
   own key, and are never stored: a cached *sim* result for the same cell
@@ -95,16 +96,15 @@ from repro.experiments.outcome import RunOutcome, modal_levels_from_result
 from repro.experiments.parallel import (
     CellOutcome,
     CellSpec,
-    GeneratedProgram,
     ResultCache,
     SweepStats,
     _simulate_cell,
     cell_key,
 )
-from repro.machine.topology import MachineConfig
-from repro.model.bounds import classify_cell
+from repro.model.bounds import envelope_reason
 from repro.model.predict import predict_cell
-from repro.scenario.spec import DEFAULT_SEEDS, MachineSpec, ScenarioSpec
+from repro.runtime.task import Batch
+from repro.scenario.spec import DEFAULT_SEEDS, ScenarioSpec
 from repro.sim.engine import SimResult, simulate
 from repro.sim.record import CellResult
 
@@ -146,17 +146,17 @@ def _warm_worker() -> None:
 
 
 def _simulate_chunk(
-    argsets: Sequence[tuple],
+    cells: Sequence[tuple[CellSpec, tuple[Batch, ...]]], fast_forward: bool
 ) -> list[tuple[dict[str, Any], float]]:
-    """Run a chunk of cells in one IPC round-trip.
+    """Run a chunk of (cell, program) pairs in one IPC round-trip.
 
     Returns ``(payload, seconds)`` per cell; the wall seconds feed the
     dispatcher's chunk-size estimator only and never enter a payload.
     """
     out: list[tuple[dict[str, Any], float]] = []
-    for args in argsets:
+    for cell, program in cells:
         started = time.perf_counter()
-        payload = _simulate_cell(*args)
+        payload = _simulate_cell(cell, program, fast_forward)
         out.append((payload, time.perf_counter() - started))
     return out
 
@@ -164,11 +164,19 @@ def _simulate_chunk(
 class _Job:
     """One unique in-flight cell; many tickets may share it."""
 
-    __slots__ = ("key", "args", "priority", "seq", "state", "tickets")
+    __slots__ = ("key", "cell", "program", "priority", "seq", "state", "tickets")
 
-    def __init__(self, key: str, args: tuple, priority: int, seq: int) -> None:
+    def __init__(
+        self,
+        key: str,
+        cell: CellSpec,
+        program: tuple[Batch, ...],
+        priority: int,
+        seq: int,
+    ) -> None:
         self.key = key
-        self.args = args
+        self.cell = cell
+        self.program = program
         self.priority = priority
         self.seq = seq
         self.state = _QUEUED
@@ -242,8 +250,6 @@ class SweepEngine:
         ``"sim"`` (default) simulates every cell; ``"auto"`` serves
         cells inside the calibrated envelope from the analytic predictor
         and simulates the rest.
-
-    A cell that carries no machine runs on the default preset's.
     """
 
     def __init__(
@@ -263,7 +269,6 @@ class SweepEngine:
             )
         if max_pending < 1:
             raise ConfigurationError("max_pending must be positive")
-        self._machine = MachineSpec().build()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = SweepStats()
         self.fidelity = fidelity
@@ -318,15 +323,7 @@ class SweepEngine:
                 f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
             )
         cell_fidelity = fidelity if fidelity is not None else self.fidelity
-        machine = spec.machine if spec.machine is not None else self._machine
-        source = spec.program_source()
-        key = cell_key(
-            source, spec.policy, machine, spec.seed,
-            core_levels=spec.core_levels, eewa_config=spec.eewa_config,
-            policy_params=spec.policy_params,
-            fast_forward=self._fast_forward,
-            faults=spec.faults,
-        )
+        key = cell_key(spec, fast_forward=self._fast_forward)
         with self._lock:
             if self._closed:
                 raise RuntimeError("SweepEngine is closed")
@@ -337,10 +334,7 @@ class SweepEngine:
             executed = self.stats.executed
         # A miss needs the program. It is generated outside the lock, so
         # other submits and finishing chunks do not wait for it.
-        program = (
-            source.generate(spec.seed)
-            if isinstance(source, GeneratedProgram) else source
-        )
+        program = spec.build_program()
         with self._lock:
             if self._closed:
                 raise RuntimeError("SweepEngine is closed")
@@ -353,17 +347,12 @@ class SweepEngine:
                 return ticket
 
             if cell_fidelity == "auto":
-                ticket = self._model_ticket(spec, key, program, machine)
+                ticket = self._model_ticket(spec, key, program)
                 if ticket is not None:
                     return ticket
 
             self._apply_backpressure()
-            args = (
-                program, spec.policy, machine, spec.seed,
-                spec.core_levels, spec.eewa_config, spec.policy_params,
-                self._fast_forward, spec.faults,
-            )
-            job = _Job(key, args, priority, next(self._seq))
+            job = _Job(key, spec, program, priority, next(self._seq))
             ticket = SweepTicket(self, spec, key, job)
             job.tickets.append(ticket)
             self._inflight[key] = job
@@ -494,20 +483,19 @@ class SweepEngine:
         content-addressed cache does not store (and the simulator turns
         fast-forward off to record them).
         """
-        if seed is None:
-            seed = spec.seeds[0]
+        cell = CellSpec.from_scenario(
+            spec, spec.seeds[0] if seed is None else seed
+        )
         if record_power_series:
             return simulate(
-                spec.program(seed),
-                spec.build_policy(),
-                spec.build_machine(),
-                seed=seed,
+                cell.build_program(),
+                cell.build_policy(),
+                cell.machine,
+                seed=cell.seed,
                 record_power_series=True,
-                faults=spec.faults,
+                faults=cell.faults,
             )
-        return self.submit(
-            CellSpec.from_scenario(spec, seed), fidelity="sim"
-        ).result().result
+        return self.submit(cell, fidelity="sim").result().result
 
     def modal_eewa_levels(
         self, spec: ScenarioSpec, *, seed: Optional[int] = None
@@ -642,31 +630,22 @@ class SweepEngine:
     # -- internals: model tier ------------------------------------------
 
     def _model_ticket(
-        self,
-        spec: CellSpec,
-        key: str,
-        program: tuple,
-        machine: MachineConfig,
+        self, spec: CellSpec, key: str, program: tuple[Batch, ...]
     ) -> Optional[SweepTicket]:
         """Serve one cell from the analytic model, or ``None`` to simulate.
 
         Called with the lock held, after the in-flight and cache checks —
         a cell whose *simulation* is cached is therefore served that
-        result, never re-predicted. A prediction is never stored: its
+        result, never re-predicted. The cheap envelope conditions come
+        first, so a cell the engine will not serve is never predicted;
+        :func:`~repro.model.predict.predict_cell` then walks the program
+        once for its structural decline. A prediction is never stored: its
         outcome carries the cell's own key with ``from_cache=False``, and
         the same cell submitted again is predicted again.
         """
-        if not classify_cell(
-            program, spec.policy, machine,
-            core_levels=spec.core_levels, eewa_config=spec.eewa_config,
-            policy_params=spec.policy_params, faults=spec.faults,
-        ):
+        if envelope_reason(spec, program) is not None:
             return None
-        result = predict_cell(
-            program, spec.policy, machine, spec.seed,
-            core_levels=spec.core_levels, eewa_config=spec.eewa_config,
-            policy_params=spec.policy_params, faults=spec.faults,
-        )
+        result = predict_cell(spec, program)
         if result is None:
             return None
         self.stats.model_cells += 1
@@ -824,7 +803,9 @@ class SweepEngine:
         if not chunk:
             return False
         try:
-            results = _simulate_chunk([job.args for job in chunk])
+            results = _simulate_chunk(
+                [(job.cell, job.program) for job in chunk], self._fast_forward
+            )
         except BaseException as exc:
             self._fail_chunk(chunk, exc)
             return True
@@ -899,7 +880,9 @@ class SweepEngine:
                 try:
                     pool = self._ensure_pool()
                     future = pool.submit(
-                        _simulate_chunk, [job.args for job in chunk]
+                        _simulate_chunk,
+                        [(job.cell, job.program) for job in chunk],
+                        self._fast_forward,
                     )
                 except BaseException as exc:  # pool spawn/submit failure
                     self._pool_inflight -= 1

@@ -6,18 +6,23 @@ operational one — is the closed form *close enough* to serve in place of
 the simulator. The envelope below was calibrated by
 :mod:`repro.model.validate` against the full golden grid (30 jittered
 cells + 8 long-horizon cells); ``fidelity="auto"`` in the sweep engine
-serves a cell from the model only when :func:`classify_cell` says
-eligible, and falls back to full simulation otherwise.
+serves a cell from the model only when it is inside the envelope
+(:func:`envelope_reason`) and the closed form exists
+(:func:`~repro.model.predict.predict_cell` does not decline) — together,
+what :func:`classify_cell` reports — and falls back to full simulation
+otherwise.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.machine.topology import MachineConfig
 from repro.model.predict import decline_reason
 from repro.runtime.task import Batch
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import CellSpec
 
 #: The promise ``fidelity="auto"`` makes: every served prediction's
 #: makespan and energy are within this relative error of the simulator
@@ -37,47 +42,36 @@ class Eligibility:
         return self.eligible
 
 
-def classify_cell(
-    program: Sequence[Batch],
-    policy: str,
-    machine: MachineConfig,
-    *,
-    core_levels: Optional[Sequence[int]] = None,
-    eewa_config: Any = None,
-    policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
-    faults: Any = None,
-) -> Eligibility:
-    """Classify one cell against the calibrated envelope.
+def envelope_reason(cell: "CellSpec", program: Sequence[Batch]) -> Optional[str]:
+    """Why the calibration grid does not cover this cell (``None`` = it
+    does), whether or not the closed form exists for it.
 
-    Structural declines come first (no closed form at all); the remaining
-    conditions mark cells the closed form covers but the calibration grid
-    does not, so ``auto`` refuses to vouch for them:
+    These conditions are cheap (no walk of the task specs), so the sweep
+    engine checks them before it predicts:
 
     * heterogeneous machines — the golden grid calibrates homogeneous
       ladders only; big.LITTLE cells simulate until a hetero grid lands;
     * sub-core batches — with fewer tasks than cores the makespan is one
       task's runtime and steal-scan timing noise is no longer amortised.
     """
-    reason = decline_reason(
-        program,
-        policy,
-        machine,
-        core_levels=core_levels,
-        eewa_config=eewa_config,
-        policy_params=policy_params,
-        faults=faults,
-    )
-    if reason is not None:
-        return Eligibility(False, reason)
+    machine = cell.machine
     if machine.is_heterogeneous:
-        return Eligibility(
-            False, "heterogeneous machines are outside the calibrated grid"
-        )
+        return "heterogeneous machines are outside the calibrated grid"
     if any(len(batch.specs) < machine.num_cores for batch in program):
-        return Eligibility(
-            False, "batch smaller than the machine; steal noise unamortised"
-        )
-    return Eligibility(True)
+        return "batch smaller than the machine; steal noise unamortised"
+    return None
 
 
-__all__ = ["MAX_RELATIVE_ERROR", "Eligibility", "classify_cell"]
+def classify_cell(cell: "CellSpec", program: Sequence[Batch]) -> Eligibility:
+    """Classify one cell against the calibrated envelope.
+
+    Structural declines (:func:`~repro.model.predict.decline_reason`: no
+    closed form at all) come first, then :func:`envelope_reason`: cells
+    the closed form covers but the calibration grid does not, so ``auto``
+    refuses to vouch for them.
+    """
+    reason = decline_reason(cell, program) or envelope_reason(cell, program)
+    return Eligibility(reason is None, reason)
+
+
+__all__ = ["MAX_RELATIVE_ERROR", "Eligibility", "classify_cell", "envelope_reason"]

@@ -1,7 +1,9 @@
 """Closed-form per-cell makespan/energy prediction.
 
 One simulated cell is a pure function of *(program, policy config,
-machine, seed)*; for the policies below its steady state is also
+machine, seed)* — a :class:`~repro.experiments.parallel.CellSpec` and the
+program it builds, which is what every entry point here takes; for the
+policies below its steady state is also
 *analytically expressible*, so the same numbers fall out of a few
 arithmetic passes over the task specs instead of O(events) of
 discrete-event replay:
@@ -48,11 +50,14 @@ from __future__ import annotations
 
 import functools
 import heapq
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.machine.topology import MachineConfig
 from repro.runtime.task import Batch, TaskSpec
 from repro.sim.record import CellResult
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import CellSpec
 
 #: Policies with an analytically expressible steady state.
 MODEL_POLICIES = frozenset({"cilk", "cilk-d", "eewa"})
@@ -63,33 +68,28 @@ MODEL_POLICIES = frozenset({"cilk", "cilk-d", "eewa"})
 # ----------------------------------------------------------------------
 
 
-def decline_reason(
-    program: Sequence[Batch],
-    policy: str,
-    machine: MachineConfig,
-    *,
-    core_levels: Optional[Sequence[int]] = None,
-    eewa_config: Any = None,
-    policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
-    faults: Any = None,
-) -> Optional[str]:
+def decline_reason(cell: "CellSpec", program: Sequence[Batch]) -> Optional[str]:
     """Why this cell has no analytic prediction (``None`` = supported).
 
     *Structural* eligibility only — whether the math exists at all, not
     whether it is calibrated to be trusted (that second question is
     :func:`repro.model.bounds.classify_cell`). A declined cell always
-    falls back to full simulation.
+    falls back to full simulation. ``program`` is the cell's program
+    (:meth:`~repro.experiments.parallel.CellSpec.build_program`).
     """
     from repro.errors import ScenarioError
     from repro.scenario.registry import POLICIES, resolve_eewa_config
 
+    machine = cell.machine
+    core_levels = cell.core_levels
+    policy_params = cell.policy_params
     try:
-        name = POLICIES.canonical(policy)
+        name = POLICIES.canonical(cell.policy)
     except ScenarioError:
-        return f"unknown policy {policy!r}"
+        return f"unknown policy {cell.policy!r}"
     if name not in MODEL_POLICIES:
         return f"policy {name!r} has no analytic steady state"
-    if faults is not None:
+    if cell.faults is not None:
         return "fault injection perturbs the steady state"
     if machine.dvfs_domains is not None:
         return "shared DVFS domains arbitrate requests dynamically"
@@ -112,7 +112,7 @@ def decline_reason(
 
         try:
             config = resolve_eewa_config(
-                params=dict(policy_params or ()), config=eewa_config
+                params=dict(policy_params or ()), config=cell.eewa_config
             )
         except ScenarioError as exc:
             return f"eewa params rejected: {exc}"
@@ -668,52 +668,33 @@ def _predict_eewa(
 
 
 def predict_cell(
-    program: Sequence[Batch],
-    policy: str,
-    machine: MachineConfig,
-    seed: int = 0,
-    *,
-    core_levels: Optional[Sequence[int]] = None,
-    eewa_config: Any = None,
-    policy_params: Optional[tuple[tuple[str, Any], ...]] = None,
-    faults: Any = None,
+    cell: "CellSpec", program: Sequence[Batch]
 ) -> Optional[CellResult]:
     """Predict one cell analytically; ``None`` when the cell declines.
 
-    Mirrors the argument surface of the simulation path
-    (:func:`repro.experiments.parallel._simulate_cell`) so the sweep
-    engine can hand either one the same cell, and returns the same record
-    type: a :class:`~repro.sim.record.CellResult` with the cell's machine,
-    an empty trace and no task rows. ``seed`` is accepted for
-    symmetry: the prediction depends on it only through ``program``
-    (which already carries the seed's jitter and drift).
+    Takes what the simulation path
+    (:func:`repro.experiments.parallel._simulate_cell`) takes, so the
+    sweep engine can hand either one the same cell, and returns the same
+    record type: a :class:`~repro.sim.record.CellResult` with the cell's
+    machine, an empty trace and no task rows. The cell's seed reaches the
+    prediction only through ``program`` (which already carries the seed's
+    jitter and drift).
     """
-    del seed  # the program embodies the seed; the math is deterministic
-    reason = decline_reason(
-        program,
-        policy,
-        machine,
-        core_levels=core_levels,
-        eewa_config=eewa_config,
-        policy_params=policy_params,
-        faults=faults,
-    )
-    if reason is not None:
+    if decline_reason(cell, program) is not None:
         return None
     from repro.scenario.registry import POLICIES, resolve_eewa_config
 
-    name = POLICIES.canonical(policy)
+    machine = cell.machine
+    params = dict(cell.policy_params or ())
+    name = POLICIES.canonical(cell.policy)
     if name == "cilk":
-        return _predict_cilk(program, machine, core_levels)
+        return _predict_cilk(program, machine, cell.core_levels)
     if name == "cilk-d":
         from repro.runtime.cilk_d import DEFAULT_IDLE_GRACE_S
 
-        params = dict(policy_params or ())
         grace = float(params.get("idle_grace_s", DEFAULT_IDLE_GRACE_S))
         return _predict_cilk_d(program, machine, grace)
-    config = resolve_eewa_config(
-        params=dict(policy_params or ()), config=eewa_config
-    )
+    config = resolve_eewa_config(params=params, config=cell.eewa_config)
     return _predict_eewa(program, machine, config)
 
 

@@ -23,31 +23,26 @@ from typing import Iterator, Optional
 
 from repro.core.adjuster import OverheadModel
 from repro.core.eewa import EEWAConfig
-from repro.machine.topology import (
-    MachineConfig,
-    dyadic_test_machine,
-    opteron_8380_machine,
-)
+from repro.experiments.parallel import CellSpec
+from repro.machine.topology import dyadic_test_machine, opteron_8380_machine
 from repro.model.bounds import MAX_RELATIVE_ERROR, classify_cell
 from repro.model.predict import predict_cell
 from repro.runtime.task import Batch, TaskSpec, flat_batch
-from repro.scenario.registry import POLICIES
 from repro.sim.engine import simulate
-from repro.workloads.benchmarks import benchmark_program
 from repro.workloads.periodic import periodic_program
 
 #: Mirrors tests/sim/golden_gen.py (the 30-cell jittered grid).
 GOLDEN_SEEDS = (11, 23, 37)
 GOLDEN_BENCHMARKS = ("SHA-1", "BWC")
 GOLDEN_BATCHES = 3
-WATS_LEVELS_16 = [0] * 8 + [1] * 4 + [3] * 4
+WATS_LEVELS_16 = (0,) * 8 + (1,) * 4 + (3,) * 4
 _REF = 2.5e9
 
 #: Mirrors tests/sim/golden_longhorizon_gen.py (the 8-cell periodic grid).
 LONGHORIZON_SEEDS = (11, 23)
 LONGHORIZON_POLICIES = ("cilk", "cilk-d", "wats", "eewa")
 LONGHORIZON_BATCHES = 120
-WATS_LEVELS_8 = [0, 0, 0, 0, 2, 2, 2, 2]
+WATS_LEVELS_8 = (0, 0, 0, 0, 2, 2, 2, 2)
 DYADIC_OVERHEAD = OverheadModel(base_seconds=2.0**-11, per_cell_seconds=2.0**-17)
 DYADIC_EEWA = EEWAConfig(overhead_model=DYADIC_OVERHEAD)
 
@@ -60,19 +55,6 @@ def _spawn_program() -> list[Batch]:
         for _ in range(24)
     ]
     return [flat_batch(0, roots), flat_batch(1, roots)]
-
-
-@dataclasses.dataclass(frozen=True)
-class ValidationCell:
-    """One calibration-grid cell: everything both paths need."""
-
-    name: str
-    program: tuple[Batch, ...]
-    policy: str
-    machine: MachineConfig
-    seed: int
-    core_levels: Optional[list[int]] = None
-    eewa_config: Optional[EEWAConfig] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,43 +87,40 @@ class ValidationRow:
         return self.max_error <= MAX_RELATIVE_ERROR
 
 
-def calibration_cells() -> Iterator[ValidationCell]:
+def calibration_cells() -> Iterator[CellSpec]:
     """The full grid: 30 golden cells + 8 long-horizon cells."""
     golden = opteron_8380_machine()
     for benchmark in GOLDEN_BENCHMARKS:
         for policy in ("cilk", "cilk-d", "wats", "eewa"):
             for seed in GOLDEN_SEEDS:
-                program = benchmark_program(
-                    benchmark, batches=GOLDEN_BATCHES, seed=seed
-                )
-                yield ValidationCell(
-                    name=f"{benchmark}/{policy}/seed{seed}",
-                    program=tuple(program),
+                yield CellSpec(
+                    benchmark=benchmark,
                     policy=policy,
-                    machine=golden,
                     seed=seed,
+                    batches=GOLDEN_BATCHES,
                     core_levels=WATS_LEVELS_16 if policy == "wats" else None,
+                    machine=golden,
                 )
     for policy in ("cilk", "eewa"):
         for seed in GOLDEN_SEEDS:
-            yield ValidationCell(
-                name=f"spawn-tree/{policy}/seed{seed}",
-                program=tuple(_spawn_program()),
+            yield CellSpec(
+                benchmark="spawn-tree",
                 policy=policy,
-                machine=golden,
                 seed=seed,
+                machine=golden,
+                program=tuple(_spawn_program()),
             )
     dyadic = dyadic_test_machine(num_cores=8)
     for policy in LONGHORIZON_POLICIES:
         for seed in LONGHORIZON_SEEDS:
-            yield ValidationCell(
-                name=f"periodic/{policy}/seed{seed}",
-                program=tuple(periodic_program(LONGHORIZON_BATCHES, 4, 8)),
+            yield CellSpec(
+                benchmark="periodic",
                 policy=policy,
-                machine=dyadic,
                 seed=seed,
                 core_levels=WATS_LEVELS_8 if policy == "wats" else None,
                 eewa_config=DYADIC_EEWA if policy == "eewa" else None,
+                machine=dyadic,
+                program=tuple(periodic_program(LONGHORIZON_BATCHES, 4, 8)),
             )
 
 
@@ -151,31 +130,16 @@ def _relative(model: float, sim: float) -> float:
     return abs(model - sim) / abs(sim)
 
 
-def validate_cell(cell: ValidationCell) -> ValidationRow:
+def validate_cell(cell: CellSpec) -> ValidationRow:
     """Run one cell through both paths and compare."""
-    verdict = classify_cell(
-        cell.program,
-        cell.policy,
-        cell.machine,
-        core_levels=cell.core_levels,
-        eewa_config=cell.eewa_config,
-    )
+    program = cell.build_program()
+    verdict = classify_cell(cell, program)
     t0 = time.perf_counter()
-    policy_obj = POLICIES.get(cell.policy).build(
-        core_levels=cell.core_levels, config=cell.eewa_config
-    )
-    sim = simulate(list(cell.program), policy_obj, cell.machine, seed=cell.seed)
+    sim = simulate(program, cell.build_policy(), cell.machine, seed=cell.seed)
     sim_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model = predict_cell(
-        cell.program,
-        cell.policy,
-        cell.machine,
-        cell.seed,
-        core_levels=cell.core_levels,
-        eewa_config=cell.eewa_config,
-    )
+    model = predict_cell(cell, program)
     model_seconds = time.perf_counter() - t0
     eligible = verdict.eligible
     reason = verdict.reason
@@ -186,7 +150,7 @@ def validate_cell(cell: ValidationCell) -> ValidationRow:
         eligible = False
         reason = "declined at prediction time (seed-dependent schedule)"
     return ValidationRow(
-        cell=cell.name,
+        cell=f"{cell.benchmark}/{cell.policy}/seed{cell.seed}",
         policy=cell.policy,
         eligible=eligible,
         reason=reason,

@@ -232,16 +232,21 @@ def check_policy(
         # factory — for the shipped registry-default policies the two
         # coincide; unregistered or analytically inexpressible policies
         # decline the prediction and the check passes vacuously.
+        from repro.experiments.parallel import CellSpec
         from repro.model.bounds import MAX_RELATIVE_ERROR, classify_cell
         from repro.model.predict import predict_cell
 
-        program = _flat_program(3, [0.004] * 9 + [0.03])
-        if not classify_cell(tuple(program), report.policy_name, machine):
+        program = tuple(_flat_program(3, [0.004] * 9 + [0.03]))
+        cell = CellSpec(
+            benchmark="conformance", policy=report.policy_name, seed=7,
+            machine=machine, program=program,
+        )
+        if not classify_cell(cell, program):
             # Outside the calibrated envelope (no analytic form, hetero
             # battery machine, …): fidelity="auto" would simulate this
             # cell, so there is no promise to check.
             return
-        predicted = predict_cell(tuple(program), report.policy_name, machine)
+        predicted = predict_cell(cell, program)
         if predicted is None:
             return
         sim = simulate(program, factory(), machine, seed=7)

@@ -43,8 +43,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from repro.errors import ReproError, ScenarioError
 from repro.faults.spec import FaultSpec
 from repro.machine.topology import MachineConfig
-from repro.runtime.policy import SchedulerPolicy
-from repro.runtime.task import Batch
 from repro.scenario.registry import MACHINES, POLICIES, WORKLOADS, MachinePresetEntry
 from repro.workloads.io import spec_from_dict, spec_to_dict
 from repro.workloads.spec import WorkloadSpec
@@ -225,20 +223,6 @@ class PolicySpec:
         else:
             object.__setattr__(self, "params", tuple(sorted(self.params)))
 
-    @property
-    def entry(self):
-        return POLICIES.get(self.name)
-
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
-    def build(self) -> SchedulerPolicy:
-        return self.entry.build(
-            core_levels=self.core_levels,
-            params=self.params_dict() or None,
-            config=self.config,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         if self.config is not None:
             raise ScenarioError(
@@ -249,7 +233,7 @@ class PolicySpec:
         if self.core_levels is not None:
             data["core_levels"] = list(self.core_levels)
         if self.params:
-            data["params"] = self.params_dict()
+            data["params"] = dict(self.params)
         return data
 
     @classmethod
@@ -340,20 +324,8 @@ class ScenarioSpec:
             return self.workload
         return WORKLOADS.get(self.workload).spec()
 
-    def program(self, seed: int) -> list[Batch]:
-        """Generate this scenario's program for one seed."""
-        from repro.workloads.generators import generate_program
-
-        return generate_program(
-            self.resolve_workload(), batches=self.batches, seed=seed
-        )
-
     def build_machine(self) -> MachineConfig:
         return self.machine.build()
-
-    def build_policy(self) -> SchedulerPolicy:
-        """A fresh policy instance (policies are stateful and single-use)."""
-        return self.policy.build()
 
     # -- derivation ------------------------------------------------------
 

@@ -48,7 +48,7 @@ import threading
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import ScenarioError
-from repro.experiments.parallel import CellOutcome, CellSpec
+from repro.experiments.parallel import CellOutcome
 from repro.experiments.sweep import FIDELITIES
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.export import result_to_dict
@@ -77,13 +77,6 @@ class SweepRequest:
     fidelity: Optional[str] = None
     priority: int = 0
     deadline_s: Optional[float] = None
-
-    def cells(self) -> list[tuple[int, CellSpec]]:
-        """Flattened (scenario-index, cell) pairs in submission order."""
-        out: list[tuple[int, CellSpec]] = []
-        for index, scenario in enumerate(self.scenarios):
-            out.extend((index, cell) for cell in CellSpec.from_scenario_seeds(scenario))
-        return out
 
     def to_dict(self) -> dict[str, Any]:
         return build_sweep_request(

@@ -36,6 +36,8 @@ client in :mod:`repro.service.client`.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import itertools
 import json
 import os
 import socket
@@ -49,7 +51,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.experiments.sweep import MAX_PENDING, SweepEngine
+from repro.experiments.parallel import CellSpec
+from repro.experiments.sweep import MAX_PENDING, SweepEngine, SweepTicket
 from repro.scenario.registry import POLICIES
 from repro.scenario.spec import PolicySpec, ScenarioSpec
 from repro.service.protocol import (
@@ -76,6 +79,14 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 HANDLER_TIMEOUT_S = 10.0
 
 
+def _lacks_core_levels(scenario: ScenarioSpec) -> bool:
+    """Whether the scenario's policy needs core levels and carries none."""
+    return (
+        scenario.policy.core_levels is None
+        and POLICIES.get(scenario.policy.name).needs_core_levels
+    )
+
+
 def resolve_scenario(engine: SweepEngine, scenario: ScenarioSpec) -> ScenarioSpec:
     """Fill fixed core levels for a policy that needs them.
 
@@ -83,17 +94,67 @@ def resolve_scenario(engine: SweepEngine, scenario: ScenarioSpec) -> ScenarioSpe
     modal configuration for the scenario's workload — derived on
     ``engine``, so the derivation cell is deduplicated and cached across
     clients like any other cell. This is the one implementation of
-    the rule: :func:`stream_request` applies it to every request, and the
-    CLI to every scenario run without ``--core-levels``. A scenario with
-    nothing to fill is returned as is (the same object).
+    the rule: :func:`submit_scenarios` applies it to every request and
+    every CLI run without ``--core-levels``. A scenario with nothing to
+    fill is returned as is (the same object).
     """
-    entry = POLICIES.get(scenario.policy.name)
-    if not entry.needs_core_levels or scenario.policy.core_levels is not None:
+    if not _lacks_core_levels(scenario):
         return scenario
     levels = tuple(engine.modal_eewa_levels(scenario))
     return scenario.with_policy(
         PolicySpec(scenario.policy.name, core_levels=levels)
     )
+
+
+def submit_scenarios(
+    engine: SweepEngine,
+    scenarios: Sequence[ScenarioSpec],
+    *,
+    priority: int = 0,
+    fidelity: Optional[str] = None,
+) -> tuple[list[ScenarioSpec], list[list[SweepTicket]]]:
+    """Resolve and submit every (scenario × seed) cell of a request.
+
+    Returns the resolved scenarios and, per scenario, one ticket per
+    seed. The cells of scenarios with nothing to resolve are submitted
+    first; only then does :func:`resolve_scenario` fill in the others, so
+    the EEWA cell a modal configuration is read from coalesces onto the
+    request's own queued EEWA cell instead of simulating twice (an engine
+    without a cache keeps no finished cell). A scenario object given
+    several times (``repro sweep --repeat``) is resolved once. If
+    resolving fails, the cells already submitted are cancelled.
+    """
+    lacking = [_lacks_core_levels(s) for s in scenarios]
+    waves = (
+        [i for i, lacks in enumerate(lacking) if not lacks],
+        [i for i, lacks in enumerate(lacking) if lacks],
+    )
+    resolved = list(scenarios)
+    tickets: list[list[SweepTicket]] = [[] for _ in scenarios]
+    by_id: dict[int, ScenarioSpec] = {}
+    try:
+        for wave in waves:
+            if not wave:
+                continue
+            cells = []
+            for i in wave:
+                if lacking[i]:
+                    scenario = scenarios[i]
+                    if id(scenario) not in by_id:
+                        by_id[id(scenario)] = resolve_scenario(engine, scenario)
+                    resolved[i] = by_id[id(scenario)]
+                cells.append(CellSpec.from_scenario_seeds(resolved[i]))
+            submitted = iter(engine.submit_many(
+                [cell for seeds in cells for cell in seeds],
+                priority=priority, fidelity=fidelity,
+            ))
+            for i, seeds in zip(wave, cells):
+                tickets[i] = [next(submitted) for _ in seeds]
+    except BaseException:
+        for ticket in itertools.chain.from_iterable(tickets):
+            ticket.cancel()
+        raise
+    return resolved, tickets
 
 
 class _ClientGone(Exception):
@@ -113,10 +174,11 @@ def stream_request(
     write timed out because the client stopped reading), the request's
     still-queued tickets are cancelled and the summary records the
     disconnect. Returns a summary dict (``ended`` is one of ``"end"``,
-    ``"deadline"``, ``"engine"``, ``"disconnect"``). A failure before the
-    first cell is queued (resolving a scenario, building its cells, or
-    submitting them to an engine that is closing) ends the stream with an
-    ``engine`` error frame: the handler has already sent its ``200``.
+    ``"deadline"``, ``"engine"``, ``"disconnect"``). A failure while the
+    cells are submitted (resolving a scenario, building its cells, or
+    submitting them to an engine that is closing; see
+    :func:`submit_scenarios`) ends the stream with an ``engine`` error
+    frame: the handler has already sent its ``200``.
     """
     sources: dict[str, int] = {}
     summary = {
@@ -127,29 +189,17 @@ def stream_request(
         "ended": "end",
     }
     try:
-        # A request may carry one scenario object several times (``repro
-        # sweep --repeat``); resolve each object once.
-        by_id: dict[int, ScenarioSpec] = {}
-        for scenario in request.scenarios:
-            if id(scenario) not in by_id:
-                by_id[id(scenario)] = resolve_scenario(engine, scenario)
-        resolved = SweepRequest(
-            scenarios=tuple(by_id[id(s)] for s in request.scenarios),
-            fidelity=request.fidelity,
-            priority=request.priority,
-            deadline_s=request.deadline_s,
-        )
-        pairs = resolved.cells()
-        tickets = engine.submit_many(
-            [cell for _, cell in pairs],
-            priority=request.priority,
-            fidelity=request.fidelity,
+        _, per_scenario = submit_scenarios(
+            engine, request.scenarios,
+            priority=request.priority, fidelity=request.fidelity,
         )
     except Exception as exc:
         summary["ended"] = "engine"
         with contextlib.suppress(OSError):
             write(encode_frame(error_frame("engine", f"{type(exc).__name__}: {exc}")))
         return summary
+    tickets = [t for scenario_tickets in per_scenario for t in scenario_tickets]
+    scenario_of = [i for i, ts in enumerate(per_scenario) for _ in ts]
     order = {id(t): i for i, t in enumerate(tickets)}
     streamed = 0
     from_cache = 0
@@ -180,7 +230,7 @@ def stream_request(
                 _send(error_frame("engine", f"{type(exc).__name__}: {exc}"))
                 return summary
             index = order[id(ticket)]
-            _send(cell_frame(index, pairs[index][0], outcome))
+            _send(cell_frame(index, scenario_of[index], outcome))
             streamed += 1
             from_cache += int(outcome.from_cache)
             sources[outcome.source] = sources.get(outcome.source, 0) + 1
@@ -410,17 +460,9 @@ class SweepServer(ThreadingHTTPServer):
     def stats_payload(self) -> dict[str, Any]:
         """The ``GET /stats`` body: engine + cache + server observability."""
         engine = self.engine
-        stats = engine.stats
         payload: dict[str, Any] = {
             "engine": {
-                "cells": stats.cells,
-                "executed": stats.executed,
-                "cache_hits": stats.cache_hits,
-                "memo_hits": stats.memo_hits,
-                "deduplicated": stats.deduplicated,
-                "cancelled": stats.cancelled,
-                "chunks": stats.chunks,
-                "model_cells": stats.model_cells,
+                **dataclasses.asdict(engine.stats),
                 "queue_depth": engine.queue_depth,
                 "ema_cell_seconds": engine.ema_cell_seconds,
                 "fidelity": engine.fidelity,
@@ -435,7 +477,6 @@ class SweepServer(ThreadingHTTPServer):
         }
         if engine.cache is not None:
             from repro.experiments.cachectl import cache_stats
-            import dataclasses
 
             payload["cache"] = dataclasses.asdict(
                 cache_stats(engine.cache.root)
@@ -547,4 +588,5 @@ __all__ = [
     "resolve_scenario",
     "serve",
     "stream_request",
+    "submit_scenarios",
 ]

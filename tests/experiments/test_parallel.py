@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.eewa import EEWAConfig, EEWAScheduler
 from repro.experiments.outcome import modal_levels_from_result
-from repro.experiments.parallel import CellSpec, GeneratedProgram, ResultCache, cell_key
+from repro.experiments.parallel import CellSpec, ResultCache, cell_key
 from repro.experiments.sweep import SweepEngine
 from repro.faults.spec import FaultSpec
 from repro.machine.topology import MachineConfig, opteron_8380_machine, small_test_machine
@@ -57,13 +57,11 @@ class TestCellKey:
 
     def key(self, **overrides):
         kwargs = dict(
-            program=self.program, policy="cilk", machine=self.machine, seed=11
+            benchmark="SHA-1", program=self.program, policy="cilk",
+            machine=self.machine, seed=11,
         )
         kwargs.update(overrides)
-        return cell_key(
-            kwargs.pop("program"), kwargs.pop("policy"),
-            kwargs.pop("machine"), kwargs.pop("seed"), **kwargs
-        )
+        return cell_key(CellSpec(**kwargs), fast_forward=True)
 
     def test_stable(self):
         assert self.key() == self.key()
@@ -94,11 +92,7 @@ class TestCellKey:
         kwargs = dict(workload="SHA-1", policy="eewa", seeds=(11,), batches=BATCHES)
         kwargs.update(overrides)
         cell = CellSpec.from_scenario(ScenarioSpec(**kwargs), 11)
-        return cell_key(
-            cell.program_source(), cell.policy, cell.machine, cell.seed,
-            core_levels=cell.core_levels, eewa_config=cell.eewa_config,
-            policy_params=cell.policy_params, faults=cell.faults,
-        )
+        return cell_key(cell, fast_forward=True)
 
     def test_policy_param_changes_key(self):
         tuned = PolicySpec("eewa", params={"headroom": 0.2})
@@ -198,9 +192,11 @@ class TestGridDigests:
 
 
 def _generated_key(spec, seed=11, batches=BATCHES):
-    return cell_key(
-        GeneratedProgram(spec, batches), "cilk", opteron_8380_machine(), seed
+    cell = CellSpec(
+        "inline", "cilk", seed=seed, batches=batches, workload=spec,
+        machine=opteron_8380_machine(),
     )
+    return cell_key(cell, fast_forward=True)
 
 
 #: A valid replacement value for every TaskClassSpec field.
@@ -275,12 +271,15 @@ class TestGeneratorKey:
         assert _generated_key(self.spec) != key
 
     def test_default_batch_count_keys_like_the_explicit_one(self):
-        default = CellSpec("SHA-1", "cilk", seed=11).program_source()
+        default = CellSpec("SHA-1", "cilk", seed=11)
         explicit = CellSpec(
             "SHA-1", "cilk", seed=11, batches=self.spec.default_batches
-        ).program_source()
-        assert default == explicit == GeneratedProgram(
+        )
+        assert default.generator() == explicit.generator() == (
             self.spec, self.spec.default_batches
+        )
+        assert cell_key(default, fast_forward=True) == cell_key(
+            explicit, fast_forward=True
         )
 
     def test_inline_spec_keys_like_the_registered_workload(self):
@@ -299,8 +298,15 @@ class TestGeneratorKey:
     def test_explicit_program_keys_by_content(self):
         program = tuple(benchmark_program("SHA-1", batches=BATCHES, seed=11))
         machine = opteron_8380_machine()
-        by_content = cell_key(program, "cilk", machine, 11)
-        assert by_content == cell_key(list(program), "cilk", machine, 11)
+
+        def key(program):
+            cell = CellSpec(
+                "SHA-1", "cilk", seed=11, machine=machine, program=program
+            )
+            return cell_key(cell, fast_forward=True)
+
+        by_content = key(program)
+        assert by_content == key(list(program))
         assert by_content != _generated_key(self.spec)
 
     def test_registering_a_name_again_changes_key_and_program(self):

@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
 from repro.experiments.fig1 import fig1_machine
-from repro.experiments.parallel import CellSpec, GeneratedProgram, ResultCache
+from repro.experiments.parallel import CellSpec, ResultCache
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import SweepEngine
 from repro.machine.topology import opteron_8380_machine
@@ -90,16 +90,16 @@ class TestInflightDedup:
         # A missed submit generates its program outside the engine lock,
         # where another submit of the same cell can queue it or finish it;
         # here that submit runs inside the generation, deterministically.
-        generate = GeneratedProgram.generate
+        build_program = CellSpec.build_program
 
-        def racing(source, seed):
-            monkeypatch.setattr(GeneratedProgram, "generate", generate)
+        def racing(cell):
+            monkeypatch.setattr(CellSpec, "build_program", build_program)
             ticket = engine.submit(spec())
             if meanwhile == "finished":
                 ticket.result()
-            return generate(source, seed)
+            return build_program(cell)
 
-        monkeypatch.setattr(GeneratedProgram, "generate", racing)
+        monkeypatch.setattr(CellSpec, "build_program", racing)
         outcome = engine.submit(spec()).result()
         assert engine.stats.executed == 1
         if meanwhile == "queued":

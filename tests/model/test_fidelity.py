@@ -64,6 +64,23 @@ class TestAutoTier:
         assert eng.stats.model_cells == 1
         assert eng.stats.executed == 0
 
+    def test_a_served_cell_is_walked_for_its_decline_once(self, monkeypatch):
+        from repro.model import bounds, predict
+
+        calls = []
+        decline_reason = predict.decline_reason
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decline_reason(*args, **kwargs)
+
+        monkeypatch.setattr(predict, "decline_reason", counting)
+        monkeypatch.setattr(bounds, "decline_reason", counting)
+        with SweepEngine(workers=0, cache_dir=None, fidelity="auto") as eng:
+            outcome = eng.submit(spec(policy="eewa")).result()
+        assert outcome.source == "model"
+        assert len(calls) == 1
+
     def test_ineligible_cell_bit_identical_to_sim(self):
         # wats has no analytic form: auto must fall back to the exact
         # simulation the sim engine produces.

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ScenarioError
+from repro.experiments.sweep import SweepEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -15,6 +16,7 @@ from repro.service.protocol import (
     error_frame,
     parse_sweep_request,
 )
+from repro.service.server import submit_scenarios
 
 SCENARIO = {
     "schema": 3,
@@ -50,10 +52,16 @@ class TestRequestRoundTrip:
         request = parse_sweep_request(
             build_sweep_request([SCENARIO, other])
         )
-        pairs = request.cells()
-        assert [(i, c.benchmark, c.seed) for i, c in pairs] == [
-            (0, "SHA-1", 11), (0, "SHA-1", 23), (1, "MD5", 37),
-        ]
+        # The server submits a request's cells, one ticket per scenario
+        # and seed, in request order (cell frames are indexed by it).
+        with SweepEngine() as engine:
+            _, tickets = submit_scenarios(engine, request.scenarios)
+            cells = [
+                (i, ticket.spec.benchmark, ticket.spec.seed)
+                for i, scenario_tickets in enumerate(tickets)
+                for ticket in scenario_tickets
+            ]
+        assert cells == [(0, "SHA-1", 11), (0, "SHA-1", 23), (1, "MD5", 37)]
 
     def test_request_body_is_json_serialisable(self):
         body = build_sweep_request([SCENARIO], deadline_s=1.0)

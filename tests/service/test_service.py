@@ -286,6 +286,37 @@ class TestStreamSetUp:
             request = parse_sweep_request({"scenarios": [scenario()]})
             assert stream_request(engine, request, gone)["ended"] == "engine"
 
+    def test_the_modal_cell_coalesces_onto_the_requests_eewa_cell(self):
+        # wats needs core levels, read off EEWA's seed-11 run; the request
+        # queues that same EEWA cell first, so on an engine without a
+        # cache it simulates once, not again for the levels.
+        request = parse_sweep_request({"scenarios": [
+            dict(scenario(policy=policy), batches=4) for policy in ("eewa", "wats")
+        ]})
+        with SweepEngine(cache_dir=None) as engine:
+            wrote = []
+            summary = stream_request(engine, request, wrote.append)
+            assert summary["ended"] == "end" and summary["streamed"] == 2
+            assert engine.stats.executed == 2
+            assert engine.stats.deduplicated == 1
+        frames = [json.loads(frame) for frame in wrote]
+        assert sorted((f["scenario"], f["policy"]) for f in frames[:-1]) == [
+            (0, "eewa"), (1, "wats"),
+        ]
+
+    def test_a_failing_resolution_cancels_the_cells_already_queued(
+        self, monkeypatch
+    ):
+        with SweepEngine(cache_dir=None) as engine:
+            monkeypatch.setattr(engine, "modal_eewa_levels", self._closed)
+            request = parse_sweep_request({"scenarios": [
+                scenario(policy="cilk"), scenario(policy="wats"),
+            ]})
+            wrote = []
+            assert stream_request(engine, request, wrote.append)["ended"] == "engine"
+            assert engine.queue_depth == 0
+            assert engine.stats.cancelled == 1 and engine.stats.executed == 0
+
 
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self, tmp_path, monkeypatch):
@@ -400,6 +431,11 @@ class TestHttpSurface:
         client.run([scenario(seeds=(11,))])
         stats = client.stats()
         assert set(stats) == {"engine", "server", "cache"}
+        assert set(stats["engine"]) == {
+            "cells", "executed", "cache_hits", "memo_hits", "deduplicated",
+            "cancelled", "chunks", "model_cells", "queue_depth",
+            "ema_cell_seconds", "fidelity",
+        }
         assert stats["engine"]["executed"] >= 1
         assert stats["engine"]["fidelity"] == "sim"
         assert stats["server"]["draining"] is False
@@ -711,14 +747,10 @@ class TestModelFidelity:
                 (frame,) = cells
                 assert frame["source"] == "model"
                 assert frame["from_cache"] is False
-                spec = ScenarioSpec.from_dict(request)
-                program = tuple(spec.program(11))
-                machine = spec.build_machine()
-                policy = spec.policy.name
+                cell = CellSpec.from_scenario(ScenarioSpec.from_dict(request), 11)
                 # A model cell frame carries its cell's own key.
-                source = CellSpec.from_scenario(spec, 11).program_source()
-                assert frame["key"] == cell_key(source, policy, machine, 11)
-                predicted = predict_cell(program, policy, machine)
+                assert frame["key"] == cell_key(cell, fast_forward=True)
+                predicted = predict_cell(cell, cell.build_program())
                 expected = json.loads(json.dumps(result_to_dict(predicted)))
                 assert frame["result"] == expected
                 assert expected["batches"] == []

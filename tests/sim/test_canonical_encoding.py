@@ -307,9 +307,5 @@ PINNED_CELLS = {
 def test_pinned_cell_keys(name):
     """The key the sweep engine computes for each cell (fast-forward on)."""
     spec, machine, pinned = PINNED_CELLS[name]
-    key = cell_key(
-        spec.program_source(), spec.policy, machine, spec.seed,
-        core_levels=spec.core_levels, eewa_config=spec.eewa_config,
-        policy_params=spec.policy_params, fast_forward=True, faults=spec.faults,
-    )
+    key = cell_key(dataclasses.replace(spec, machine=machine), fast_forward=True)
     assert key == pinned

@@ -39,6 +39,17 @@ class TestCli:
         assert main(["run", "LZW", "cilk-d", "--batches", "2", "--cores", "4"]) == 0
         assert "4 cores" in capsys.readouterr().out
 
+    def test_run_on_the_socket_preset(self, capsys):
+        # The physical Opteron's quad-core shared frequency planes cost
+        # EEWA energy against the paper's per-core control.
+        run = ["run", "SHA-1", "eewa", "--batches", "3"]
+        assert main(run + ["--machine", "opteron-8380-socket"]) == 0
+        socket = capsys.readouterr().out
+        assert main(run) == 0
+        per_core = capsys.readouterr().out
+        assert "SHA-1 / eewa on 16 cores: 175.4 ms" in socket
+        assert socket != per_core
+
     def test_compare(self, capsys):
         assert main(["compare", "SHA-1", "--batches", "3"]) == 0
         out = capsys.readouterr().out
@@ -125,6 +136,26 @@ class TestWatsCli:
         for policy in ("cilk", "wats", "eewa"):
             assert policy in out
         assert "t/cilk" in out and "E/cilk" in out
+
+    def test_compare_simulates_each_cell_once(self, capsys, monkeypatch):
+        # wats runs on EEWA's modal configuration at seed 11, read off the
+        # compared EEWA cell itself rather than a second simulation of it.
+        from repro.experiments import parallel
+
+        simulated = []
+        simulate = parallel.simulate
+
+        def counting(program, policy, *args, **kwargs):
+            simulated.append(policy.name)
+            return simulate(program, policy, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate", counting)
+        assert main(
+            ["compare", "SHA-1", "--policies", "cilk", "eewa", "wats",
+             "--seed", "11", "--batches", "4"]
+        ) == 0
+        assert "EEWA's modal configuration" in capsys.readouterr().out
+        assert sorted(simulated) == ["cilk", "eewa", "wats"]
 
 
 class TestRunSpecScenario:
