@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import SearchError
 from repro.core.profiler import TaskClassStats
 from repro.machine.operating_point import OperatingPointSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class CCTable:
     points once per batch, where NumPy's per-array and per-element costs
     outweigh the arithmetic; Python floats do the same IEEE operations.
     :attr:`values`, :meth:`row` and :meth:`column` build NumPy arrays on
-    demand for readers outside the decision path.
+    demand for readers outside the decision path, and import NumPy only
+    when called: no cell imports it.
     """
 
     scale: OperatingPointSpace
@@ -73,6 +75,8 @@ class CCTable:
     @property
     def values(self) -> np.ndarray:
         """The table as a new ``(r, k)`` float64 array."""
+        import numpy as np
+
         return np.array(self.rows, dtype=np.float64)
 
     def __getitem__(self, ji: tuple[int, int]) -> float:
@@ -80,9 +84,13 @@ class CCTable:
         return self.rows[j][i]
 
     def column(self, i: int) -> np.ndarray:
+        import numpy as np
+
         return np.array([row[i] for row in self.rows], dtype=np.float64)
 
     def row(self, j: int) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.rows[j], dtype=np.float64)
 
     def fastest_row_total(self) -> float:
@@ -94,6 +102,8 @@ class CCTable:
         NumPy's pairwise sum: from 8 classes up, a left-to-right loop
         would round differently.
         """
+        import numpy as np
+
         return float(np.sum(self.rows[0]))
 
 
@@ -203,6 +213,8 @@ def cc_table_from_values(
     ideal_time: float = 1.0,
 ) -> CCTable:
     """Build a CC table directly from numbers (tests, the Fig. 3 example)."""
+    import numpy as np
+
     array = np.asarray(values, dtype=np.float64)
     if array.ndim != 2:
         raise SearchError("CC values must be a 2-D array")

@@ -25,12 +25,14 @@ the paper's baseline behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.cc_table import CCTable
 from repro.errors import ProfilingError
 from repro.machine.operating_point import OperatingPointSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ def fit_frequency_time_model(
     elapsed: np.ndarray | list[float],
 ) -> FrequencyTimeModel:
     """Least-squares fit of ``t(f) = a/f + b`` with non-negativity clamping."""
+    import numpy as np
+
     f = np.asarray(frequencies, dtype=np.float64)
     t = np.asarray(elapsed, dtype=np.float64)
     if f.shape != t.shape or f.ndim != 1 or f.size == 0:
@@ -146,6 +150,8 @@ def build_regression_cc_table(
     the budget, and the ``F_0`` column clamped so the class always remains
     schedulable.
     """
+    import numpy as np
+
     if ideal_time <= 0:
         raise ProfilingError("ideal_time must be positive")
     if headroom < 0:

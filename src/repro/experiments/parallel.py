@@ -88,11 +88,18 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: ``GENERATOR_VERSION`` and scenario fields by ``SCENARIO_SCHEMA_VERSION``.)
 _CACHE_FORMAT = 2
 
-#: Programs :func:`_generated_program` keeps: a grid runs each program
-#: under several policies. A jittered Table II program holds 150-330 KB,
-#: while a program whose batches repeat shares its specs and its
-#: ``specs`` tuple (3.4 KB for 30 periodic batches).
-_PROGRAM_CACHE_ENTRIES = 256
+#: Programs :func:`_generated_program` keeps, for callers that submit one
+#: cell at a time: ``SweepEngine.run_single``, ``modal_eewa_levels``
+#: ahead of its grid (Fig. 7, ``repro compare``, a ``repro serve``
+#: request for wats) and closed-loop API clients. A ``submit_many`` batch
+#: shares its programs among its cells itself, so a grid needs no LRU
+#: entry per seed. 32 covers what such a caller revisits: a seed's seven
+#: Table II programs under each policy in turn, or a shuffled block of
+#: two dozen programs. A jittered Table II program holds 150-330 KB (a
+#: program whose batches repeat shares its specs and its ``specs`` tuple:
+#: 3.4 KB for 30 periodic batches), and every gen-2 collection walks the
+#: programs kept, so a fresh seed's program is let go once its cells ran.
+_PROGRAM_CACHE_ENTRIES = 32
 
 #: Machine digests, memoised by object identity. A preset's machine is
 #: one shared object (:meth:`~repro.scenario.spec.MachineSpec.build`), so
@@ -510,9 +517,13 @@ class SweepStats:
     that ran. ``cancelled`` counts tickets withdrawn before dispatch,
     coalesced ones included, so it can overlap the other counters.
     ``memo_hits`` is the subset of ``cache_hits`` served without
-    touching disk: entries this engine had already read back once.
+    touching disk: entries this engine had already read back twice (a
+    payload enters the memo on its second read).
     ``chunks`` is the number of dispatch round-trips the executed cells
-    were batched into.
+    were batched into. ``cache_write_errors`` counts results the cache
+    failed to store (an ``OSError`` such as a full disk): their tickets
+    resolved all the same, and the cell simulates again when next asked
+    for.
     """
 
     cells: int = 0
@@ -523,3 +534,4 @@ class SweepStats:
     memo_hits: int = 0
     chunks: int = 0
     model_cells: int = 0
+    cache_write_errors: int = 0

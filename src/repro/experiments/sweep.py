@@ -16,9 +16,9 @@ Five mechanisms carry the load:
 * **persistent warm workers** — one long-lived ``ProcessPoolExecutor``
   per engine, created lazily and reused across every ``run_cells`` /
   ``submit`` for the engine's lifetime. Workers pre-import the scenario
-  registries, kernels, and the simulation engine once (the pool
-  initializer), so spawn + import cost is amortized over the whole sweep
-  instead of paid per call.
+  registries and the simulation engine once (the pool initializer), so
+  spawn + import cost is amortized over the whole sweep instead of paid
+  per call.
 * **chunked dispatch** — cells are batched per IPC round-trip. The chunk
   size adapts to the observed per-cell simulation cost (an exponential
   moving average fed back from the workers): expensive cells ship one at
@@ -29,9 +29,10 @@ Five mechanisms carry the load:
   job (one simulation, many tickets); a submission matching an
   already-finished cell is served from the sharded on-disk
   :class:`~repro.experiments.parallel.ResultCache`. A bounded in-memory
-  memo keeps the payloads read back from disk, so a cell asked for again
-  and again is loaded once; a freshly simulated payload is written to
-  disk only.
+  memo admits a payload on its second read back from disk, so a cell
+  asked for again and again is loaded twice, while a cell asked for once
+  more (a second client's copy of a fresh request) costs no memo slot; a
+  freshly simulated payload is written to disk only.
 * **analytic model tier** — with ``fidelity="auto"`` a cell inside the
   calibrated envelope (:func:`repro.model.bounds.envelope_reason`, then
   the structural test inside :func:`repro.model.predict.predict_cell`) is
@@ -124,7 +125,9 @@ DISPATCHER_JOIN_SECONDS = 5.0
 #: Hard cap on cells per dispatch chunk.
 MAX_CHUNK = 32
 
-#: Size of the in-memory LRU of payloads read back from disk.
+#: Size of the in-memory LRU of payloads read back from disk, and of the
+#: set of keys read back once (a payload enters the memo on its second
+#: read).
 MEMO_ENTRIES = 1024
 
 #: Default backpressure bound on queued-but-undispatched cells.
@@ -132,14 +135,15 @@ MAX_PENDING = 10_000
 
 
 def _warm_worker() -> None:
-    """Pool initializer: pre-import the heavy modules once per worker.
+    """Pool initializer: pre-import the modules a cell runs on, once per
+    worker.
 
     Importing the scenario registries pulls in every shipped policy,
-    machine preset, and workload; the kernels package is the cost model's
-    backing data. Paying this once per *worker* instead of once per
-    *pickled callable invocation* is what makes the pool "warm".
+    machine preset, and workload. Paying this once per *worker* instead of
+    once per *pickled callable invocation* is what makes the pool "warm".
+    The kernels package is left out: no cell reads it (only ``repro
+    calibrate`` measures the kernels), and it would import NumPy.
     """
-    import repro.kernels  # noqa: F401
     import repro.scenario.registry  # noqa: F401
     import repro.sim.engine  # noqa: F401
     import repro.workloads.benchmarks  # noqa: F401
@@ -176,7 +180,7 @@ class _Job:
     ) -> None:
         self.key = key
         self.cell = cell
-        self.program = program
+        self.program: Optional[tuple[Batch, ...]] = program
         self.priority = priority
         self.seq = seq
         self.state = _QUEUED
@@ -285,6 +289,12 @@ class SweepEngine:
         self._queued = 0  # live queued (not dispatched/cancelled) jobs
         self._inflight: dict[str, _Job] = {}
         self._memo: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._read_once: OrderedDict[str, None] = OrderedDict()
+        #: While a thread runs :meth:`submit_many`, ``programs`` holds that
+        #: batch's generated programs by (workload spec, batches, seed),
+        #: for :meth:`submit` to share. Thread-local: concurrent batches
+        #: (one per ``repro serve`` request) keep their own.
+        self._batch = threading.local()
         self._seq = itertools.count()
         self._ema_cell_seconds: Optional[float] = None
         self._submit_gate = 0  # >0: a batch submit is enqueueing; hold dispatch
@@ -333,8 +343,15 @@ class SweepEngine:
                 return ticket
             executed = self.stats.executed
         # A miss needs the program. It is generated outside the lock, so
-        # other submits and finishing chunks do not wait for it.
-        program = spec.build_program()
+        # other submits and finishing chunks do not wait for it, and once
+        # per submit_many batch, whatever the process-wide LRU still holds.
+        program = spec.program
+        if program is None:
+            programs = getattr(self._batch, "programs", {})
+            generator = (*spec.generator(), spec.seed)
+            program = programs.get(generator)
+            if program is None:
+                program = programs[generator] = spec.build_program()
         with self._lock:
             if self._closed:
                 raise RuntimeError("SweepEngine is closed")
@@ -379,9 +396,12 @@ class SweepEngine:
         backpressure: at the bound the dispatcher drains even mid-batch.
         Duplicates still resolve to one simulation (a dispatched job
         coalesces until it completes, after which the cache serves it).
-        ``fidelity`` overrides the engine default for the whole batch
-        (the per-request axis the sweep service forwards).
+        Cells that share a generated program (the same workload, batch
+        count and seed) share one generation. ``fidelity`` overrides the
+        engine default for the whole batch (the per-request axis the
+        sweep service forwards).
         """
+        self._batch.programs = {}
         with self._lock:
             self._submit_gate += 1
         try:
@@ -390,6 +410,7 @@ class SweepEngine:
                 for spec in specs
             ]
         finally:
+            del self._batch.programs
             with self._lock:
                 self._submit_gate -= 1
                 self._work.notify_all()
@@ -410,8 +431,7 @@ class SweepEngine:
             self.stats.cancelled += 1
             job.tickets.remove(ticket)
             if not job.tickets:
-                job.state = _CANCELLED  # heap entry is dropped lazily
-                self._inflight.pop(job.key, None)
+                self._retire_locked(job, _CANCELLED)  # heap entry dropped lazily
                 self._queued -= 1
                 self._not_full.notify_all()
             return True
@@ -577,8 +597,7 @@ class SweepEngine:
             for _, _, job in self._heap:
                 if job.state != _QUEUED:
                     continue
-                job.state = _CANCELLED
-                self._inflight.pop(job.key, None)
+                self._retire_locked(job, _CANCELLED)
                 for ticket in job.tickets:
                     if ticket.future.cancel():
                         self.stats.cancelled += 1
@@ -685,8 +704,11 @@ class SweepEngine:
     def _lookup_cached(self, key: str) -> Optional[dict[str, Any]]:
         """The cached payload for ``key``, or ``None``.
 
-        The memo is read-through: it holds only payloads read back from
-        disk, so it costs memory only for cells a sweep asks for again.
+        The memo is read-through and admits a payload on its second read
+        from disk: the first read only records the key. A cell read back
+        once, such as the second copy of a fresh cell that two clients
+        both ask for, so costs no memo slot; a cell asked for again and
+        again is read from disk twice, then served from memory.
         """
         if self.cache is None:
             return None
@@ -696,10 +718,17 @@ class SweepEngine:
             self.stats.memo_hits += 1
             return payload
         payload = self.cache.get(key)
-        if payload is not None:
+        if payload is None:
+            return None
+        if key in self._read_once:
+            del self._read_once[key]
             self._memo[key] = payload
             if len(self._memo) > MEMO_ENTRIES:
                 self._memo.popitem(last=False)
+        else:
+            self._read_once[key] = None
+            if len(self._read_once) > MEMO_ENTRIES:
+                self._read_once.popitem(last=False)
         return payload
 
     @staticmethod
@@ -765,19 +794,26 @@ class SweepEngine:
         else:
             self._ema_cell_seconds = 0.7 * self._ema_cell_seconds + 0.3 * seconds
 
+    def _retire_locked(self, job: _Job, state: int) -> None:
+        """Take a finished or withdrawn job out of the in-flight table,
+        dropping its program. Called with the lock held."""
+        job.state = state
+        job.program = None
+        self._inflight.pop(job.key, None)
+
     def _complete_chunk(
         self,
         chunk: Sequence[_Job],
         results: Sequence[tuple[dict[str, Any], float]],
     ) -> None:
-        # Called with the lock held.
+        # Called with the lock held. Every ticket resolves and every job
+        # retires before the cache is written, so a failed write strands
+        # no waiter: the cell stays uncached and simulates again when it
+        # is next submitted.
         for job, (payload, seconds) in zip(chunk, results):
             self._observe_cell_seconds(seconds)
             self.stats.executed += 1
-            if self.cache is not None:
-                self.cache.put(job.key, payload)
-            job.state = _DONE
-            self._inflight.pop(job.key, None)
+            self._retire_locked(job, _DONE)
             for ticket in job.tickets:
                 if not ticket.future.cancelled():
                     ticket.future.set_result(
@@ -786,12 +822,17 @@ class SweepEngine:
                         )
                     )
         self.stats.chunks += 1
+        if self.cache is not None:
+            for job, (payload, _) in zip(chunk, results):
+                try:
+                    self.cache.put(job.key, payload)
+                except OSError:
+                    self.stats.cache_write_errors += 1
 
     def _fail_chunk(self, chunk: Sequence[_Job], exc: BaseException) -> None:
         # Called with the lock held.
         for job in chunk:
-            job.state = _DONE
-            self._inflight.pop(job.key, None)
+            self._retire_locked(job, _DONE)
             for ticket in job.tickets:
                 if not ticket.future.cancelled():
                     ticket.future.set_exception(exc)

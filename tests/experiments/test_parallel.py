@@ -374,9 +374,21 @@ class TestWarmCells:
         with SweepEngine(cache_dir=tmp_path / "c") as warm:
             counts = self._count(monkeypatch)
             self._stream(warm, scenarios)  # read back from disk
+            self._stream(warm, scenarios)  # read again: admitted to the memo
             self._stream(warm, scenarios)  # served by the memo
-            assert warm.stats.cache_hits == 8 and warm.stats.memo_hits == 4
+            assert warm.stats.cache_hits == 12 and warm.stats.memo_hits == 4
         assert counts == {"programs": 0, "machines": 0}
+
+    def test_a_fresh_cell_asked_for_twice_takes_no_memo_slot(self, tmp_path):
+        # Two clients sending the same fresh request, one after the other:
+        # the first simulates it, the second reads it back from disk once.
+        scenarios = [{"workload": "SHA-1", "policy": "eewa", "seeds": [5, 6],
+                      "batches": 2}]
+        with SweepEngine(cache_dir=tmp_path / "c") as engine:
+            self._stream(engine, scenarios)
+            self._stream(engine, scenarios)
+            assert engine.stats.executed == 2 and engine.stats.cache_hits == 2
+            assert not engine._memo
 
     def test_a_request_on_one_preset_builds_one_machine(self, monkeypatch):
         from repro.scenario import spec as spec_module
@@ -392,6 +404,36 @@ class TestWarmCells:
             self._stream(engine, scenarios)
             assert engine.stats.executed == 14
         assert counts["machines"] == 1
+
+
+class TestGeneratedPrograms:
+    def test_a_scenario_major_grid_generates_each_program_once(
+        self, monkeypatch
+    ):
+        # More seeds than the program LRU keeps: the second policy's cells
+        # reuse the programs their batch generated for the first.
+        from repro.experiments import parallel
+        from repro.workloads import generators
+
+        generated = []
+        generate = generators.generate_program
+
+        def counting(workload, *, batches, seed):
+            generated.append(seed)
+            return generate(workload, batches=batches, seed=seed)
+
+        monkeypatch.setattr(generators, "generate_program", counting)
+        parallel._generated_program.cache_clear()
+        seeds = range(1, parallel._PROGRAM_CACHE_ENTRIES + 9)
+        cells = [
+            CellSpec("SHA-1", policy, seed=seed, batches=1)
+            for policy in ("cilk", "cilk-d") for seed in seeds
+        ]
+        with SweepEngine(workers=0, cache_dir=None) as engine:
+            outcomes = engine.run_cells(cells)
+            assert engine.stats.executed == len(cells)
+        assert sorted(generated) == list(seeds)
+        assert all(o.result.tasks_executed > 0 for o in outcomes)
 
 
 class TestPresetMachines:

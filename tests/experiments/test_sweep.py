@@ -7,8 +7,12 @@ crash-safety contract (atomic writes, torn-entry recovery), and the
 are covered by ``test_cache_processes.py``.
 """
 
+import errno
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -16,6 +20,7 @@ from concurrent.futures import CancelledError, Future
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments import cachectl
 from repro.experiments.fig1 import fig1_machine
@@ -58,18 +63,39 @@ class TestInflightDedup:
         assert not engine._memo  # simulated payloads go to disk only
 
     def test_cell_read_back_from_disk_is_memoised(self, engine):
+        # The memo admits a payload on its second read from disk.
         first = engine.submit(spec()).result()
         repeat = engine.submit(spec()).result()
         assert repeat.from_cache
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 1
         assert engine.stats.memo_hits == 0  # the first repeat reads disk
+        assert not engine._memo  # ...and only records the key
+        second = engine.submit(spec()).result()
+        assert second.from_cache
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.memo_hits == 0  # the second reads disk too
+        assert len(engine._memo) == 1  # ...and admits the payload
         again = engine.submit(spec()).result()
         assert again.from_cache
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.memo_hits == 1  # the second does not
-        assert again.result is repeat.result
+        assert engine.stats.cache_hits == 3
+        assert engine.stats.memo_hits == 1  # the third does not
+        assert again.result is second.result
         assert trace_fingerprint(again.result) == trace_fingerprint(first.result)
+
+    def test_a_cell_read_back_once_takes_no_memo_slot(self, engine, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "MEMO_ENTRIES", 2)
+        engine.run_cells([spec(seed=s) for s in (11, 23, 37)])
+        engine.run_cells([spec(seed=s) for s in (11, 23, 37)])
+        assert engine.stats.cache_hits == 3
+        assert not engine._memo
+        # The keys read once are bounded like the memo, oldest dropped
+        # first: seed 11's next read is a first read again.
+        assert len(engine._read_once) == 2
+        engine.submit(spec(seed=11)).result()
+        assert not engine._memo
+        admitted = engine.submit(spec(seed=37)).result()
+        assert list(engine._memo) == [admitted.key]
 
     def test_dedup_works_without_cache(self, tmp_path):
         with SweepEngine(workers=0, cache_dir=None) as eng:
@@ -106,6 +132,105 @@ class TestInflightDedup:
             assert engine.stats.deduplicated == 1 and not outcome.from_cache
         else:
             assert engine.stats.cache_hits == 1 and outcome.from_cache
+
+
+def _simulated(cell):
+    """The cell's record from a direct ``simulate`` call."""
+    return CellResult.from_sim(simulate(
+        cell.build_program(), cell.build_policy(), cell.machine, seed=cell.seed,
+    ))
+
+
+def _full_disk(cache, key, payload):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedCacheWrite:
+    """A cache write that fails (here: a full disk) strands no cell."""
+
+    def test_every_ticket_of_the_chunk_resolves(self, engine, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "CHUNK_TARGET_SECONDS", 1e9)
+        engine.submit(spec(seed=1)).result()  # feed the chunk sizer
+        monkeypatch.setattr(ResultCache, "put", _full_disk)
+        cells = [spec(seed=s) for s in (11, 23, 37)]
+        outcomes = [t.result(timeout=10) for t in engine.submit_many(cells)]
+        assert engine.stats.chunks == 2  # the three cells ran in one chunk
+        assert engine.stats.cache_write_errors == 3
+        assert not engine._inflight
+        for cell, outcome in zip(cells, outcomes):
+            assert not outcome.from_cache
+            assert outcome.result == _simulated(cell)
+            assert engine.cache.get(outcome.key) is None
+        again = engine.submit(cells[0]).result(timeout=10)
+        assert not again.from_cache
+        assert engine.stats.executed == 5
+        assert engine.stats.cache_write_errors == 4
+
+    def test_pooled_every_ticket_resolves(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "put", _full_disk)
+        cells = [spec(seed=s) for s in (11, 23, 37, 41)]
+        with SweepEngine(workers=2, cache_dir=tmp_path / "cache") as eng:
+            outcomes = [t.result(timeout=60) for t in eng.submit_many(cells)]
+            again = eng.submit(cells[0]).result(timeout=60)
+        # Closing joined the pool, so every chunk's write has been tried.
+        assert eng.stats.executed == 5
+        assert eng.stats.cache_write_errors == 5
+        assert not eng._inflight
+        assert not again.from_cache
+        for cell, outcome in zip(cells, outcomes):
+            assert not outcome.from_cache
+            assert outcome.result == _simulated(cell)
+            assert eng.cache.get(outcome.key) is None
+
+
+#: Run by a fresh interpreter: the CLI's imports, one cell of every
+#: registered policy simulated and then read back from a cache, one
+#: streamed request and a pool worker's warm-up; prints whether NumPy
+#: got loaded.
+_CELL_PATH = """
+import sys
+import repro, repro.cli
+from repro.experiments.parallel import CellSpec
+from repro.experiments.sweep import SweepEngine, _warm_worker
+from repro.scenario.registry import POLICIES, spread_levels_for
+from repro.scenario.spec import MachineSpec
+from repro.service.protocol import parse_sweep_request
+from repro.service.server import stream_request
+
+levels = tuple(spread_levels_for(MachineSpec().build()))
+cells = [
+    CellSpec("SHA-1", entry.name, seed=11, batches=2,
+             core_levels=levels if entry.needs_core_levels else None)
+    for entry in POLICIES
+]
+with SweepEngine(cache_dir=sys.argv[1]) as engine:
+    engine.run_cells(cells)
+    engine.run_cells(cells)
+    assert engine.stats.cache_hits == len(cells), engine.stats
+    request = parse_sweep_request({"scenarios": [
+        {"workload": "MD5", "policy": "wats", "seeds": [5], "batches": 2},
+    ]})
+    assert stream_request(engine, request, lambda frame: None)["ended"] == "end"
+_warm_worker()
+print("numpy" in sys.modules)
+"""
+
+
+def test_no_cell_imports_numpy(tmp_path):
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _CELL_PATH, str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False", (
+        "a cell, the CLI or a pool worker imported NumPy; import it inside "
+        "the functions that use it"
+    )
 
 
 class TestCancellation:

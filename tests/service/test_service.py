@@ -433,8 +433,8 @@ class TestHttpSurface:
         assert set(stats) == {"engine", "server", "cache"}
         assert set(stats["engine"]) == {
             "cells", "executed", "cache_hits", "memo_hits", "deduplicated",
-            "cancelled", "chunks", "model_cells", "queue_depth",
-            "ema_cell_seconds", "fidelity",
+            "cancelled", "chunks", "model_cells", "cache_write_errors",
+            "queue_depth", "ema_cell_seconds", "fidelity",
         }
         assert stats["engine"]["executed"] >= 1
         assert stats["engine"]["fidelity"] == "sim"
